@@ -62,7 +62,9 @@ def divisor_from_json(obj: Any) -> DivisorClass:
     return DivisorClass(surface, tuple(rational_from_str(c) for c in coeffs))
 
 
-def _int_field(obj: dict, key: str) -> int:
+def _int_field(obj: Any, key: str) -> int:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected an object holding field {key!r}")
     value = obj.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"field {key!r} must be an integer")

@@ -29,7 +29,7 @@ from .characters import (
     LAMBDA_COLUMNS,
     SPANNING_CHARACTERS,
     chi_in_lattice,
-    full_lattice_rank,
+    lambda_rank,
     lambda_representation,
 )
 from .errors import EllspecError, PolarizationError, SchemaError, TamperError
@@ -181,18 +181,17 @@ def _cmd_chern(args: argparse.Namespace) -> int:
 
 
 def _cmd_chars(args: argparse.Namespace) -> int:
-    ok = True
+    reps = []
     for chi in SPANNING_CHARACTERS:
         member = chi_in_lattice(chi)
-        ok = ok and member
         rep = lambda_representation(chi) if member else None
+        if member:
+            reps.append(rep)
         print(f"{'ok  ' if member else 'FAIL'} chi={chi} -> {rep}")
-    rank = full_lattice_rank()
+    rank = lambda_rank(reps)
     print(f"columns: {', '.join(LAMBDA_COLUMNS)}")
     print(f"span rank: {rank} of {len(LAMBDA_COLUMNS)} ambient coordinates")
-    if rank != 7:
-        ok = False
-    return 0 if ok else 1
+    return 0 if len(reps) == len(SPANNING_CHARACTERS) and rank == 7 else 1
 
 
 def _golden_checks() -> list[tuple[str, bool, str]]:
@@ -284,7 +283,7 @@ def _golden_checks() -> list[tuple[str, bool, str]]:
         all(chi_in_lattice(chi) for chi in SPANNING_CHARACTERS)
         and matrix == lam["rows"]
         and list(LAMBDA_COLUMNS) == lam["columns"]
-        and full_lattice_rank() == 7
+        and lambda_rank(matrix) == 7
     )
     checks.append(("character lattice", chars_ok, "7 characters, rank 7"))
 

@@ -212,7 +212,8 @@ def is_ample_fxi(a: int, b: int, c: int) -> AmplenessCertificate:
         self_intersection=2 * (a * b + a * c + b * c) - b * b - c * c,
     )
     # the two characterizations agree; keep them cross-checked
-    assert cert.ample == all(w > 0 for w in cert.witnesses())
+    if cert.ample != all(w > 0 for w in cert.witnesses()):
+        raise ArithmeticError("ampleness closed form disagrees with its witnesses")
     return cert
 
 
@@ -342,8 +343,8 @@ def invariant_subspace_has_integral_point(
     else:
         target = [int(linalg.dot(w, t.coeffs)) for w in annihilators]
         solution = linalg.solve_integer(annihilators, target)
-        # a saturated annihilator basis always maps Z^10 onto Z^r
-        assert solution is not None
+        if solution is None:
+            raise ArithmeticError("a saturated annihilator basis must map Z^10 onto Z^r")
         point = DivisorClass(t.surface, tuple(Fraction(x) for x in solution))
     return IntegralPointResult(exists=True, point=point, obstruction=None, obstruction_value=None)
 

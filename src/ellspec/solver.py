@@ -2,15 +2,18 @@
 
 The linear constraints S_e, C1, C3 pin the fiber degrees of the two twists
 to one of five (k2, k3) rows; on each row the remaining freedom is an
-integer triple (u, x, z) plus the d-degrees and Hecke multiplicity lists.
-The quadratic c2 window and the strict slope inequality cut that freedom to
-a small region, scanned here exactly:
+integer pair (u, x), an m-space class (z*m1 on the default grid, z kept as
+provenance, or an explicit integral candidate), the d-degrees and the Hecke
+multiplicity lists.  One scan serves both kinds of m-class:
 
-    consistency   the (u, z) disk that allows the two quadratic conditions
-                  to coexist for some real x
-    feasibility   the integer (u, x, z) point satisfies both conditions
-    integrality   the twist classes built from (u, x, z, d2, d3) have
-                  integer coefficients (with the accompanying congruences)
+    integrality   enumerated, not tested: {e+zeta, f, n1+o2, m1} is
+                  saturated, so integral twists with d2 even, d3 = 1 (mod 3),
+                  s21 even and s31 = 0 (mod 3) occur exactly when k | 3,
+                  u + 9/k = 0 (mod 6) and x = 5 (mod 6); the scan steps
+                  through these residue classes
+    consistency   (u, m) lets the c2 window and the slope inequality
+                  coexist for some real x
+    feasibility   the integer point (u, x, m) satisfies both conditions
 
 Every surviving parameter point is assembled into a BundleParams, evaluated
 against the full constraint system, and emitted as a SolutionCertificate
@@ -23,7 +26,7 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .assembly import (
     BundleParams,
@@ -138,17 +141,27 @@ class ConsistencyResult:
     value: Fraction
 
 
-def consistency_check(k: int, u, z) -> ConsistencyResult:
-    """Whether (u, z) lies in the disk where the c2 window and the slope
-    inequality can hold simultaneously for some real x."""
+def consistency_check_m(k: int, u, m_class: DivisorClass) -> ConsistencyResult:
+    """Whether (u, m) lets the c2 window and the slope inequality hold for
+    some real x: eliminating x between c2_value <= gaps <= 0 and
+    gamma.e4 = x + u + 9/k + 6 m.e4 < 0 leaves value <= 0."""
     if k <= 0:
         raise ValueError("consistency check requires k > 0")
+    e4 = named_class(Surface.BPRIME, "e4")
     value = (
         Fraction(5, 3) * (Fraction(u) + Fraction(9, k)) ** 2
-        + 30 * (Fraction(z) - Fraction(3, k)) ** 2
+        - 15 * intersect(m_class, m_class)
+        + Fraction(180, k) * intersect(m_class, e4)
+        + Fraction(270, k * k)
         - 12
     )
     return ConsistencyResult(passes=value <= 0, value=value)
+
+
+def consistency_check(k: int, u, z) -> ConsistencyResult:
+    """The consistency test on the m1 ray, where it is the (u, z) disk
+    5/3 (u + 9/k)^2 + 30 (z - 3/k)^2 <= 12."""
+    return consistency_check_m(k, u, Fraction(z) * named_class(Surface.BPRIME, "m1"))
 
 
 @dataclass(frozen=True)
@@ -235,6 +248,13 @@ class SearchBounds:
     d_abs: int = 40
     a_max: int = 5
 
+    def __post_init__(self) -> None:
+        for name in ("u_abs", "x_abs", "d_abs", "a_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"search bound {name} must be nonnegative")
+        if self.z_min > self.z_max:
+            raise ValueError("search bound z_min must not exceed z_max")
+
 
 @dataclass(frozen=True)
 class SolutionCertificate:
@@ -279,59 +299,36 @@ def _hprime_class(hprime: tuple[int, int, int]) -> DivisorClass:
 
 
 def _multiplicity_lists(length: int, a_max: int, nonconstant: bool) -> list[tuple[int, ...]]:
+    """The lists whose sum is divisible by their length: s21 even, s31 = 0 (mod 3)."""
     if nonconstant:
-        return sorted(product(range(a_max + 1), repeat=length))
+        lists = product(range(a_max + 1), repeat=length)
+        return sorted(a for a in lists if sum(a) % length == 0)
     return [(v,) * length for v in range(a_max + 1)]
 
 
+def _congruent(bound: int, modulus: int, residue: int) -> range:
+    """The integers in [-bound, bound] congruent to residue (mod modulus)."""
+    return range(-bound + (residue + bound) % modulus, bound + 1, modulus)
+
+
 def _scan_shape(task) -> list[SolutionCertificate]:
-    """Scan the d-grid of one feasible (a2, a3, u, z/m, x) shape."""
+    """Evaluate the d-grid of one feasible (a2, a3, u, m, x) shape: every
+    even d2 against every d3 = 1 (mod 3)."""
     (row, a2, a3, u, z, m_class, x, d_abs, hprime, notes) = task
-    k = row.k
     s21, s31 = int(newton_sum(a2, 1)), int(newton_sum(a3, 1))
     hp_class = _hprime_class(hprime)
     out: list[SolutionCertificate] = []
-    for d2 in range(-d_abs, d_abs + 1):
-        for d3 in range(-d_abs, d_abs + 1):
-            if z is not None:
-                if not integrality_check(k, u, x, z, d2, d3, s21, s31).passes:
-                    continue
+    for d2 in _congruent(d_abs, 2, 0):
+        for d3 in _congruent(d_abs, 3, 1):
             l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, s21, s31)
-            if not (l2.is_integral and l3.is_integral):
-                continue
             params = BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3)
             report = evaluate_constraints(params, hp_class, extra_notes=notes)
             if report.all_pass:
-                out.append(
-                    SolutionCertificate(
-                        row=row,
-                        k=k,
-                        u=u,
-                        x=x,
-                        z=z,
-                        m_class=m_class,
-                        params=params,
-                        hprime=hprime,
-                        report=report,
-                        notes=notes,
-                    )
-                )
+                out.append(SolutionCertificate(
+                    row=row, k=row.k, u=u, x=x, z=z, m_class=m_class,
+                    params=params, hprime=hprime, report=report, notes=notes,
+                ))
     return out
-
-
-def _dfree_integrality_ok(k: int, u: int, s21: int, s31: int) -> bool:
-    """The d-independent checks of integrality_check, used as a scan prune."""
-    if 3 % k != 0:
-        return False
-    nine_k = Fraction(9, k)
-    return (
-        nine_k.denominator == 1
-        and Fraction(6, k).denominator == 1
-        and ((u + nine_k + s21) / 2).denominator == 1
-        and ((u + nine_k - s31) / 3).denominator == 1
-        and s21 % 2 == 0
-        and s31 % 3 == 0
-    )
 
 
 def _certificate_sort_key(cert: SolutionCertificate):
@@ -359,55 +356,57 @@ def solve(
 ) -> list[SolutionCertificate]:
     """Enumerate every certificate on one table row within the bounds.
 
-    The scan is exhaustive over the bounded parameter box: multiplicity
-    lists (constant by default), then (u, z) through the consistency disk,
-    then x through the feasibility window, then the d-grid under
-    integrality.  Results are deterministic and sorted regardless of the
-    worker count.
+    The scan is exhaustive over the bounded parameter box: (u, m) through
+    the consistency test, then the multiplicity lists (constant by default)
+    and x through the feasibility window, then the d-grid; u, x, d2, d3 and
+    the lists run over the residue classes that make the twists integral.
+    Results are deterministic and sorted regardless of the worker count.
     """
     row = _row_for(k2, k3)
     k = row.k
     b = bounds if bounds is not None else SearchBounds()
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if not is_ample_fxi(*hprime).ample:
         raise PolarizationError("default search requires an ample polarization")
 
     m1 = named_class(Surface.BPRIME, "m1")
     if m_candidates is None:
-        m_grid: list[tuple[int | None, DivisorClass]] = [
-            (z, Fraction(z) * m1) for z in range(b.z_min, b.z_max + 1)
-        ]
+        m_grid = [(z, Fraction(z) * m1) for z in range(b.z_min, b.z_max + 1)]
     else:
         m_grid = []
         for m_class in m_candidates:
             if not m_space_check(m_class):
                 raise ValueError(f"candidate {m_class} fails the m-space check")
+            if not m_class.is_integral:
+                raise ValueError(f"candidate {m_class} is not integral")
             m_grid.append((None, m_class))
 
+    if 3 % k != 0:  # 9/k is fractional, so no twist on this row is integral
+        return []
     notes: tuple[str, ...] = ()
     if k == 1:
         notes = ("k = 1 row: geometric side conditions not certified by this search",)
 
+    lists = [
+        (a2, a3, means_gap(2, a2) + means_gap(3, a3))
+        for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists)
+        for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists)
+    ]
     tasks = []
-    for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists):
-        for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists):
-            gaps = means_gap(2, a2) + means_gap(3, a3)
-            s21, s31 = int(newton_sum(a2, 1)), int(newton_sum(a3, 1))
-            for u in range(-b.u_abs, b.u_abs + 1):
-                for z, m_class in m_grid:
-                    if z is not None:
-                        if not consistency_check(k, u, z).passes:
-                            continue
-                        # d-independent part of the integrality gate
-                        if not _dfree_integrality_ok(k, u, s21, s31):
-                            continue
-                    for x in range(-b.x_abs, b.x_abs + 1):
-                        feas = feasibility_check_m(k, u, x, m_class, gaps)
-                        if not (feas.c2_ok and feas.ss_ok):
-                            continue
+    for u in _congruent(b.u_abs, 6, -9 // k):
+        for z, m_class in m_grid:
+            if not consistency_check_m(k, u, m_class).passes:
+                continue
+            for a2, a3, gaps in lists:
+                for x in _congruent(b.x_abs, 6, 5):
+                    feas = feasibility_check_m(k, u, x, m_class, gaps)
+                    if feas.c2_ok and feas.ss_ok:
                         tasks.append((row, a2, a3, u, z, m_class, x, b.d_abs, hprime, notes))
 
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(workers) as pool:
+    size = min(workers, len(tasks))
+    if size > 1:
+        with multiprocessing.Pool(size) as pool:
             chunks = pool.map(_scan_shape, tasks)
     else:
         chunks = [_scan_shape(task) for task in tasks]

@@ -1,23 +1,31 @@
 """Certificate search: the table, the parametrization, the gates, the scan."""
 
 import dataclasses
+import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellspec.solver as solver_module
 from ellspec.assembly import ConstraintEntry
+from ellspec.certificates import dumps_certificates
 from ellspec.errors import TamperError
-from ellspec.lattice import Surface, intersect, named_class, named_combination
+from ellspec.hecke import means_gap
+from ellspec.lattice import Surface, intersect, m_space_check, named_class, named_combination
 from ellspec.solver import (
     SearchBounds,
     Table1Row,
     build_l_classes,
     build_l_classes_m,
     consistency_check,
+    consistency_check_m,
     enumerate_table1,
     feasibility_check,
+    feasibility_check_m,
     integrality_check,
     lf_values,
     solve,
@@ -261,3 +269,175 @@ def test_solve_with_explicit_m_candidates():
     assert all(c.z is None for c in certs)
     with pytest.raises(ValueError):
         solve(3, 6, SMALL_BOUNDS, m_candidates=[named_class(BP, "f")])
+
+
+# === one scan path: enumerated integrality, one consistency test ===
+
+SCAN_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=3, a_max=1)
+
+
+def _evaluated_points(monkeypatch, **kwargs):
+    """Every (a2, a3, u, x, m, d2, d3) that the scan hands to
+    evaluate_constraints, recorded through the shape being scanned."""
+    shape = {}
+    seen = []
+    scan, evaluate = solver_module._scan_shape, solver_module.evaluate_constraints
+
+    def recording_scan(task):
+        _, a2, a3, u, _, m_class, x = task[:7]
+        shape["current"] = (a2, a3, u, x, m_class.coeffs)
+        return scan(task)
+
+    def recording_evaluate(params, *args, **kw):
+        seen.append(shape["current"] + (params.d2, params.d3))
+        return evaluate(params, *args, **kw)
+
+    monkeypatch.setattr(solver_module, "_scan_shape", recording_scan)
+    monkeypatch.setattr(solver_module, "evaluate_constraints", recording_evaluate)
+    solve(3, 6, SCAN_BOUNDS, allow_nonconstant_lists=True, **kwargs)
+    return Counter(seen)
+
+
+def _integral_points_by_brute_force(zs):
+    """The same set from the old gates: every feasible point of the box on
+    the m1 ray where integrality_check passes and both twists are integral."""
+    b = SCAN_BOUNDS
+    m1 = named_class(BP, "m1")
+    lists = list(product(product(range(b.a_max + 1), repeat=2),
+                         product(range(b.a_max + 1), repeat=3)))
+    expected = []
+    for gaps in {means_gap(2, a2) + means_gap(3, a3) for a2, a3 in lists}:
+        for u, z, x in product(range(-b.u_abs, b.u_abs + 1), zs, range(-b.x_abs, b.x_abs + 1)):
+            feas = feasibility_check(3, u, x, z, gaps)
+            if not (feas.c2_ok and feas.ss_ok):
+                continue
+            for a2, a3 in lists:
+                if means_gap(2, a2) + means_gap(3, a3) != gaps:
+                    continue
+                s21, s31 = sum(a2), sum(a3)
+                for d2, d3 in product(range(-b.d_abs, b.d_abs + 1), repeat=2):
+                    if not integrality_check(3, u, x, z, d2, d3, s21, s31).passes:
+                        continue
+                    l2, l3 = build_l_classes(3, 6, u, x, z, d2, d3, s21, s31)
+                    if l2.is_integral and l3.is_integral:
+                        expected.append((a2, a3, u, x, (z * m1).coeffs, d2, d3))
+    return Counter(expected)
+
+
+def test_scan_evaluates_exactly_the_integral_points_of_the_grid(monkeypatch):
+    seen = _evaluated_points(monkeypatch)
+    expected = _integral_points_by_brute_force(range(SCAN_BOUNDS.z_min, SCAN_BOUNDS.z_max + 1))
+    assert expected and max(seen.values()) == 1
+    assert seen == expected
+
+
+def test_scan_evaluates_exactly_the_integral_points_of_a_candidate(monkeypatch):
+    seen = _evaluated_points(monkeypatch, m_candidates=[named_class(BP, "m1")])
+    expected = _integral_points_by_brute_force([1])
+    assert expected and max(seen.values()) == 1
+    assert seen == expected
+
+
+def test_consistency_m_on_the_m1_ray_is_the_disk():
+    m1 = named_class(BP, "m1")
+    for k in (1, 2, 3, 6):
+        for u in [*range(-6, 7), Fraction(-9, k), Fraction(1, 2)]:
+            for z in [*range(-2, 5), Fraction(3, k), Fraction(-1, 3)]:
+                result = consistency_check_m(k, u, z * m1)
+                assert result == consistency_check(k, u, z)
+                disk = Fraction(5, 3) * (u + Fraction(9, k)) ** 2 + 30 * (z - Fraction(3, k)) ** 2 - 12
+                assert result.value == disk
+
+
+def test_consistency_m_rejects_only_infeasible_shapes():
+    n = lambda name: named_class(BP, name)
+    m_classes = [n("m1"), 2 * n("m1"), -n("m1"), n("m3"), n("m1") - n("m2")]
+    rejected = passed = 0
+    for k, m_class, u in product((1, 3), m_classes, range(-6, 7)):
+        if consistency_check_m(k, u, m_class).passes:
+            passed += 1
+            continue
+        rejected += 1
+        for x in range(-20, 21):
+            # gaps = 0 is the loosest c2 window any multiplicity lists give
+            feas = feasibility_check_m(k, u, x, m_class, 0)
+            assert not (feas.c2_ok and feas.ss_ok), (k, str(m_class), u, x)
+    assert rejected and passed
+    assert consistency_check_m(3, -3, n("m1")).passes
+
+
+def test_consistency_m_requires_positive_k():
+    with pytest.raises(ValueError):
+        consistency_check_m(0, 0, named_class(BP, "m1"))
+
+
+def test_solve_rejects_non_integral_candidates():
+    n = lambda name: named_class(BP, name)
+    half = Fraction(1, 2)
+    for m_class in (half * n("m1"), half * n("m3"), n("m1") + half * n("m3")):
+        assert m_space_check(m_class)
+        with pytest.raises(ValueError, match="not integral"):
+            solve(3, 6, SCAN_BOUNDS, m_candidates=[m_class])
+
+
+def test_solve_candidate_pins_the_nonconstant_box():
+    bounds = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=6, a_max=1)
+    certs = solve(3, 6, bounds, m_candidates=[named_class(BP, "m1")], allow_nonconstant_lists=True)
+    assert len(certs) == 112
+    text = dumps_certificates(certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "beba872487bd9b10872d743a2d5d258f9a4828d8c26eb4f0e09999c540cceaa1"
+    )
+
+
+# === search inputs are checked before any work starts ===
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_solve_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        solve(3, 6, SCAN_BOUNDS, workers=workers)
+
+
+def test_pool_is_sized_by_the_task_count(monkeypatch):
+    sizes, task_counts = [], []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            task_counts.append(len(tasks))
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(solver_module.multiprocessing, "Pool", RecordingPool)
+    bounds = dataclasses.replace(SCAN_BOUNDS, d_abs=1)
+    serial = solve(3, 6, bounds)
+    assert sizes == []
+    assert solve(3, 6, bounds, workers=64) == serial
+    assert solve(3, 6, bounds, workers=2) == serial
+    tasks = task_counts[0]
+    assert 2 < tasks < 64
+    assert sizes == [tasks, 2] and task_counts == [tasks, tasks]
+    # a single task never starts a pool
+    assert solve(3, 6, dataclasses.replace(bounds, a_max=0), workers=64)
+    assert sizes == [tasks, 2]
+
+
+@pytest.mark.parametrize("field", ["u_abs", "x_abs", "d_abs", "a_max"])
+def test_search_bounds_reject_negative_windows(field):
+    with pytest.raises(ValueError, match=field):
+        SearchBounds(**{field: -1})
+    assert getattr(SearchBounds(**{field: 0}), field) == 0
+
+
+def test_search_bounds_reject_an_empty_z_window():
+    with pytest.raises(ValueError, match="z_min"):
+        SearchBounds(z_min=3, z_max=2)
+    assert SearchBounds(z_min=-2, z_max=-2).z_min == -2
