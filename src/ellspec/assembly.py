@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import PolarizationError
 from .hecke import HeckeMultiplicities, newton_sum
 from .lattice import (
+    COMPONENT_SUM,
     DivisorClass,
     Surface,
     fxi_coordinates,
@@ -37,6 +38,7 @@ from .spectral import SpectralParams
 from .threefold import ChernX
 
 _CI = {2: 1, 3: 3}  # binom(i+1, 2) - i
+_FP = named_class(Surface.BPRIME, "f")
 
 
 @dataclass(frozen=True)
@@ -74,20 +76,19 @@ def ch_component(i: int, p: BundleParams) -> ChernX:
     k, d, a, lcls = p.component(i)
     s1 = newton_sum(a, 1)
     s2 = newton_sum(a, 2)
-    fp = named_class(Surface.BPRIME, "f")
-    comps = named_combination(Surface.BPRIME, {"n1": 1, "o2": 1})
     fiber_coeff = Fraction(d - i * k + _CI[i])
-    c1_bp = i * lcls + fiber_coeff * fp - s1 * comps
+    c1_bp = i * lcls + fiber_coeff * _FP - s1 * COMPONENT_SUM
+    lf = intersect(lcls, _FP)
     return ChernX(
         rank=Fraction(i),
         c1_b=zero_class(Surface.B),
         c1_bp=c1_bp,
         h4_fpt=Fraction(i, 2) * intersect(lcls, lcls)
-        + fiber_coeff * intersect(lcls, fp)
-        - s1 * intersect(lcls, comps)
+        + fiber_coeff * lf
+        - s1 * intersect(lcls, COMPONENT_SUM)
         - 2 * s2,
         h4_ptf=Fraction(-k),
-        h6=-k * intersect(lcls, fp),
+        h6=-k * lf,
     )
 
 
@@ -160,20 +161,16 @@ def evaluate_constraints(
 
     s21 = newton_sum(p.a2, 1)
     s31 = newton_sum(p.a3, 1)
-    fp = named_class(Surface.BPRIME, "f")
     total = ch_total(p)
 
-    se_slack = intersect(p.l2, fp) - intersect(p.l3, fp)
-    slope_class = (
-        2 * p.l2
-        + Fraction(p.d2 + 1 - 2 * p.k2) * fp
-        - s21 * named_combination(Surface.BPRIME, {"n1": 1, "o2": 1})
-    )
+    l2f, l3f = intersect(p.l2, _FP), intersect(p.l3, _FP)
+    se_slack = l2f - l3f
+    slope_class = 2 * p.l2 + Fraction(p.d2 + 1 - 2 * p.k2) * _FP - s21 * COMPONENT_SUM
     ss_value = intersect(slope_class, hprime)
     c1_residual = total.c1_bp
     c2f_slack = Fraction(12 - (p.k2 + p.k3))
     c2fp_slack = total.h4_fpt + 12
-    c3_residual = p.k2 * intersect(p.l2, fp) + p.k3 * intersect(p.l3, fp) + 6
+    c3_residual = p.k2 * l2f + p.k3 * l3f + 6
 
     integrality_detail = (
         ("l2_integral", p.l2.is_integral),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .lattice import Surface, named_class, named_combination
+from .lattice import COMPONENT_SUM, Surface, named_class
 from .spectral import ChernB
 from .threefold import ChernX, pullback_from_b
 
@@ -45,7 +45,9 @@ class HeckeMultiplicities:
 
 def newton_sum(a: Sequence[int], alpha: int) -> Fraction:
     """Power sum of the multiplicity list; zero for the empty list."""
-    return sum((Fraction(x) ** alpha for x in a), Fraction(0))
+    if alpha < 0:
+        raise ValueError("power sums of multiplicities need a nonnegative exponent")
+    return Fraction(sum(x ** alpha for x in a))
 
 
 def hecke_single_correction(c: ChernX, a: int, component: str) -> ChernX:
@@ -74,12 +76,11 @@ def hecke_pattern_ch(w: ChernB, mult: Union[HeckeMultiplicities, Sequence[int]])
         raise ValueError("multiplicities must be nonnegative")
     s1 = newton_sum(a, 1)
     s2 = newton_sum(a, 2)
-    comps = named_combination(Surface.BPRIME, {"n1": 1, "o2": 1})
     c = pullback_from_b(w)
     return ChernX(
         rank=c.rank,
         c1_b=c.c1_b,
-        c1_bp=c.c1_bp - s1 * comps,
+        c1_bp=c.c1_bp - s1 * COMPONENT_SUM,
         h4_fpt=c.h4_fpt - 2 * s2,
         h4_ptf=c.h4_ptf,
         h6=c.h6,

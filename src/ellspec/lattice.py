@@ -12,9 +12,11 @@ integral-point decision procedure for affine subspaces of the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -30,43 +32,78 @@ class Surface(Enum):
     BPRIME = "Bprime"
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """A rational divisor class on one of the two surfaces."""
+    """A rational divisor class on one of the two surfaces.
+
+    The class is stored as integer numerators ``num`` over one positive
+    common denominator ``den``, in lowest terms, so arithmetic, comparison
+    and the pairing run on ints.  ``coeffs`` gives the coefficients as
+    Fractions.  Instances are immutable.
+    """
+
+    __slots__ = ("surface", "num", "den", "_coeffs")
 
     surface: Surface
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != RANK:
-            raise ValueError(f"expected {RANK} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, surface: Surface, coeffs: Iterable) -> None:
+        fracs = tuple(Fraction(c) for c in coeffs)
+        if len(fracs) != RANK:
+            raise ValueError(f"expected {RANK} coefficients, got {len(fracs)}")
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = lcm(*(c.denominator for c in fracs))
+        _fill(self, surface, tuple(c.numerator * (den // c.denominator) for c in fracs), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            _set(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.num))
+        return self._coeffs
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _from_ints, (self.surface, self.num, self.den)
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(surface={self.surface!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return self.surface is other.surface and self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.num, self.den))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _require_same_surface(self, other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _require_same_surface(self, other)
-        return DivisorClass(self.surface, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, sub)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
+        return _from_ints(self.surface, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, scalar) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(self.surface, tuple(s * a for a in self.coeffs))
+        s = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
+        p = s.numerator
+        return _from_ints(self.surface, tuple(p * x for x in self.num), self.den * s.denominator)
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __str__(self) -> str:
         terms = []
@@ -82,6 +119,39 @@ class DivisorClass:
         return " ".join([head] + terms[1:])
 
 
+def _combine(a: DivisorClass, b: DivisorClass, op) -> DivisorClass:
+    """a + b or a - b (op is operator.add or operator.sub), over the lcm of
+    the two denominators."""
+    _require_same_surface(a, b)
+    if a.den == b.den:
+        return _from_ints(a.surface, tuple(map(op, a.num, b.num)), a.den)
+    g = gcd(a.den, b.den)
+    sa, sb = b.den // g, a.den // g
+    num = tuple(map(op, [x * sa for x in a.num], [y * sb for y in b.num]))
+    return _from_ints(a.surface, num, a.den * sa)
+
+
+_set = object.__setattr__
+
+
+def _fill(obj: DivisorClass, surface: Surface, num: tuple[int, ...], den: int) -> None:
+    _set(obj, "surface", surface)
+    _set(obj, "num", num)
+    _set(obj, "den", den)
+    _set(obj, "_coeffs", None)
+
+
+def _from_ints(surface: Surface, num: tuple[int, ...], den: int) -> DivisorClass:
+    """The class num/den, brought to lowest terms; den must be positive."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    obj = object.__new__(DivisorClass)
+    _fill(obj, surface, num, den)
+    return obj
+
+
 def _require_same_surface(a: DivisorClass, b: DivisorClass) -> None:
     if a.surface is not b.surface:
         raise SurfaceMismatchError(
@@ -90,21 +160,20 @@ def _require_same_surface(a: DivisorClass, b: DivisorClass) -> None:
 
 
 def zero_class(surface: Surface) -> DivisorClass:
-    return DivisorClass(surface, (Fraction(0),) * RANK)
+    return _from_ints(surface, (0,) * RANK, 1)
 
 
 def basis_class(surface: Surface, name: str) -> DivisorClass:
     idx = BASIS.index(name)
-    return DivisorClass(surface, tuple(Fraction(int(i == idx)) for i in range(RANK)))
+    return _from_ints(surface, tuple(int(i == idx) for i in range(RANK)), 1)
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Intersection number of two classes on the same surface."""
+    """Intersection number of two classes on the same surface: one int dot
+    product with the sign pattern of GRAM_DIAG = (1, -1, ..., -1)."""
     _require_same_surface(a, b)
-    return sum(
-        (g * x * y for g, x, y in zip(GRAM_DIAG, a.coeffs, b.coeffs)),
-        Fraction(0),
-    )
+    x, y = a.num, b.num
+    return Fraction(x[0] * y[0] - sum(map(mul, x[1:], y[1:])), a.den * b.den)
 
 
 def _build_named(surface: Surface) -> dict[str, DivisorClass]:
@@ -151,6 +220,12 @@ def named_combination(surface: Surface, terms: dict[str, object]) -> DivisorClas
     return acc
 
 
+# The fixed combinations on B' that the twist parametrization, the Hecke
+# corrections and the m-space check use: the section sum e' + zeta' and the
+# I2 component sum n1' + o2'.
+SECTION_SUM = named_combination(Surface.BPRIME, {"e": 1, "zeta": 1})
+COMPONENT_SUM = named_combination(Surface.BPRIME, {"n1": 1, "o2": 1})
+
 PairingMatrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -159,17 +234,59 @@ def pairing_table(classes: Sequence[DivisorClass]) -> PairingMatrix:
     return tuple(tuple(intersect(a, b) for b in classes) for a in classes)
 
 
+# === coordinates in a fixed frame of named classes ===
+
+
+class Frame:
+    """Coordinates against linearly independent named classes b_1..b_r.
+
+    A dual basis w_1..w_r with b_i . w_j = delta_ij is solved for once, so
+    the coordinates of a class d in the span are its pairings d . w_j.  Any
+    d pairs to some coordinates; d lies in the span exactly when the class
+    they rebuild equals d.  Works on either surface: both share the basis.
+    """
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        basis = [named_class(Surface.B, n) for n in names]
+        rows = [[g * c for g, c in zip(GRAM_DIAG, b.coeffs)] for b in basis]
+        dual = []
+        for j in range(len(basis)):
+            w = linalg.solve_rational(rows, [int(i == j) for i in range(len(basis))])
+            if w is None:
+                raise ArithmeticError(f"frame {names} is linearly dependent")
+            dual.append(w)
+        self.names = names
+        # int pairing vectors: the dual vectors times the sign pattern and
+        # their common denominator; named classes are integral, so the
+        # frame's columns are their numerators
+        self._den = lcm(*(c.denominator for w in dual for c in w))
+        self._pairings = tuple(
+            tuple(int(g * c * self._den) for g, c in zip(GRAM_DIAG, w)) for w in dual
+        )
+        self._columns = tuple(zip(*(b.num for b in basis)))
+
+    def coordinates(self, d: DivisorClass) -> tuple[Fraction, ...] | None:
+        """Coordinates of d in the frame, or None if d is outside its span."""
+        x = d.num
+        p = [sum(map(mul, x, w)) for w in self._pairings]
+        for xk, col in zip(x, self._columns):
+            if sum(map(mul, p, col)) != self._den * xk:
+                return None
+        den = d.den * self._den
+        return tuple(Fraction(pj, den) for pj in p)
+
+
+FXI_FRAME = Frame(("f", "e1", "xi"))
+EF_FRAME = Frame(("e", "f"))
+M_FRAME = Frame(("m1", "m2", "m3"))
+
+
 # === the (f, e1, xi) polarization frame ===
 
 
 def fxi_coordinates(d: DivisorClass) -> tuple[Fraction, Fraction, Fraction] | None:
     """Coordinates (a, b, c) with d = a*f + b*e1 + c*xi, or None if outside."""
-    frame = [named_class(d.surface, n) for n in ("f", "e1", "xi")]
-    columns = [list(col) for col in zip(*(v.coeffs for v in frame))]
-    sol = linalg.solve_rational(columns, list(d.coeffs))
-    if sol is None:
-        return None
-    return sol[0], sol[1], sol[2]
+    return FXI_FRAME.coordinates(d)
 
 
 @dataclass(frozen=True)
@@ -245,15 +362,13 @@ def descent_not_effective(d: DivisorClass) -> DescentCertificate:
     negative the original class cannot have been effective.  Requires integer
     coordinates in the (e1, xi, f) span.
     """
-    frame = [named_class(d.surface, n) for n in ("e1", "xi", "f")]
-    columns = [list(col) for col in zip(*(v.coeffs for v in frame))]
-    coords = linalg.solve_rational(columns, list(d.coeffs))
+    coords = FXI_FRAME.coordinates(d)
     if coords is None:
         raise SpanError("class is outside span{e1, xi, f}")
     if any(c.denominator != 1 for c in coords):
         raise ValueError("descent requires integer coordinates in the (e1, xi, f) span")
 
-    e1, xi, f = frame
+    e1, xi, f = (named_class(d.surface, n) for n in ("e1", "xi", "f"))
     steps: list[DescentStep] = []
     current = d
     while True:
@@ -357,10 +472,9 @@ def m_space_check(m: DivisorClass) -> bool:
     section sum, the fiber, and the I2 component sum."""
     if m.surface is not Surface.BPRIME:
         raise SurfaceMismatchError("m-space classes live on the second surface")
-    span = [list(named_class(Surface.BPRIME, name).coeffs) for name in ("m1", "m2", "m3")]
-    if not linalg.in_span(span, list(m.coeffs)):
+    if M_FRAME.coordinates(m) is None:
         return False
-    esum = named_combination(Surface.BPRIME, {"e": 1, "zeta": 1})
-    fiber = named_class(Surface.BPRIME, "f")
-    comps = named_combination(Surface.BPRIME, {"n1": 1, "o2": 1})
-    return all(intersect(m, other) == 0 for other in (esum, fiber, comps))
+    return all(intersect(m, other) == 0 for other in _M_ANNIHILATED)
+
+
+_M_ANNIHILATED = (SECTION_SUM, named_class(Surface.BPRIME, "f"), COMPONENT_SUM)

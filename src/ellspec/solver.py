@@ -36,6 +36,8 @@ from .assembly import (
 from .errors import PolarizationError, TamperError
 from .hecke import means_gap, newton_sum
 from .lattice import (
+    COMPONENT_SUM,
+    SECTION_SUM,
     DivisorClass,
     Surface,
     intersect,
@@ -46,6 +48,9 @@ from .lattice import (
 )
 
 DEFAULT_HPRIME = (25, 144, 168)
+_FP = named_class(Surface.BPRIME, "f")
+_E4 = named_class(Surface.BPRIME, "e4")
+_M1 = named_class(Surface.BPRIME, "m1")
 
 
 @dataclass(frozen=True)
@@ -94,14 +99,6 @@ def lf_values(k2: int, k3: int) -> tuple[Fraction, Fraction]:
     return Fraction(18, k), Fraction(-12, k)
 
 
-def _frame(surface=Surface.BPRIME):
-    return (
-        named_combination(surface, {"e": 1, "zeta": 1}),
-        named_class(surface, "f"),
-        named_combination(surface, {"n1": 1, "o2": 1}),
-    )
-
-
 def build_l_classes_m(
     k2: int, k3: int, u, x, m_class: DivisorClass, d2: int, d3: int, s21, s31
 ) -> tuple[DivisorClass, DivisorClass]:
@@ -110,18 +107,18 @@ def build_l_classes_m(
     k = 2 * k3 - 3 * k2
     if k <= 0:
         raise ValueError("parametrization requires k = 2*k3 - 3*k2 > 0")
-    esz, fp, comps = _frame()
     u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
+    nine_k = Fraction(9, k)
     l2 = (
-        Fraction(9, k) * esz
-        + Fraction(1, 2) * (x - d2 + 2 * k2 - 1) * fp
-        + Fraction(1, 2) * (u + Fraction(9, k) + s21) * comps
+        nine_k * SECTION_SUM
+        + Fraction(1, 2) * (x - d2 + 2 * k2 - 1) * _FP
+        + Fraction(1, 2) * (u + nine_k + s21) * COMPONENT_SUM
         + 3 * m_class
     )
     l3 = (
-        Fraction(-6, k) * esz
-        + Fraction(1, 3) * (-x - d3 + 3 * k3 - 3) * fp
-        + Fraction(1, 3) * (-u - Fraction(9, k) + s31) * comps
+        Fraction(-6, k) * SECTION_SUM
+        + Fraction(1, 3) * (-x - d3 + 3 * k3 - 3) * _FP
+        + Fraction(1, 3) * (-u - nine_k + s31) * COMPONENT_SUM
         - 2 * m_class
     )
     return l2, l3
@@ -131,8 +128,7 @@ def build_l_classes(
     k2: int, k3: int, u, x, z, d2: int, d3: int, s21, s31
 ) -> tuple[DivisorClass, DivisorClass]:
     """Twist classes with the m-space class on the z*(e4'-e5') ray."""
-    m_class = Fraction(z) * named_class(Surface.BPRIME, "m1")
-    return build_l_classes_m(k2, k3, u, x, m_class, d2, d3, s21, s31)
+    return build_l_classes_m(k2, k3, u, x, Fraction(z) * _M1, d2, d3, s21, s31)
 
 
 @dataclass(frozen=True)
@@ -147,11 +143,10 @@ def consistency_check_m(k: int, u, m_class: DivisorClass) -> ConsistencyResult:
     gamma.e4 = x + u + 9/k + 6 m.e4 < 0 leaves value <= 0."""
     if k <= 0:
         raise ValueError("consistency check requires k > 0")
-    e4 = named_class(Surface.BPRIME, "e4")
     value = (
         Fraction(5, 3) * (Fraction(u) + Fraction(9, k)) ** 2
         - 15 * intersect(m_class, m_class)
-        + Fraction(180, k) * intersect(m_class, e4)
+        + Fraction(180, k) * intersect(m_class, _E4)
         + Fraction(270, k * k)
         - 12
     )
@@ -161,7 +156,7 @@ def consistency_check_m(k: int, u, m_class: DivisorClass) -> ConsistencyResult:
 def consistency_check(k: int, u, z) -> ConsistencyResult:
     """The consistency test on the m1 ray, where it is the (u, z) disk
     5/3 (u + 9/k)^2 + 30 (z - 3/k)^2 <= 12."""
-    return consistency_check_m(k, u, Fraction(z) * named_class(Surface.BPRIME, "m1"))
+    return consistency_check_m(k, u, Fraction(z) * _M1)
 
 
 @dataclass(frozen=True)
@@ -189,19 +184,16 @@ def feasibility_check_m(k: int, u, x, m_class: DivisorClass, gaps) -> Feasibilit
         + Fraction(135, k * k)
         - 12
     )
-    fp = named_class(Surface.BPRIME, "f")
-    e4 = named_class(Surface.BPRIME, "e4")
-    gamma = (x + u + Fraction(9, k)) * fp + 6 * m_class
-    gamma_exit = intersect(gamma, e4)
-    ss_ok = gamma_exit < 0 and intersect(gamma - e4, fp) == -1
+    gamma = (x + u + Fraction(9, k)) * _FP + 6 * m_class
+    gamma_exit = intersect(gamma, _E4)
+    ss_ok = gamma_exit < 0 and intersect(gamma - _E4, _FP) == -1
     return FeasibilityResult(
         c2_ok=c2_value <= gaps, ss_ok=ss_ok, c2_value=c2_value, gamma_exit=gamma_exit
     )
 
 
 def feasibility_check(k: int, u, x, z, gaps) -> FeasibilityResult:
-    m_class = Fraction(z) * named_class(Surface.BPRIME, "m1")
-    return feasibility_check_m(k, u, x, m_class, gaps)
+    return feasibility_check_m(k, u, x, Fraction(z) * _M1, gaps)
 
 
 @dataclass(frozen=True)
@@ -370,9 +362,8 @@ def solve(
     if not is_ample_fxi(*hprime).ample:
         raise PolarizationError("default search requires an ample polarization")
 
-    m1 = named_class(Surface.BPRIME, "m1")
     if m_candidates is None:
-        m_grid = [(z, Fraction(z) * m1) for z in range(b.z_min, b.z_max + 1)]
+        m_grid = [(z, z * _M1) for z in range(b.z_min, b.z_max + 1)]
     else:
         m_grid = []
         for m_class in m_candidates:
@@ -424,10 +415,8 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """
     if not m_space_check(cert.m_class):
         raise TamperError("stored m-space class fails the m-space check")
-    if cert.z is not None:
-        expected_m = Fraction(cert.z) * named_class(Surface.BPRIME, "m1")
-        if cert.m_class != expected_m:
-            raise TamperError("stored m-space class disagrees with z")
+    if cert.z is not None and cert.m_class != cert.z * _M1:
+        raise TamperError("stored m-space class disagrees with z")
     s21 = int(newton_sum(cert.params.a2, 1))
     s31 = int(newton_sum(cert.params.a3, 1))
     l2, l3 = build_l_classes_m(
@@ -439,15 +428,37 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     fresh = evaluate_constraints(
         cert.params, _hprime_class(cert.hprime), extra_notes=cert.notes
     )
-    stored, recomputed = cert.report, fresh
-    same = (
-        stored.entries == recomputed.entries
-        and stored.c2_deficit == recomputed.c2_deficit
-        and stored.c2_deficit_effective == recomputed.c2_deficit_effective
-        and stored.c3 == recomputed.c3
-        and stored.nonsplit == recomputed.nonsplit
-        and stored.slope_negative == recomputed.slope_negative
-    )
-    if not same:
-        raise TamperError("stored constraint report disagrees with recomputation")
+    difference = _report_difference(cert.report, fresh)
+    if difference is not None:
+        raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
     return fresh
+
+
+_ENTRY_FIELDS = ("passes", "value", "residual", "detail")
+_REPORT_FIELDS = ("c2_deficit", "c2_deficit_effective", "c3", "nonsplit", "slope_negative")
+
+
+def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str | None:
+    """The first entry or field where two reports differ, with the stored
+    and the recomputed exact value; None when they agree."""
+    names = [e.name for e in stored.entries]
+    fresh_names = [e.name for e in fresh.entries]
+    if names != fresh_names:
+        return f"entry names: stored {names}, recomputed {fresh_names}"
+    for s, f in zip(stored.entries, fresh.entries):
+        for name in _ENTRY_FIELDS:
+            a, b = getattr(s, name), getattr(f, name)
+            if a != b:
+                return f"{s.name}.{name}: stored {_shown(a)}, recomputed {_shown(b)}"
+    for name in _REPORT_FIELDS:
+        a, b = getattr(stored, name), getattr(fresh, name)
+        if a != b:
+            return f"{name}: stored {_shown(a)}, recomputed {_shown(b)}"
+    return None
+
+
+def _shown(value) -> str:
+    """An exact value on one line: rationals as canonical strings."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(_shown(v) for v in value) + ")"
+    return str(value)

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import SpanError
-from .lattice import DivisorClass, Surface, intersect, named_class, zero_class
+from .lattice import EF_FRAME, DivisorClass, Surface, named_class
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,10 @@ class SpectralParams:
 
 
 def _ef_coordinates(div: DivisorClass) -> tuple[Fraction, Fraction]:
-    e = named_class(Surface.B, "e")
-    f = named_class(Surface.B, "f")
-    columns = [list(col) for col in zip(e.coeffs, f.coeffs)]
-    sol = linalg.solve_rational(columns, list(div.coeffs))
+    sol = EF_FRAME.coordinates(div)
     if sol is None:
         raise SpanError("divisor direction outside span{e, f} is not transformable")
-    return sol[0], sol[1]
+    return sol
 
 
 def fourier_mukai_b(c: ChernB) -> ChernB:

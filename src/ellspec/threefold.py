@@ -21,20 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import SpanError, UnsupportedProductError
-from .lattice import DivisorClass, Surface, intersect, named_class, zero_class
+from .lattice import EF_FRAME, DivisorClass, Surface, intersect, named_class, zero_class
 from .spectral import ChernB
+
+_E = named_class(Surface.B, "e")
+_FP = named_class(Surface.BPRIME, "f")
 
 
 def _split_ef(div: DivisorClass) -> tuple[Fraction, Fraction]:
-    e = named_class(Surface.B, "e")
-    f = named_class(Surface.B, "f")
-    columns = [list(col) for col in zip(e.coeffs, f.coeffs)]
-    sol = linalg.solve_rational(columns, list(div.coeffs))
+    sol = EF_FRAME.coordinates(div)
     if sol is None:
         raise SpanError("B-side H^2 parts must lie in span{e, f}")
-    return sol[0], sol[1]
+    return sol
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,13 @@ class ChernX:
         if self.c1_b.surface is not Surface.B or self.c1_bp.surface is not Surface.BPRIME:
             raise ValueError("c1 parts must be (class on B, class on B')")
         # canonical form: move the f-multiple of the B part across the
-        # identification pi'*f = pi*f'
+        # identification pi'*f = pi*f'; a zero B part is already canonical
+        if self.c1_b.is_zero:
+            return
         s, t = _split_ef(self.c1_b)
         if t != 0:
-            e = named_class(Surface.B, "e")
-            fp = named_class(Surface.BPRIME, "f")
-            object.__setattr__(self, "c1_b", s * e)
-            object.__setattr__(self, "c1_bp", self.c1_bp + t * fp)
+            object.__setattr__(self, "c1_b", s * _E)
+            object.__setattr__(self, "c1_bp", self.c1_bp + t * _FP)
 
     @classmethod
     def zero(cls) -> "ChernX":
@@ -138,7 +137,6 @@ def _product(x: ChernX, y: ChernX) -> ChernX:
         raise UnsupportedProductError(
             "products with a section-direction H^2 part are outside the implemented fragment"
         )
-    fp = named_class(Surface.BPRIME, "f")
     a, b = x.c1_bp, y.c1_bp
     return ChernX(
         rank=x.rank * y.rank,
@@ -147,5 +145,5 @@ def _product(x: ChernX, y: ChernX) -> ChernX:
         h4_fpt=x.rank * y.h4_fpt + y.rank * x.h4_fpt + intersect(a, b),
         h4_ptf=x.rank * y.h4_ptf + y.rank * x.h4_ptf,
         h6=x.rank * y.h6 + y.rank * x.h6
-        + intersect(a, fp) * y.h4_ptf + intersect(b, fp) * x.h4_ptf,
+        + intersect(a, _FP) * y.h4_ptf + intersect(b, _FP) * x.h4_ptf,
     )

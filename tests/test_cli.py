@@ -197,3 +197,48 @@ def test_installed_console_script_on_path(tmp_path):
     assert len(proc.stdout.splitlines()) == 6
     proc = _run_script(exe, "report", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def _golden_json():
+    return json.loads(
+        resources.files("ellspec.data").joinpath("golden_certificate.json").read_text()
+    )
+
+
+def test_verify_names_a_doctored_report_field(tmp_path, capsys):
+    obj = _golden_json()
+    assert obj["report"]["c3"] == "12"
+    obj["report"]["c3"] = "25/2"
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL certificate 0 (k2=3, k3=6, u=-3, x=5): stored constraint report"
+        " disagrees with recomputation at c3: stored 25/2, recomputed 12"
+    ]
+
+
+def test_verify_names_a_doctored_report_entry(tmp_path, capsys):
+    obj = _golden_json()
+    (entry,) = [e for e in obj["report"]["entries"] if e["name"] == "S_s"]
+    assert entry["value"] == "-12"
+    entry["value"] = "-11"
+    path = tmp_path / "s_s.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL certificate 0 (k2=3, k3=6, u=-3, x=5): stored constraint report"
+        " disagrees with recomputation at S_s.value: stored -11, recomputed -12"
+    ]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ellspec.__file__).resolve().parents[1]))
+    proc = _run_script(sys.executable, "-m", "ellspec", "table1", cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 6
+    proc = _run_script(sys.executable, "-m", "ellspec", "frobnicate", cwd=tmp_path, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid choice" in proc.stderr

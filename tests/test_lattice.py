@@ -1,6 +1,7 @@
 """Intersection lattice: named classes, pairings, ampleness, descent,
 integral points, and the m-class subspace."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,13 @@ from hypothesis import strategies as st
 
 from ellspec.errors import SpanError, SurfaceMismatchError
 from ellspec.lattice import (
+    EF_FRAME,
+    FXI_FRAME,
+    GRAM_DIAG,
     INCONCLUSIVE,
+    M_FRAME,
     NOT_EFFECTIVE,
+    RANK,
     DivisorClass,
     Surface,
     descent_not_effective,
@@ -24,6 +30,7 @@ from ellspec.lattice import (
     pairing_table,
     zero_class,
 )
+from ellspec.linalg import solve_rational
 
 B = Surface.B
 BP = Surface.BPRIME
@@ -318,3 +325,98 @@ def test_str_rendering():
     assert str(zero_class(B)) == "0"
     assert str(n("f")) == "3*l - e1 - e2 - e3 - e4 - e5 - e6 - e7 - e8 - e9"
     assert str(n("n1")) == "e8 - e9"
+
+
+# === the int core against a plain Fraction-tuple oracle ===
+
+# Entries as unreduced (numerator, denominator) pairs, so that the
+# constructor sees negative, zero and non-canonical spellings like 4/-6.
+_entries = st.tuples(
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-12, max_value=12).filter(bool),
+)
+_vectors = st.lists(_entries, min_size=RANK, max_size=RANK)
+_scalars = st.one_of(
+    st.integers(min_value=-7, max_value=7),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+def _oracle(pairs):
+    return tuple(Fraction(p, q) for p, q in pairs)
+
+
+def _oracle_str(coeffs):
+    terms = []
+    for name, c in zip(("l",) + tuple(f"e{i}" for i in range(1, 10)), coeffs):
+        if c:
+            mag = abs(c)
+            terms.append(("- " if c < 0 else "+ ") + (name if mag == 1 else f"{mag}*{name}"))
+    if not terms:
+        return "0"
+    head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
+    return " ".join([head] + terms[1:])
+
+
+@settings(max_examples=200)
+@given(_vectors, _vectors, _scalars)
+def test_int_core_matches_fraction_oracle(pa, pb, s):
+    ra, rb = _oracle(pa), _oracle(pb)
+    a = DivisorClass(BP, [Fraction(p, q) for p, q in pa])
+    b = DivisorClass(BP, [f"{p}/{q}" if q > 0 else Fraction(p, q) for p, q in pb])
+    assert a.coeffs == ra and b.coeffs == rb
+    assert all(type(c) is Fraction for c in a.coeffs + (a + b).coeffs + (s * a).coeffs)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ra, rb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ra, rb))
+    assert (-a).coeffs == tuple(-x for x in ra)
+    assert (s * a).coeffs == (a * s).coeffs == tuple(Fraction(s) * x for x in ra)
+    pairing = sum((g * x * y for g, x, y in zip(GRAM_DIAG, ra, rb)), Fraction(0))
+    assert intersect(a, b) == pairing and type(intersect(a, b)) is Fraction
+    assert (a == b) == (ra == rb)
+    assert a - a == zero_class(BP) and (a - a).is_zero
+    assert a.is_zero == all(x == 0 for x in ra)
+    assert a.is_integral == all(x.denominator == 1 for x in ra)
+    assert (s * a).is_integral == all((Fraction(s) * x).denominator == 1 for x in ra)
+    assert str(a) == _oracle_str(ra)
+    # equal classes built from different spellings are equal and hash alike
+    twin = DivisorClass(BP, [Fraction(2 * p, 2 * q) for p, q in pa])
+    assert twin == a and hash(twin) == hash(a)
+    assert a != DivisorClass(B, ra)
+    assert twin.den > 0 and all(type(x) is int for x in twin.num)
+
+
+def test_divisor_class_is_immutable():
+    d = n("f")
+    with pytest.raises(FrozenInstanceError):
+        d.num = (0,) * RANK
+    with pytest.raises(FrozenInstanceError):
+        del d.den
+    with pytest.raises(ValueError):
+        DivisorClass(BP, (1,) * (RANK - 1))
+
+
+def _solve_in_frame(names, d):
+    frame = [n(name, d.surface) for name in names]
+    columns = [list(col) for col in zip(*(v.coeffs for v in frame))]
+    sol = solve_rational(columns, list(d.coeffs))
+    return None if sol is None else tuple(sol)
+
+
+@pytest.mark.parametrize(
+    "frame, names",
+    [(FXI_FRAME, ("f", "e1", "xi")), (EF_FRAME, ("e", "f")), (M_FRAME, ("m1", "m2", "m3"))],
+)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dual_basis_coordinates_match_rref(frame, names, data):
+    surface = data.draw(st.sampled_from([B, BP]))
+    coords = data.draw(st.lists(_scalars, min_size=len(names), max_size=len(names)))
+    inside = sum(
+        (Fraction(c) * n(name, surface) for c, name in zip(coords, names)), zero_class(surface)
+    )
+    outside = DivisorClass(surface, _oracle(data.draw(_vectors)))
+    for d in (inside, outside):
+        assert frame.coordinates(d) == _solve_in_frame(names, d)
+    assert frame.coordinates(inside) == tuple(Fraction(c) for c in coords)
+    # a class off the span stays off it whatever is added from the span
+    assert frame.coordinates(inside + n("l", surface) - 4 * n("e2", surface)) is None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -31,6 +32,7 @@ from ellspec.solver import (
     solve,
     verify_certificate,
 )
+from ellspec.threefold import ChernX
 
 BP = Surface.BPRIME
 SMALL_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1)
@@ -441,3 +443,23 @@ def test_search_bounds_reject_an_empty_z_window():
     with pytest.raises(ValueError, match="z_min"):
         SearchBounds(z_min=3, z_max=2)
     assert SearchBounds(z_min=-2, z_max=-2).z_min == -2
+
+
+# === pickling, as a worker pool sends tasks and results ===
+
+
+def test_core_values_round_trip_through_pickle():
+    """Pool workers pickle m-classes in and certificates out; a class that
+    cannot be unpickled would hang a pool instead of failing, so check here."""
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    l2 = cert.params.l2
+    half = Fraction(1, 2) * l2
+    half.coeffs  # pickle a class whose Fraction cache is filled
+    chern = ChernX(5, named_class(Surface.B, "e"), half, Fraction(1, 3), 0, -2)
+    for value in (l2, half, cert.params, chern, cert):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(value, protocol))
+            assert clone == value and clone is not value
+    clone = pickle.loads(pickle.dumps(half))
+    assert (clone.num, clone.den) == (half.num, half.den) and hash(clone) == hash(half)
+    assert verify_certificate(pickle.loads(pickle.dumps(cert))).all_pass
