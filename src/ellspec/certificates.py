@@ -1,22 +1,32 @@
 """Certificate files: canonical JSON serialization and strict loading.
 
-Rationals are serialized as canonical strings through ``str(Fraction)``:
-reduced, positive denominator, no "/1" for integers.  Loading rejects any
-non-canonical spelling, so a loaded certificate is byte-for-byte
-reproducible when saved again.  A file holds either one certificate object
-or {"certificates": [...]}.
+Rationals are serialized as canonical strings: reduced, positive
+denominator, no "/1" for integers, i.e. the grammar
+
+    -?(0|[1-9][0-9]*)(/[1-9][0-9]*)?
+
+with a denominator of at least 2 coprime to the numerator and no "-0".
+Loading matches that grammar before converting any digits, so every other
+spelling, and any numerator or denominator past CPython's 4300-digit
+int-string limit, is a SchemaError.  The emitter writes exactly the bytes of
+``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
+strict type checks (booleans are JSON booleans, notes are arrays of strings),
+so a loaded certificate is byte-for-byte reproducible when saved again.  A
+file holds either one certificate object or {"certificates": [...]}.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import Any, Sequence
 
 from .assembly import BundleParams, ConstraintEntry, ConstraintReport
 from .errors import SchemaError
-from .lattice import RANK, DivisorClass, Surface
+from .lattice import RANK, DivisorClass, Surface, _from_ints
 from .solver import SolutionCertificate, Table1Row
 
 FORMAT_VERSION = "1"
@@ -25,28 +35,46 @@ BASIS_CONVENTION = (
     "n1=e8-e9; o1=f-n1; o2=e7+e8+e9+f-l; n2=f-o2; xi=e4-e5+e9+f; m1=e4-e5"
 )
 
+# The canonical spelling; "0/q" and "p/1" match and are rejected by
+# _rational_parts.  Each run of digits is capped at CPython's default
+# int-string limit, so no text costs more than one bounded int conversion.
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]{0,4299})(?:/([1-9][0-9]{0,4299}))?")
+
 
 def rational_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
+
+
+def _rational_parts(text: Any) -> tuple[int, int]:
+    """Numerator and denominator of a canonical rational string."""
+    if not isinstance(text, str):
+        raise SchemaError(f"expected a rational string, got {text!r}")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise SchemaError(f"not a canonical rational: {text[:40]!r}")
+    p, q = match.groups()
+    try:
+        if q is None:
+            return int(p), 1
+        p, q = int(p), int(q)
+    except ValueError as exc:  # a lowered sys.set_int_max_str_digits
+        raise SchemaError(f"rational too long: {text[:40]!r}...") from exc
+    if q == 1 or gcd(p, q) != 1:
+        raise SchemaError(f"non-canonical rational spelling: {text[:40]!r}")
+    return p, q
 
 
 def rational_from_str(text: Any) -> Fraction:
-    if not isinstance(text, str):
-        raise SchemaError(f"expected a rational string, got {text!r}")
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not a rational: {text!r}") from exc
-    if str(value) != text:
-        raise SchemaError(f"non-canonical rational spelling: {text!r}")
-    return value
+    return Fraction(*_rational_parts(text))
 
 
 def divisor_to_json(d: DivisorClass) -> dict:
-    return {
-        "surface": d.surface.value,
-        "coeffs": [rational_to_str(c) for c in d.coeffs],
-    }
+    den = d.den
+    coeffs = []
+    for x in d.num:
+        g = gcd(x, den)
+        coeffs.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return {"surface": d.surface.value, "coeffs": coeffs}
 
 
 def divisor_from_json(obj: Any) -> DivisorClass:
@@ -59,7 +87,9 @@ def divisor_from_json(obj: Any) -> DivisorClass:
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list) or len(coeffs) != RANK:
         raise SchemaError(f"divisor classes need {RANK} coefficients")
-    return DivisorClass(surface, tuple(rational_from_str(c) for c in coeffs))
+    nums, dens = zip(*map(_rational_parts, coeffs))
+    den = lcm(*dens)
+    return _from_ints(surface, tuple(p * (den // q) for p, q in zip(nums, dens)), den)
 
 
 def _int_field(obj: Any, key: str) -> int:
@@ -69,6 +99,20 @@ def _int_field(obj: Any, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"field {key!r} must be an integer")
     return value
+
+
+def _bool_field(obj: dict, key: str) -> bool:
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise SchemaError(f"field {key!r} must be a boolean")
+    return value
+
+
+def _notes_field(obj: dict) -> tuple[str, ...]:
+    notes = obj.get("notes", [])
+    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
+        raise SchemaError("'notes' must be an array of strings")
+    return tuple(notes)
 
 
 def bundle_params_to_json(params: BundleParams) -> dict:
@@ -161,6 +205,8 @@ def report_from_json(obj: Any) -> ConstraintReport:
     if not isinstance(obj, dict):
         raise SchemaError("report must be an object")
     try:
+        if not isinstance(obj["entries"], list):
+            raise SchemaError("'entries' must be an array")
         entries = tuple(_entry_from_json(e) for e in obj["entries"])
         deficit = obj["c2_deficit"]
         if not isinstance(deficit, list) or len(deficit) != 2:
@@ -168,11 +214,11 @@ def report_from_json(obj: Any) -> ConstraintReport:
         return ConstraintReport(
             entries=entries,
             c2_deficit=(rational_from_str(deficit[0]), rational_from_str(deficit[1])),
-            c2_deficit_effective=bool(obj["c2_deficit_effective"]),
+            c2_deficit_effective=_bool_field(obj, "c2_deficit_effective"),
             c3=rational_from_str(obj["c3"]),
-            nonsplit=bool(obj["nonsplit"]),
-            slope_negative=bool(obj["slope_negative"]),
-            notes=tuple(str(n) for n in obj.get("notes", [])),
+            nonsplit=_bool_field(obj, "nonsplit"),
+            slope_negative=_bool_field(obj, "slope_negative"),
+            notes=_notes_field(obj),
         )
     except KeyError as exc:
         raise SchemaError(f"report is missing field {exc.args[0]!r}") from exc
@@ -232,7 +278,7 @@ def certificate_from_dict(obj: Any) -> SolutionCertificate:
                 _int_field(hprime_obj, "xi"),
             ),
             report=report_from_json(obj["report"]),
-            notes=tuple(str(n) for n in obj.get("notes", [])),
+            notes=_notes_field(obj),
         )
     except KeyError as exc:
         raise SchemaError(f"certificate is missing field {exc.args[0]!r}") from exc
@@ -248,13 +294,66 @@ def dumps_certificates(certs: Sequence[SolutionCertificate]) -> str:
             "version": FORMAT_VERSION,
             "certificates": [certificate_to_dict(c) for c in certs],
         }
-    return json.dumps(payload, indent=2) + "\n"
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+# json.dumps spellings of the scalar types a payload holds, keyed by exact type
+_SPELL = {
+    str: _quote,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _emit(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2)`` to out, for a value built from
+    dict, list, str, int, bool and None (exact types; anything else is a
+    TypeError); newline is a line break followed by the indentation of
+    value's own line."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():  # _quote raises TypeError on a non-str key
+            out.append(sep + _quote(key) + ": ")
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # the common case, an array of strings, in one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        spell = _SPELL.get(value.__class__)
+        if spell is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(spell(value))
 
 
 def loads_certificates(text: str) -> list[SolutionCertificate]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an int past the digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if isinstance(payload, dict) and "certificates" in payload:
         if payload.get("version") != FORMAT_VERSION:

@@ -1,11 +1,20 @@
 """Round-trip and strictness of the certificate JSON format."""
 
+import copy
 import dataclasses
+import io
 import json
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ellspec
 from ellspec.certificates import (
     certificate_from_dict,
     certificate_to_dict,
@@ -18,8 +27,9 @@ from ellspec.certificates import (
     rational_to_str,
     save_certificates,
 )
+from ellspec.cli import run
 from ellspec.errors import SchemaError, TamperError
-from ellspec.lattice import Surface, named_class
+from ellspec.lattice import DivisorClass, Surface, named_class
 from ellspec.solver import SearchBounds, solve, verify_certificate
 
 SMALL_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1)
@@ -42,10 +52,24 @@ def test_rational_strings_canonical():
     assert rational_from_str("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["2/4", "1.5", " 1", "1/-2", "-0", "+3", 7, None])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "2/4", "1.5", " 1", "1/-2", "-0", "+3", 7, None,
+        "1e10000000", "1e4300", pytest.param("1" * 5000, id="5000-digits"),
+        "1/1", "0/3", "01", "1/0", "1_0", "\u0661",
+    ],
+)
 def test_rational_strings_reject_noncanonical(bad):
     with pytest.raises(SchemaError):
         rational_from_str(bad)
+
+
+def test_rational_exponent_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SchemaError):
+        rational_from_str("1e10000000")
+    assert time.perf_counter() - start < 1.0
 
 
 # === divisor classes ===
@@ -166,3 +190,201 @@ def test_null_z_round_trips(certs):
     again = certificate_from_dict(certificate_to_dict(cert))
     assert again.z is None
     assert again == cert
+
+
+# === codec against the json.dumps / Fraction oracles ===
+
+GOLDEN = Path(ellspec.__file__).with_name("data") / "golden_certificate.json"
+
+
+def _oracle_dumps(certs):
+    """The reference spelling: the json module's indent-2 encoder."""
+    if len(certs) == 1:
+        payload = certificate_to_dict(certs[0])
+    else:
+        payload = {"version": "1", "certificates": [certificate_to_dict(c) for c in certs]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _oracle_rational(text):
+    """The reference reading: Fraction's parser plus a canonical round trip."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if str(value) == text else None
+
+
+def _fractional(cert):
+    """cert with fractional class coefficients and report values."""
+    half = Fraction(1, 2)
+    params = dataclasses.replace(
+        cert.params,
+        l2=cert.params.l2 * Fraction(5, 3),
+        l3=cert.params.l3 - named_class(Surface.BPRIME, "xi") * half,
+    )
+    entries = tuple(
+        dataclasses.replace(e, value=e.value - Fraction(7, 4)) if e.value is not None else e
+        for e in cert.report.entries
+    )
+    report = dataclasses.replace(
+        cert.report,
+        entries=entries,
+        c2_deficit=(Fraction(-1, 3), Fraction(22, 7)),
+        c3=Fraction(-5, 6),
+    )
+    return dataclasses.replace(cert, m_class=cert.m_class * half, params=params, report=report)
+
+
+def _noted(cert):
+    notes = ("café ζ' \U0001d53c", 'say "hi"', "back\\slash", "tab\there\n\x00\x1f\x7f")
+    report = dataclasses.replace(cert.report, notes=notes[::-1])
+    return dataclasses.replace(cert, notes=notes, report=report)
+
+
+def test_dumps_matches_json_indent2(certs):
+    cases = [
+        certs[:1],
+        list(certs),
+        [],
+        [dataclasses.replace(certs[0], z=None)],
+        [_fractional(certs[0])],
+        [_fractional(c) for c in certs[:5]],
+        [_noted(certs[0]), _noted(_fractional(certs[-1]))],
+    ]
+    for case in cases:
+        text = dumps_certificates(case)
+        assert text == _oracle_dumps(case)
+        assert loads_certificates(text) == case
+
+
+def test_dumps_rejects_what_json_cannot_encode(certs):
+    bad = dataclasses.replace(certs[0], notes=(object(),))
+    with pytest.raises(TypeError):
+        _oracle_dumps([bad])
+    with pytest.raises(TypeError):
+        dumps_certificates([bad])
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), min_size=10, max_size=10))
+def test_divisor_coeffs_render_as_str_fraction(coeffs):
+    d = DivisorClass(Surface.B, coeffs)
+    rendered = divisor_to_json(d)["coeffs"]
+    assert rendered == [str(c) for c in d.coeffs]
+    back = divisor_from_json(divisor_to_json(d))
+    assert back == d and all(type(c) is Fraction for c in back.coeffs)
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.text(alphabet="-0123456789/ +._e١", max_size=12),
+    st.fractions().map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(-50, 50)),
+    st.integers().map(str),
+)
+
+
+@given(_RATIONAL_TEXT)
+def test_rational_from_str_matches_fraction_oracle(text):
+    expected = _oracle_rational(text)
+    if expected is None:
+        with pytest.raises(SchemaError):
+            rational_from_str(text)
+    else:
+        value = rational_from_str(text)
+        assert type(value) is Fraction
+        assert value == expected
+        assert rational_to_str(value) == text
+
+
+# === strict booleans and notes ===
+
+
+@pytest.mark.parametrize("field", ["c2_deficit_effective", "nonsplit", "slope_negative"])
+@pytest.mark.parametrize("value", ["no", 1, 0, None, [], "true"])
+def test_report_booleans_must_be_json_booleans(certs, field, value):
+    obj = certificate_to_dict(certs[0])
+    obj["report"][field] = value
+    with pytest.raises(SchemaError):
+        certificate_from_dict(obj)
+
+
+@pytest.mark.parametrize("where", ["certificate", "report"])
+@pytest.mark.parametrize("value", ["ab", [1, 2], ["ok", None], {"a": "b"}, 3])
+def test_notes_must_be_string_arrays(certs, where, value):
+    obj = certificate_to_dict(certs[0])
+    (obj if where == "certificate" else obj["report"])["notes"] = value
+    with pytest.raises(SchemaError):
+        certificate_from_dict(obj)
+
+
+@pytest.mark.parametrize("value", [{}, "", {"S_e": {}}])
+def test_report_entries_must_be_an_array(certs, value):
+    obj = certificate_to_dict(certs[0])
+    obj["report"]["entries"] = value
+    with pytest.raises(SchemaError):
+        certificate_from_dict(obj)
+
+
+def test_verify_exits_2_on_non_boolean(tmp_path):
+    obj = json.loads(GOLDEN.read_text())
+    obj["report"]["c2_deficit_effective"] = "no"
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(obj, indent=2))
+    with redirect_stderr(io.StringIO()) as err:
+        assert run(["verify", str(path)]) == 2
+    assert "'c2_deficit_effective' must be a boolean" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100000, "[" + "1" * 5000 + "]"], ids=["deep-nesting", "5000-digit-int"]
+)
+def test_loads_rejects_pathological_json(text):
+    with pytest.raises(SchemaError):
+        loads_certificates(text)
+
+
+# === the verify boundary ===
+
+
+def test_golden_file_round_trips_byte_for_byte():
+    text = GOLDEN.read_text()
+    assert dumps_certificates(loads_certificates(text)) == text
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_GOLDEN_OBJ = json.loads(GOLDEN.read_text())
+_GOLDEN_PATHS = list(_paths(_GOLDEN_OBJ))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_GOLDEN_PATHS), _JSON_VALUES)
+def test_verify_survives_any_one_field_replaced(path, value):
+    obj = copy.deepcopy(_GOLDEN_OBJ)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "fuzzed.json"
+        target.write_text(json.dumps(obj, indent=2))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(["verify", str(target)])
+    assert code in (0, 1, 2)
