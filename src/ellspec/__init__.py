@@ -16,7 +16,6 @@ from .assembly import (
     default_polarization,
     evaluate_constraints,
     ext_lower_bound,
-    moduli_tally,
 )
 from .certificates import (
     certificate_from_dict,
@@ -58,11 +57,10 @@ from .solver import (
     SearchBounds,
     SolutionCertificate,
     Table1Row,
-    build_l_classes,
+    build_l_classes_m,
     consistency_check,
     enumerate_table1,
-    feasibility_check,
-    integrality_check,
+    feasibility_check_m,
     solve,
     verify_certificate,
 )
@@ -101,7 +99,7 @@ __all__ = [
     "Table1Row",
     "TamperError",
     "UnsupportedProductError",
-    "build_l_classes",
+    "build_l_classes_m",
     "certificate_from_dict",
     "certificate_to_dict",
     "ch_component",
@@ -114,11 +112,10 @@ __all__ = [
     "enumerate_table1",
     "evaluate_constraints",
     "ext_lower_bound",
-    "feasibility_check",
+    "feasibility_check_m",
     "fourier_mukai_b",
     "full_lattice_rank",
     "hecke_pattern_ch",
-    "integrality_check",
     "intersect",
     "invariant_subspace_has_integral_point",
     "is_ample_fxi",
@@ -127,7 +124,6 @@ __all__ = [
     "linear_system_dims",
     "load_certificates",
     "means_gap",
-    "moduli_tally",
     "named_class",
     "named_combination",
     "newton_sum",

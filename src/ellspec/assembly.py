@@ -102,9 +102,18 @@ def spectral_input(i: int, p: BundleParams) -> SpectralParams:
     return SpectralParams(i, k, d)
 
 
+DEFAULT_HPRIME = (25, 144, 168)
+
+
+def polarization_class(hprime: tuple[int, int, int]) -> DivisorClass:
+    """The class a f' + b e1' + c xi' of a polarization triple (a, b, c)."""
+    a, b, c = hprime
+    return named_combination(Surface.BPRIME, {"f": a, "e1": b, "xi": c})
+
+
 def default_polarization() -> DivisorClass:
     """The stock ample class 25 f' + 144 e1' + 168 xi'."""
-    return named_combination(Surface.BPRIME, {"f": 25, "e1": 144, "xi": 168})
+    return polarization_class(DEFAULT_HPRIME)
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,3 @@ def ext_lower_bound(k2: int, k3: int, l2f, l3f) -> Fraction:
     support_pairing = intersect(3 * e + k3 * f, 2 * e + k2 * f)
     return support_pairing * (Fraction(l2f) - Fraction(l3f))
 
-
-def moduli_tally(parts: Sequence[int]) -> int:
-    """Sum of the dimension contributions of the moduli inventory."""
-    return sum(int(x) for x in parts)

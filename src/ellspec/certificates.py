@@ -10,9 +10,10 @@ Loading matches that grammar before converting any digits, so every other
 spelling, and any numerator or denominator past CPython's 4300-digit
 int-string limit, is a SchemaError.  The emitter writes exactly the bytes of
 ``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
-strict type checks (booleans are JSON booleans, notes are arrays of strings),
-so a loaded certificate is byte-for-byte reproducible when saved again.  A
-file holds either one certificate object or {"certificates": [...]}.
+strict checks (every object holds exactly the keys the writer emits, booleans
+are JSON booleans, notes are arrays of strings), so a loaded certificate is
+byte-for-byte reproducible when saved again.  A file holds either one
+certificate object or {"version": "1", "certificates": [...]}.
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ BASIS_CONVENTION = (
 # _rational_parts.  Each run of digits is capped at CPython's default
 # int-string limit, so no text costs more than one bounded int conversion.
 _RATIONAL = re.compile(r"(0|-?[1-9][0-9]{0,4299})(?:/([1-9][0-9]{0,4299}))?")
+
+# The keys the writer emits for each object; the loader accepts no others.
+_FILE_KEYS = frozenset({"version", "certificates"})
+_CERT_KEYS = frozenset(
+    "version basis_convention row k u x z m_class params hprime report notes".split()
+)
+_ROW_KEYS = frozenset({"k2", "k3", "l2f", "l3f"})
+_HPRIME_KEYS = frozenset({"f", "e1", "xi"})
+_PARAMS_KEYS = frozenset({"k2", "k3", "d2", "d3", "a2", "a3", "l2", "l3"})
+_REPORT_KEYS = frozenset(
+    "entries c2_deficit c2_deficit_effective c3 nonsplit slope_negative notes".split()
+)
+_ENTRY_KEYS = frozenset({"name", "passes"})
+_ENTRY_OPTIONAL = frozenset({"value", "residual", "detail"})
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -92,10 +107,21 @@ def divisor_from_json(obj: Any) -> DivisorClass:
     return _from_ints(surface, tuple(p * (den // q) for p, q in zip(nums, dens)), den)
 
 
-def _int_field(obj: Any, key: str) -> int:
+def _object(obj: Any, what: str, keys: frozenset, optional: frozenset = frozenset()) -> dict:
+    """obj, if it is an object holding every one of keys and no key beyond
+    keys and optional."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"expected an object holding field {key!r}")
-    value = obj.get(key)
+        raise SchemaError(f"{what} must be an object")
+    if not keys <= obj.keys() <= keys | optional:
+        missing = sorted(keys - obj.keys())
+        if missing:
+            raise SchemaError(f"{what} is missing field {missing[0]!r}")
+        raise SchemaError(f"{what} has unknown field {sorted(obj.keys() - keys - optional)[0]!r}")
+    return obj
+
+
+def _int_field(obj: dict, key: str) -> int:
+    value = obj[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"field {key!r} must be an integer")
     return value
@@ -109,7 +135,7 @@ def _bool_field(obj: dict, key: str) -> bool:
 
 
 def _notes_field(obj: dict) -> tuple[str, ...]:
-    notes = obj.get("notes", [])
+    notes = obj["notes"]
     if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
         raise SchemaError("'notes' must be an array of strings")
     return tuple(notes)
@@ -129,8 +155,7 @@ def bundle_params_to_json(params: BundleParams) -> dict:
 
 
 def bundle_params_from_json(obj: Any) -> BundleParams:
-    if not isinstance(obj, dict):
-        raise SchemaError("bundle parameters must be an object")
+    _object(obj, "bundle parameters", _PARAMS_KEYS)
     try:
         a2 = obj["a2"]
         a3 = obj["a3"]
@@ -149,8 +174,6 @@ def bundle_params_from_json(obj: Any) -> BundleParams:
             l2=divisor_from_json(obj["l2"]),
             l3=divisor_from_json(obj["l3"]),
         )
-    except KeyError as exc:
-        raise SchemaError(f"bundle parameters missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise SchemaError(f"malformed bundle parameters: {exc}") from exc
 
@@ -167,8 +190,7 @@ def _entry_to_json(entry: ConstraintEntry) -> dict:
 
 
 def _entry_from_json(obj: Any) -> ConstraintEntry:
-    if not isinstance(obj, dict) or "name" not in obj or "passes" not in obj:
-        raise SchemaError("constraint entries need 'name' and 'passes'")
+    _object(obj, "constraint entry", _ENTRY_KEYS, _ENTRY_OPTIONAL)
     if not isinstance(obj["name"], str):
         raise SchemaError("'name' must be a string")
     if not isinstance(obj["passes"], bool):
@@ -202,26 +224,22 @@ def report_to_json(report: ConstraintReport) -> dict:
 
 
 def report_from_json(obj: Any) -> ConstraintReport:
-    if not isinstance(obj, dict):
-        raise SchemaError("report must be an object")
-    try:
-        if not isinstance(obj["entries"], list):
-            raise SchemaError("'entries' must be an array")
-        entries = tuple(_entry_from_json(e) for e in obj["entries"])
-        deficit = obj["c2_deficit"]
-        if not isinstance(deficit, list) or len(deficit) != 2:
-            raise SchemaError("'c2_deficit' must be a pair")
-        return ConstraintReport(
-            entries=entries,
-            c2_deficit=(rational_from_str(deficit[0]), rational_from_str(deficit[1])),
-            c2_deficit_effective=_bool_field(obj, "c2_deficit_effective"),
-            c3=rational_from_str(obj["c3"]),
-            nonsplit=_bool_field(obj, "nonsplit"),
-            slope_negative=_bool_field(obj, "slope_negative"),
-            notes=_notes_field(obj),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"report is missing field {exc.args[0]!r}") from exc
+    _object(obj, "report", _REPORT_KEYS)
+    if not isinstance(obj["entries"], list):
+        raise SchemaError("'entries' must be an array")
+    entries = tuple(_entry_from_json(e) for e in obj["entries"])
+    deficit = obj["c2_deficit"]
+    if not isinstance(deficit, list) or len(deficit) != 2:
+        raise SchemaError("'c2_deficit' must be a pair")
+    return ConstraintReport(
+        entries=entries,
+        c2_deficit=(rational_from_str(deficit[0]), rational_from_str(deficit[1])),
+        c2_deficit_effective=_bool_field(obj, "c2_deficit_effective"),
+        c3=rational_from_str(obj["c3"]),
+        nonsplit=_bool_field(obj, "nonsplit"),
+        slope_negative=_bool_field(obj, "slope_negative"),
+        notes=_notes_field(obj),
+    )
 
 
 def certificate_to_dict(cert: SolutionCertificate) -> dict:
@@ -247,13 +265,14 @@ def certificate_to_dict(cert: SolutionCertificate) -> dict:
 
 
 def certificate_from_dict(obj: Any) -> SolutionCertificate:
-    if not isinstance(obj, dict):
-        raise SchemaError("certificate must be an object")
-    if obj.get("version") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported certificate version {obj.get('version')!r}")
+    _object(obj, "certificate", _CERT_KEYS)
+    if obj["version"] != FORMAT_VERSION:
+        raise SchemaError(f"unsupported certificate version {obj['version']!r}")
+    if obj["basis_convention"] != BASIS_CONVENTION:
+        raise SchemaError("certificate uses another basis convention")
     try:
-        row_obj = obj["row"]
-        hprime_obj = obj["hprime"]
+        row_obj = _object(obj["row"], "row", _ROW_KEYS)
+        hprime_obj = _object(obj["hprime"], "hprime", _HPRIME_KEYS)
         row = Table1Row(
             k2=_int_field(row_obj, "k2"),
             k3=_int_field(row_obj, "k3"),
@@ -280,8 +299,6 @@ def certificate_from_dict(obj: Any) -> SolutionCertificate:
             report=report_from_json(obj["report"]),
             notes=_notes_field(obj),
         )
-    except KeyError as exc:
-        raise SchemaError(f"certificate is missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed certificate: {exc}") from exc
 
@@ -356,8 +373,9 @@ def loads_certificates(text: str) -> list[SolutionCertificate]:
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if isinstance(payload, dict) and "certificates" in payload:
-        if payload.get("version") != FORMAT_VERSION:
-            raise SchemaError(f"unsupported file version {payload.get('version')!r}")
+        _object(payload, "certificate file", _FILE_KEYS)
+        if payload["version"] != FORMAT_VERSION:
+            raise SchemaError(f"unsupported file version {payload['version']!r}")
         items = payload["certificates"]
         if not isinstance(items, list):
             raise SchemaError("'certificates' must be an array")

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .assembly import ch_component, ch_total
+from .assembly import DEFAULT_HPRIME, ch_component, ch_total, default_polarization
 from .certificates import (
     bundle_params_from_json,
     certificate_to_dict,
@@ -47,7 +47,6 @@ from .lattice import (
     pairing_table,
 )
 from .solver import (
-    DEFAULT_HPRIME,
     SearchBounds,
     consistency_check,
     enumerate_table1,
@@ -147,7 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tag = f"certificate {idx} (k2={cert.row.k2}, k3={cert.row.k3}, u={cert.u}, x={cert.x})"
         try:
             report = verify_certificate(cert)
-        except TamperError as exc:
+        except (TamperError, PolarizationError) as exc:
             print(f"FAIL {tag}: {exc}")
             failures += 1
             continue
@@ -227,8 +226,7 @@ def _golden_checks() -> list[tuple[str, bool, str]]:
     slope_class = named_combination(
         bp, {"e": 6, "zeta": 6, "f": 5, "m1": 6}
     )
-    hp = named_combination(bp, dict(zip(("f", "e1", "xi"), DEFAULT_HPRIME)))
-    s_s = intersect(slope_class, hp)
+    s_s = intersect(slope_class, default_polarization())
     checks.append(("slope pairing", s_s == -12, f"value {rational_to_str(s_s)}"))
 
     mu = named_combination(bp, {"zeta": 6, "xi": 6, "f": -1})

@@ -12,22 +12,11 @@ of Z^n, so every integer kernel element is an integer combination of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
-
-
-def frac_vector(entries: Sequence) -> Vector:
-    return [Fraction(x) for x in entries]
-
-
-def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [frac_vector(row) for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:
@@ -46,7 +35,7 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
     Returns (R, pivot_columns).
     """
-    m = frac_matrix(a)
+    m = [[Fraction(x) for x in row] for row in a]
     if not m:
         return [], []
     rows, cols = len(m), len(m[0])
@@ -89,46 +78,13 @@ def solve_rational(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     return x
 
 
-def nullspace_rational(a: Sequence[Sequence]) -> list[Vector]:
-    """Basis of {x in Q^n : A x = 0}."""
-    if not a:
-        return []
-    cols = len(a[0])
-    r, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for row, c in zip(r, pivots):
-            v[c] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Whether target lies in the rational span of the given vectors."""
-    if not vectors:
-        return all(Fraction(t) == 0 for t in target)
-    columns = [list(col) for col in zip(*vectors)]
-    return solve_rational(columns, list(target)) is not None
-
-
 # === integer elimination ===
 
 
 def _clear_denominators(row: Sequence) -> list[int]:
     fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
-    return [int(f * lcm) for f in fracs]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    scale = lcm(*(f.denominator for f in fracs))
+    return [int(f * scale) for f in fracs]
 
 
 def column_echelon_integer(a: Sequence[Sequence]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:

@@ -29,9 +29,11 @@ from itertools import product
 from typing import Iterable
 
 from .assembly import (
+    DEFAULT_HPRIME,
     BundleParams,
     ConstraintReport,
     evaluate_constraints,
+    polarization_class,
 )
 from .errors import PolarizationError, TamperError
 from .hecke import means_gap, newton_sum
@@ -44,10 +46,8 @@ from .lattice import (
     is_ample_fxi,
     m_space_check,
     named_class,
-    named_combination,
 )
 
-DEFAULT_HPRIME = (25, 144, 168)
 _FP = named_class(Surface.BPRIME, "f")
 _E4 = named_class(Surface.BPRIME, "e4")
 _M1 = named_class(Surface.BPRIME, "m1")
@@ -91,14 +91,6 @@ def enumerate_table1() -> tuple[Table1Row, ...]:
     return tuple(rows)
 
 
-def lf_values(k2: int, k3: int) -> tuple[Fraction, Fraction]:
-    """The twist fiber degrees (L2.f', L3.f') forced by S_e, C1, C3."""
-    k = 2 * k3 - 3 * k2
-    if k == 0:
-        raise ValueError("2*k3 - 3*k2 must be nonzero")
-    return Fraction(18, k), Fraction(-12, k)
-
-
 def build_l_classes_m(
     k2: int, k3: int, u, x, m_class: DivisorClass, d2: int, d3: int, s21, s31
 ) -> tuple[DivisorClass, DivisorClass]:
@@ -122,13 +114,6 @@ def build_l_classes_m(
         - 2 * m_class
     )
     return l2, l3
-
-
-def build_l_classes(
-    k2: int, k3: int, u, x, z, d2: int, d3: int, s21, s31
-) -> tuple[DivisorClass, DivisorClass]:
-    """Twist classes with the m-space class on the z*(e4'-e5') ray."""
-    return build_l_classes_m(k2, k3, u, x, Fraction(z) * _M1, d2, d3, s21, s31)
 
 
 @dataclass(frozen=True)
@@ -192,43 +177,6 @@ def feasibility_check_m(k: int, u, x, m_class: DivisorClass, gaps) -> Feasibilit
     )
 
 
-def feasibility_check(k: int, u, x, z, gaps) -> FeasibilityResult:
-    return feasibility_check_m(k, u, x, Fraction(z) * _M1, gaps)
-
-
-@dataclass(frozen=True)
-class IntegralityReport:
-    passes: bool
-    checks: tuple[tuple[str, bool], ...]
-
-
-def integrality_check(k: int, u, x, z, d2: int, d3: int, s21, s31) -> IntegralityReport:
-    """Integrality of the built twist classes plus the forced congruences."""
-    u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
-    checks = [("k_divides_3", k > 0 and 3 % k == 0)]
-    if k > 0:
-        checks.extend(
-            [
-                ("section_coeff_l2", Fraction(9, k).denominator == 1),
-                ("section_coeff_l3", Fraction(6, k).denominator == 1),
-                ("fiber_coeff_l2", ((x - d2 - 1) / 2).denominator == 1),
-                ("fiber_coeff_l3", ((x + d3) / 3).denominator == 1),
-                ("component_coeff_l2", ((u + Fraction(9, k) + s21) / 2).denominator == 1),
-                ("component_coeff_l3", ((u + Fraction(9, k) - s31) / 3).denominator == 1),
-                ("m_coeff", Fraction(z).denominator == 1),
-            ]
-        )
-    checks.extend(
-        [
-            ("d2_even", d2 % 2 == 0),
-            ("d3_mod_3_is_1", d3 % 3 == 1),
-            ("s21_even", s21 % 2 == 0),
-            ("s31_mod_3_is_0", s31 % 3 == 0),
-        ]
-    )
-    return IntegralityReport(passes=all(ok for _, ok in checks), checks=tuple(checks))
-
-
 @dataclass(frozen=True)
 class SearchBounds:
     """Scan windows for the residual parameters."""
@@ -285,11 +233,6 @@ def _row_for(k2: int, k3: int) -> Table1Row:
     raise ValueError(f"({k2}, {k3}) is not an admissible table row")
 
 
-def _hprime_class(hprime: tuple[int, int, int]) -> DivisorClass:
-    a, b, c = hprime
-    return named_combination(Surface.BPRIME, {"f": a, "e1": b, "xi": c})
-
-
 def _multiplicity_lists(length: int, a_max: int, nonconstant: bool) -> list[tuple[int, ...]]:
     """The lists whose sum is divisible by their length: s21 even, s31 = 0 (mod 3)."""
     if nonconstant:
@@ -308,7 +251,7 @@ def _scan_shape(task) -> list[SolutionCertificate]:
     even d2 against every d3 = 1 (mod 3)."""
     (row, a2, a3, u, z, m_class, x, d_abs, hprime, notes) = task
     s21, s31 = int(newton_sum(a2, 1)), int(newton_sum(a3, 1))
-    hp_class = _hprime_class(hprime)
+    hp_class = polarization_class(hprime)
     out: list[SolutionCertificate] = []
     for d2 in _congruent(d_abs, 2, 0):
         for d3 in _congruent(d_abs, 3, 1):
@@ -426,7 +369,7 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     if l2 != cert.params.l2 or l3 != cert.params.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     fresh = evaluate_constraints(
-        cert.params, _hprime_class(cert.hprime), extra_notes=cert.notes
+        cert.params, polarization_class(cert.hprime), extra_notes=cert.notes
     )
     difference = _report_difference(cert.report, fresh)
     if difference is not None:

@@ -66,10 +66,6 @@ class ChernX:
             object.__setattr__(self, "c1_b", s * _E)
             object.__setattr__(self, "c1_bp", self.c1_bp + t * _FP)
 
-    @classmethod
-    def zero(cls) -> "ChernX":
-        return cls(0, zero_class(Surface.B), zero_class(Surface.BPRIME), 0, 0, 0)
-
     def __add__(self, other: "ChernX") -> "ChernX":
         return ChernX(
             self.rank + other.rank,

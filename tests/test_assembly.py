@@ -7,18 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellspec.assembly import (
+    DEFAULT_HPRIME,
     BundleParams,
     ch_component,
     ch_total,
     default_polarization,
     evaluate_constraints,
     ext_lower_bound,
-    moduli_tally,
+    polarization_class,
     spectral_input,
 )
 from ellspec.errors import PolarizationError
 from ellspec.hecke import hecke_pattern_ch
-from ellspec.lattice import Surface, named_class, named_combination
+from ellspec.lattice import Surface, fxi_coordinates, named_class, named_combination
 from ellspec.spectral import spectral_ch
 from ellspec.threefold import pullback_line_bundle_ch
 
@@ -141,6 +142,13 @@ def test_total_is_sum_of_components(k2, k3, d2, d3, l2, l3):
 # === constraint evaluation on the worked assembly ===
 
 
+def test_default_polarization_is_the_stock_triple():
+    assert DEFAULT_HPRIME == (25, 144, 168)
+    expected = named_combination(BP, {"f": 25, "e1": 144, "xi": 168})
+    assert default_polarization() == polarization_class(DEFAULT_HPRIME) == expected
+    assert fxi_coordinates(polarization_class((1, 2, 3))) == (1, 2, 3)
+
+
 def test_golden_report_passes_everything():
     report = evaluate_constraints(golden_params(), default_polarization())
     assert report.all_pass
@@ -216,8 +224,3 @@ def test_slope_pairing_grid(a, b, c):
 def test_ext_lower_bound_values():
     assert ext_lower_bound(3, 6, 6, -4) == 150
     assert ext_lower_bound(2, 4, 9, -6) == 120
-
-
-def test_moduli_tally():
-    assert moduli_tally([2, 8, 1, 6, 79]) == 96
-    assert moduli_tally([]) == 0

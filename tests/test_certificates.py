@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ellspec
@@ -343,6 +343,41 @@ def test_loads_rejects_pathological_json(text):
         loads_certificates(text)
 
 
+@pytest.mark.parametrize(
+    "doctor",
+    [
+        lambda obj: obj.update(extra=1),
+        lambda obj: obj["report"]["entries"][0].update(bogus=True),
+        lambda obj: obj["row"].update(k=3),
+        lambda obj: obj["hprime"].update(f2=0),
+        lambda obj: obj["params"].update(k=3),
+        lambda obj: obj["report"].update(all_pass=True),
+        lambda obj: obj.pop("notes"),
+        lambda obj: obj["report"].pop("notes"),
+        lambda obj: obj.pop("basis_convention"),
+        lambda obj: obj.update(basis_convention="picard(l,e1..e9)"),
+    ],
+    ids=[
+        "extra-top-level-key", "bogus-entry-key", "row-key", "hprime-key", "params-key",
+        "report-key", "no-notes", "no-report-notes", "no-basis", "other-basis",
+    ],
+)
+def test_loader_accepts_exactly_the_written_keys(doctor):
+    obj = json.loads(GOLDEN.read_text())
+    doctor(obj)
+    with pytest.raises(SchemaError):
+        certificate_from_dict(obj)
+    with pytest.raises(SchemaError):
+        loads_certificates(json.dumps({"version": "1", "certificates": [obj, obj]}))
+
+
+def test_file_wrapper_accepts_exactly_the_written_keys():
+    obj = json.loads(GOLDEN.read_text())
+    text = json.dumps({"version": "1", "certificates": [obj, obj], "count": 2})
+    with pytest.raises(SchemaError):
+        loads_certificates(text)
+
+
 # === the verify boundary ===
 
 
@@ -374,17 +409,49 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _node(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+_GOLDEN_OBJECTS = [()] + [p for p in _GOLDEN_PATHS if isinstance(_node(_GOLDEN_OBJ, p), dict)]
+
+
+def _verify_doctored(obj):
+    """Run verify on obj written as the writer would; it must end in 0, 1
+    or 2, and a file that verifies must dump back to its own bytes."""
+    text = json.dumps(obj, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "fuzzed.json"
+        target.write_text(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(["verify", str(target)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert dumps_certificates(loads_certificates(text)) == text
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(_GOLDEN_PATHS), _JSON_VALUES)
 def test_verify_survives_any_one_field_replaced(path, value):
     obj = copy.deepcopy(_GOLDEN_OBJ)
-    node = obj
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        target = Path(tmp) / "fuzzed.json"
-        target.write_text(json.dumps(obj, indent=2))
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = run(["verify", str(target)])
-    assert code in (0, 1, 2)
+    _node(obj, path[:-1])[path[-1]] = value
+    _verify_doctored(obj)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_GOLDEN_OBJECTS), st.text(max_size=8), _JSON_VALUES)
+def test_verify_survives_any_one_key_inserted(path, key, value):
+    obj = copy.deepcopy(_GOLDEN_OBJ)
+    node = _node(obj, path)
+    assume(key not in node)
+    node[key] = value
+    _verify_doctored(obj)
+
+
+@pytest.mark.parametrize("path", _GOLDEN_PATHS, ids=lambda p: "/".join(map(str, p)))
+def test_verify_survives_any_one_key_deleted(path):
+    obj = copy.deepcopy(_GOLDEN_OBJ)
+    del _node(obj, path[:-1])[path[-1]]
+    _verify_doctored(obj)

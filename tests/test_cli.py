@@ -234,6 +234,22 @@ def test_verify_names_a_doctored_report_entry(tmp_path, capsys):
     ]
 
 
+def test_verify_reports_a_non_ample_polarization_and_goes_on(tmp_path, capsys):
+    bad, good = _golden_json(), _golden_json()
+    bad["hprime"] = {"f": 1, "e1": 1, "xi": 5}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"version": "1", "certificates": [bad, good]}))
+    assert run(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "FAIL certificate 0 (k2=3, k3=6, u=-3, x=5): polarization is not certified"
+        " ample in the (f', e1', xi') frame",
+        "ok   certificate 1 (k2=3, k3=6, u=-3, x=5)",
+        "1/2 certificate(s) verified",
+    ]
+    assert captured.err == ""
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ellspec.__file__).resolve().parents[1]))
     proc = _run_script(sys.executable, "-m", "ellspec", "table1", cwd=tmp_path, env=env)

@@ -20,21 +20,18 @@ from ellspec.lattice import Surface, intersect, m_space_check, named_class, name
 from ellspec.solver import (
     SearchBounds,
     Table1Row,
-    build_l_classes,
     build_l_classes_m,
     consistency_check,
     consistency_check_m,
     enumerate_table1,
-    feasibility_check,
     feasibility_check_m,
-    integrality_check,
-    lf_values,
     solve,
     verify_certificate,
 )
 from ellspec.threefold import ChernX
 
 BP = Surface.BPRIME
+M1 = named_class(BP, "m1")
 SMALL_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1)
 
 
@@ -80,25 +77,18 @@ def test_no_sixth_row_by_independent_brute_force():
     assert len(found) == 5
 
 
-def test_lf_values():
-    assert lf_values(3, 6) == (6, -4)
-    assert lf_values(3, 5) == (18, -12)
-    with pytest.raises(ValueError):
-        lf_values(2, 3)
-
-
 # === the twist-class parametrization ===
 
 
 def test_build_l_classes_golden():
-    l2, l3 = build_l_classes(3, 6, -3, 5, 1, 10, 10, 0, 0)
+    l2, l3 = build_l_classes_m(3, 6, -3, 5, 1 * M1, 10, 10, 0, 0)
     assert l2 == named_combination(BP, {"e": 3, "zeta": 3, "m1": 3})
     assert l3 == named_combination(BP, {"e": -2, "zeta": -2, "m1": -2})
 
 
 def test_build_l_classes_requires_positive_k():
     with pytest.raises(ValueError):
-        build_l_classes(4, 3, 0, 0, 0, 0, 0, 0, 0)
+        build_l_classes_m(4, 3, 0, 0, 0 * M1, 0, 0, 0, 0)
 
 
 @settings(max_examples=200)
@@ -116,7 +106,7 @@ def test_c1_identity_holds_for_all_parameters(row, u, x, z, d2, d3, s21, s31):
     """2 L2 + 3 L3 always equals the forced combination, so C1 holds by
     construction whenever the components are assembled from these twists."""
     k2, k3 = row
-    l2, l3 = build_l_classes(k2, k3, u, x, z, d2, d3, s21, s31)
+    l2, l3 = build_l_classes_m(k2, k3, u, x, z * M1, d2, d3, s21, s31)
     fp = named_class(BP, "f")
     comps = named_combination(BP, {"n1": 1, "o2": 1})
     forced = (s21 + s31) * comps - (d2 + d3 - 2 * k2 - 3 * k3 + 4) * fp
@@ -147,33 +137,17 @@ def test_consistency_requires_positive_k():
 
 
 def test_feasibility_golden_point():
-    result = feasibility_check(3, -3, 5, 1, 0)
+    result = feasibility_check_m(3, -3, 5, 1 * M1, 0)
     assert result.c2_ok and result.ss_ok
     assert result.gamma_exit == -1
 
 
 def test_feasibility_failures():
-    result = feasibility_check(3, 3, -1, 1, 0)
+    result = feasibility_check_m(3, 3, -1, 1 * M1, 0)
     assert not result.c2_ok
     assert result.ss_ok
-    result = feasibility_check(3, -3, 5, 1, -3)
+    result = feasibility_check_m(3, -3, 5, 1 * M1, -3)
     assert not result.c2_ok
-
-
-def test_integrality_golden():
-    assert integrality_check(3, -3, 5, 1, 10, 10, 0, 0).passes
-
-
-def test_integrality_bad_d3():
-    report = integrality_check(3, -3, 5, 1, 10, 11, 0, 0)
-    assert not report.passes
-    assert dict(report.checks)["d3_mod_3_is_1"] is False
-
-
-def test_integrality_bad_k():
-    report = integrality_check(2, -3, 5, 1, 10, 10, 0, 0)
-    assert not report.passes
-    assert dict(report.checks)["k_divides_3"] is False
 
 
 # === the certificate scan ===
@@ -301,16 +275,17 @@ def _evaluated_points(monkeypatch, **kwargs):
 
 
 def _integral_points_by_brute_force(zs):
-    """The same set from the old gates: every feasible point of the box on
-    the m1 ray where integrality_check passes and both twists are integral."""
+    """The same set tested point by point: every feasible point of the box
+    on the m1 ray where both twists are integral and d2, d3, s21, s31 meet
+    their congruences.  Since {e+zeta, f, n1+o2, m1} is saturated, this is
+    independent of the residue classes the scan enumerates."""
     b = SCAN_BOUNDS
-    m1 = named_class(BP, "m1")
     lists = list(product(product(range(b.a_max + 1), repeat=2),
                          product(range(b.a_max + 1), repeat=3)))
     expected = []
     for gaps in {means_gap(2, a2) + means_gap(3, a3) for a2, a3 in lists}:
         for u, z, x in product(range(-b.u_abs, b.u_abs + 1), zs, range(-b.x_abs, b.x_abs + 1)):
-            feas = feasibility_check(3, u, x, z, gaps)
+            feas = feasibility_check_m(3, u, x, z * M1, gaps)
             if not (feas.c2_ok and feas.ss_ok):
                 continue
             for a2, a3 in lists:
@@ -318,11 +293,11 @@ def _integral_points_by_brute_force(zs):
                     continue
                 s21, s31 = sum(a2), sum(a3)
                 for d2, d3 in product(range(-b.d_abs, b.d_abs + 1), repeat=2):
-                    if not integrality_check(3, u, x, z, d2, d3, s21, s31).passes:
+                    if d2 % 2 or d3 % 3 != 1 or s21 % 2 or s31 % 3:
                         continue
-                    l2, l3 = build_l_classes(3, 6, u, x, z, d2, d3, s21, s31)
+                    l2, l3 = build_l_classes_m(3, 6, u, x, z * M1, d2, d3, s21, s31)
                     if l2.is_integral and l3.is_integral:
-                        expected.append((a2, a3, u, x, (z * m1).coeffs, d2, d3))
+                        expected.append((a2, a3, u, x, (z * M1).coeffs, d2, d3))
     return Counter(expected)
 
 
