@@ -61,6 +61,7 @@ from .solver import (
     consistency_check,
     enumerate_table1,
     feasibility_check_m,
+    integrality_check,
     solve,
     verify_certificate,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "fourier_mukai_b",
     "full_lattice_rank",
     "hecke_pattern_ch",
+    "integrality_check",
     "intersect",
     "invariant_subspace_has_integral_point",
     "is_ample_fxi",

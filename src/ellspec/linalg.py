@@ -78,6 +78,14 @@ def solve_rational(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     return x
 
 
+def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
+    """Whether target lies in the rational span of the given vectors."""
+    if not vectors:
+        return all(Fraction(t) == 0 for t in target)
+    columns = [list(col) for col in zip(*vectors)]
+    return solve_rational(columns, list(target)) is not None
+
+
 # === integer elimination ===
 
 

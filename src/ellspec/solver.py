@@ -178,6 +178,39 @@ def feasibility_check_m(k: int, u, x, m_class: DivisorClass, gaps) -> Feasibilit
 
 
 @dataclass(frozen=True)
+class IntegralityReport:
+    passes: bool
+    checks: tuple[tuple[str, bool], ...]
+
+
+def integrality_check(k: int, u, x, z, d2: int, d3: int, s21, s31) -> IntegralityReport:
+    """Integrality of the built twist classes plus the forced congruences."""
+    u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
+    checks = [("k_divides_3", k > 0 and 3 % k == 0)]
+    if k > 0:
+        checks.extend(
+            [
+                ("section_coeff_l2", Fraction(9, k).denominator == 1),
+                ("section_coeff_l3", Fraction(6, k).denominator == 1),
+                ("fiber_coeff_l2", ((x - d2 - 1) / 2).denominator == 1),
+                ("fiber_coeff_l3", ((x + d3) / 3).denominator == 1),
+                ("component_coeff_l2", ((u + Fraction(9, k) + s21) / 2).denominator == 1),
+                ("component_coeff_l3", ((u + Fraction(9, k) - s31) / 3).denominator == 1),
+                ("m_coeff", Fraction(z).denominator == 1),
+            ]
+        )
+    checks.extend(
+        [
+            ("d2_even", d2 % 2 == 0),
+            ("d3_mod_3_is_1", d3 % 3 == 1),
+            ("s21_even", s21 % 2 == 0),
+            ("s31_mod_3_is_0", s31 % 3 == 0),
+        ]
+    )
+    return IntegralityReport(passes=all(ok for _, ok in checks), checks=tuple(checks))
+
+
+@dataclass(frozen=True)
 class SearchBounds:
     """Scan windows for the residual parameters."""
 

@@ -57,6 +57,13 @@ def test_solve_rational_fixed():
     assert linalg.solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
+def test_in_span():
+    assert linalg.in_span([[1, 0, 0], [0, 1, 0]], [3, -2, 0])
+    assert not linalg.in_span([[1, 0, 0], [0, 1, 0]], [0, 0, 1])
+    assert linalg.in_span([], [0, 0])
+    assert not linalg.in_span([], [1, 0])
+
+
 def test_kernel_integer_fixed():
     # x + y + z = 0 over Z
     basis = linalg.kernel_integer([[1, 1, 1]])

@@ -25,6 +25,7 @@ from ellspec.solver import (
     consistency_check_m,
     enumerate_table1,
     feasibility_check_m,
+    integrality_check,
     solve,
     verify_certificate,
 )
@@ -148,6 +149,22 @@ def test_feasibility_failures():
     assert result.ss_ok
     result = feasibility_check_m(3, -3, 5, 1 * M1, -3)
     assert not result.c2_ok
+
+
+def test_integrality_golden():
+    assert integrality_check(3, -3, 5, 1, 10, 10, 0, 0).passes
+
+
+def test_integrality_bad_d3():
+    report = integrality_check(3, -3, 5, 1, 10, 11, 0, 0)
+    assert not report.passes
+    assert dict(report.checks)["d3_mod_3_is_1"] is False
+
+
+def test_integrality_bad_k():
+    report = integrality_check(2, -3, 5, 1, 10, 10, 0, 0)
+    assert not report.passes
+    assert dict(report.checks)["k_divides_3"] is False
 
 
 # === the certificate scan ===
