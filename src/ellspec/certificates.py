@@ -10,16 +10,17 @@ Loading matches that grammar before converting any digits, so every other
 spelling, and any numerator or denominator past CPython's 4300-digit
 int-string limit, is a SchemaError.  The emitter writes exactly the bytes of
 ``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
-strict checks (every object holds exactly the keys the writer emits, booleans
-are JSON booleans, notes are arrays of strings), so a loaded certificate is
-byte-for-byte reproducible when saved again.  A file holds either one
-certificate object or {"version": "1", "certificates": [...]}.
+strict checks (every object holds exactly the keys the writer emits, each
+once, booleans are JSON booleans, notes are arrays of strings), so a loaded
+certificate is byte-for-byte reproducible when saved again.  A file holds
+either one certificate object or {"version": "1", "certificates": [...]}.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -366,9 +367,19 @@ def _emit(value: Any, newline: str, out: list[str]) -> None:
         out.append(spell(value))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a repeated key, which json.loads would let
+    the last value win, is a SchemaError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        duplicate, _ = Counter(k for k, _ in pairs).most_common(1)[0]
+        raise SchemaError(f"duplicate key {duplicate!r}")
+    return obj
+
+
 def loads_certificates(text: str) -> list[SolutionCertificate]:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     # JSONDecodeError, an int past the digit limit, or nesting past the stack
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc

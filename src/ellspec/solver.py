@@ -15,9 +15,14 @@ multiplicity lists.  One scan serves both kinds of m-class:
                   coexist for some real x
     feasibility   the integer point (u, x, m) satisfies both conditions
 
-Every surviving parameter point is assembled into a BundleParams, evaluated
-against the full constraint system, and emitted as a SolutionCertificate
-that can be re-verified from its raw parameters alone.
+Each surviving (a2, a3, u, m, x) shape is crossed with its d-grid.  The
+twists are affine in (d2, d3): a step d2 -> d2 + 2 subtracts f' from l2 and
+d3 -> d3 + 3 subtracts f' from l3, so they are built once per shape and
+stepped.  Every report value is a polynomial of degree <= 2 in (d2, d3), so
+the report is evaluated only on the triangle i + j <= 2 of grid steps (at
+most 6 points, unisolvent for such polynomials); equal reports there are
+the report of every grid point.  Each point is emitted as a
+SolutionCertificate that can be re-verified from its raw parameters alone.
 """
 
 from __future__ import annotations
@@ -279,24 +284,57 @@ def _congruent(bound: int, modulus: int, residue: int) -> range:
     return range(-bound + (residue + bound) % modulus, bound + 1, modulus)
 
 
+def _twists_along(start: DivisorClass, count: int) -> list[DivisorClass]:
+    """A twist at count successive grid steps of its d-axis: each step
+    (d2 + 2 for l2, d3 + 3 for l3) subtracts f'."""
+    twists = [start]
+    for _ in range(count - 1):
+        twists.append(twists[-1] - _FP)
+    return twists
+
+
 def _scan_shape(task) -> list[SolutionCertificate]:
-    """Evaluate the d-grid of one feasible (a2, a3, u, m, x) shape: every
-    even d2 against every d3 = 1 (mod 3)."""
+    """The certificates on the d-grid of one feasible (a2, a3, u, m, x)
+    shape: every even d2 against every d3 = 1 (mod 3).
+
+    The twists are built once, at the grid's first point, and then stepped:
+    l2(d2 + 2) = l2(d2) - f' and l3(d3 + 3) = l3(d3) - f'.  The report is
+    evaluated only on the triangle {(i, j) : i + j <= 2} of grid steps,
+    clipped to the grid: at most 6 points, 1 on a 1x1 grid.  Every report
+    value and the C1 residual are polynomials of degree <= 2 in (d2, d3),
+    and the clipped triangle is unisolvent for those on the grid, so equal
+    reports there mean one report on the whole grid; the integrality detail
+    cannot change, since each step moves a twist by the integral class -f'.
+    Unequal reports break that argument and raise ArithmeticError.
+    """
     (row, a2, a3, u, z, m_class, x, d_abs, hprime, notes) = task
+    d2s, d3s = _congruent(d_abs, 2, 0), _congruent(d_abs, 3, 1)
+    if not (d2s and d3s):
+        return []
     s21, s31 = int(newton_sum(a2, 1)), int(newton_sum(a3, 1))
+    l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2s[0], d3s[0], s21, s31)
+    l2s, l3s = _twists_along(l2, len(d2s)), _twists_along(l3, len(d3s))
+
+    def params(i: int, j: int) -> BundleParams:
+        return BundleParams(row.k2, row.k3, d2s[i], d3s[j], a2, a3, l2s[i], l3s[j])
+
     hp_class = polarization_class(hprime)
-    out: list[SolutionCertificate] = []
-    for d2 in _congruent(d_abs, 2, 0):
-        for d3 in _congruent(d_abs, 3, 1):
-            l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, s21, s31)
-            params = BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3)
-            report = evaluate_constraints(params, hp_class, extra_notes=notes)
-            if report.all_pass:
-                out.append(SolutionCertificate(
-                    row=row, k=row.k, u=u, x=x, z=z, m_class=m_class,
-                    params=params, hprime=hprime, report=report, notes=notes,
-                ))
-    return out
+    triangle = [(i, j) for i in range(min(3, len(d2s))) for j in range(min(3 - i, len(d3s)))]
+    report, *others = [
+        evaluate_constraints(params(i, j), hp_class, extra_notes=notes) for i, j in triangle
+    ]
+    if any(other != report for other in others):
+        raise ArithmeticError("constraint report varies over the d-grid of one shape")
+    if not report.all_pass:
+        return []
+    return [
+        SolutionCertificate(
+            row=row, k=row.k, u=u, x=x, z=z, m_class=m_class,
+            params=params(i, j), hprime=hprime, report=report, notes=notes,
+        )
+        for i in range(len(d2s))
+        for j in range(len(d3s))
+    ]
 
 
 def _certificate_sort_key(cert: SolutionCertificate):

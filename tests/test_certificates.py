@@ -335,6 +335,19 @@ def test_verify_exits_2_on_non_boolean(tmp_path):
     assert "'c2_deficit_effective' must be a boolean" in err.getvalue()
 
 
+def test_verify_exits_2_on_a_duplicate_key(tmp_path):
+    # json.loads alone keeps the last "u", so this file would verify
+    text = GOLDEN.read_text().replace('  "u": -3,', '  "u": 7,\n  "u": -3,', 1)
+    assert text.count('"u": ') == 2
+    with pytest.raises(SchemaError, match="duplicate key 'u'"):
+        loads_certificates(text)
+    path = tmp_path / "duplicate.json"
+    path.write_text(text)
+    with redirect_stderr(io.StringIO()) as err:
+        assert run(["verify", str(path)]) == 2
+    assert "duplicate key 'u'" in err.getvalue()
+
+
 @pytest.mark.parametrize(
     "text", ["[" * 100000, "[" + "1" * 5000 + "]"], ids=["deep-nesting", "5000-digit-int"]
 )

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellspec.solver as solver_module
-from ellspec.assembly import ConstraintEntry
+from ellspec.assembly import (
+    DEFAULT_HPRIME,
+    BundleParams,
+    ConstraintEntry,
+    default_polarization,
+    evaluate_constraints,
+)
 from ellspec.certificates import dumps_certificates
 from ellspec.errors import TamperError
 from ellspec.hecke import means_gap
@@ -269,11 +275,16 @@ def test_solve_with_explicit_m_candidates():
 SCAN_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=3, a_max=1)
 
 
-def _evaluated_points(monkeypatch, **kwargs):
-    """Every (a2, a3, u, x, m, d2, d3) that the scan hands to
-    evaluate_constraints, recorded through the shape being scanned."""
+def _point(cert):
+    return (cert.params.a2, cert.params.a3, cert.u, cert.x, cert.m_class.coeffs,
+            cert.params.d2, cert.params.d3)
+
+
+def _scan(monkeypatch, bounds, **kwargs):
+    """solve's certificates, and the evaluate_constraints calls per scanned
+    (a2, a3, u, x, m) shape, recorded through the shape being scanned."""
     shape = {}
-    seen = []
+    evaluations = Counter()
     scan, evaluate = solver_module._scan_shape, solver_module.evaluate_constraints
 
     def recording_scan(task):
@@ -282,21 +293,24 @@ def _evaluated_points(monkeypatch, **kwargs):
         return scan(task)
 
     def recording_evaluate(params, *args, **kw):
-        seen.append(shape["current"] + (params.d2, params.d3))
+        evaluations[shape["current"]] += 1
         return evaluate(params, *args, **kw)
 
-    monkeypatch.setattr(solver_module, "_scan_shape", recording_scan)
-    monkeypatch.setattr(solver_module, "evaluate_constraints", recording_evaluate)
-    solve(3, 6, SCAN_BOUNDS, allow_nonconstant_lists=True, **kwargs)
-    return Counter(seen)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_scan_shape", recording_scan)
+        patch.setattr(solver_module, "evaluate_constraints", recording_evaluate)
+        certs = solve(3, 6, bounds, allow_nonconstant_lists=True, **kwargs)
+    return certs, evaluations
 
 
-def _integral_points_by_brute_force(zs):
+def _passing_integral_points_by_brute_force(zs):
     """The same set tested point by point: every feasible point of the box
     on the m1 ray where both twists are integral and d2, d3, s21, s31 meet
-    their congruences.  Since {e+zeta, f, n1+o2, m1} is saturated, this is
-    independent of the residue classes the scan enumerates."""
+    their congruences, with its own report, kept when that report passes.
+    Since {e+zeta, f, n1+o2, m1} is saturated, this is independent of the
+    residue classes the scan enumerates."""
     b = SCAN_BOUNDS
+    hp_class = default_polarization()
     lists = list(product(product(range(b.a_max + 1), repeat=2),
                          product(range(b.a_max + 1), repeat=3)))
     expected = []
@@ -313,23 +327,105 @@ def _integral_points_by_brute_force(zs):
                     if d2 % 2 or d3 % 3 != 1 or s21 % 2 or s31 % 3:
                         continue
                     l2, l3 = build_l_classes_m(3, 6, u, x, z * M1, d2, d3, s21, s31)
-                    if l2.is_integral and l3.is_integral:
-                        expected.append((a2, a3, u, x, (z * M1).coeffs, d2, d3))
-    return Counter(expected)
+                    if not (l2.is_integral and l3.is_integral):
+                        continue
+                    params = BundleParams(3, 6, d2, d3, a2, a3, l2, l3)
+                    report = evaluate_constraints(params, hp_class)
+                    if report.all_pass:
+                        expected.append(((a2, a3, u, x, (z * M1).coeffs, d2, d3), report))
+    return expected
+
+
+def _check_scan_against_brute_force(monkeypatch, zs, **kwargs):
+    certs, evaluations = _scan(monkeypatch, SCAN_BOUNDS, **kwargs)
+    emitted = Counter(_point(c) for c in certs)
+    expected = _passing_integral_points_by_brute_force(zs)
+    assert expected and max(emitted.values()) == 1
+    assert emitted == Counter(point for point, _ in expected)
+    emitted_reports = {_point(c): c.report for c in certs}
+    assert all(emitted_reports[point] == report for point, report in expected)
+    # the report is evaluated on the clipped triangle of grid steps only
+    assert evaluations and max(evaluations.values()) <= 6
+    _, evaluations = _scan(monkeypatch, dataclasses.replace(SCAN_BOUNDS, d_abs=1), **kwargs)
+    assert evaluations and set(evaluations.values()) == {1}
 
 
 def test_scan_evaluates_exactly_the_integral_points_of_the_grid(monkeypatch):
-    seen = _evaluated_points(monkeypatch)
-    expected = _integral_points_by_brute_force(range(SCAN_BOUNDS.z_min, SCAN_BOUNDS.z_max + 1))
-    assert expected and max(seen.values()) == 1
-    assert seen == expected
+    zs = range(SCAN_BOUNDS.z_min, SCAN_BOUNDS.z_max + 1)
+    _check_scan_against_brute_force(monkeypatch, zs)
 
 
 def test_scan_evaluates_exactly_the_integral_points_of_a_candidate(monkeypatch):
-    seen = _evaluated_points(monkeypatch, m_candidates=[named_class(BP, "m1")])
-    expected = _integral_points_by_brute_force([1])
-    assert expected and max(seen.values()) == 1
-    assert seen == expected
+    _check_scan_against_brute_force(monkeypatch, [1], m_candidates=[named_class(BP, "m1")])
+
+
+# === one report per shape: the degree argument behind the triangle ===
+
+
+def test_default_bounds_solve_shares_one_report():
+    """solve(3, 6) over the default box: 39,852 certificates from 36 shapes,
+    one report object per shape and all of them equal."""
+    certs = solve(3, 6)
+    assert len(certs) == 39852
+    reports = list({id(c.report): c.report for c in certs}.values())
+    assert len(reports) == 36
+    assert reports[0].all_pass and all(r == reports[0] for r in reports)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(enumerate_table1()),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-12, max_value=12),
+    st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 2),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.tuples(st.integers(min_value=-100, max_value=100),
+                       st.integers(min_value=-67, max_value=66)), min_size=1, max_size=6),
+)
+def test_shape_report_holds_off_the_triangle(row, u, x, m, a2, a3, d_abs, steps):
+    """Any (d2, d3) in the congruence classes, off the evaluated triangle and
+    beyond d_abs, has the report of its shape, on every row and for explicit
+    m-classes off the m1 ray."""
+    m_class = named_combination(BP, dict(zip(("m1", "m2", "m3"), m)))
+    task = (row, a2, a3, u, None, m_class, x, d_abs, DEFAULT_HPRIME, ())
+    certs = solver_module._scan_shape(task)  # raises ArithmeticError on unequal reports
+    hp_class = default_polarization()
+    s21, s31 = sum(a2), sum(a3)
+
+    def report_at(d2, d3):
+        l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, s21, s31)
+        return evaluate_constraints(BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3), hp_class)
+
+    shape_report = report_at(0, 1)
+    assert all(c.report == shape_report for c in certs)
+    for i, j in steps:
+        assert report_at(2 * i, 3 * j + 1) == shape_report
+
+
+# On SMALL_BOUNDS the grid starts at (d2, d3) = (-12, -11); the last three
+# drifts vanish on all of the triangle but one point: (1, 1), (2, 0), (0, 2).
+DRIFTS = [
+    lambda p: p.d2,
+    lambda p: p.d3,
+    lambda p: (p.d2 + 12) * (p.d3 + 11),
+    lambda p: (p.d2 + 12) * (p.d2 + 10),
+    lambda p: (p.d3 + 11) * (p.d3 + 8),
+]
+
+
+@pytest.mark.parametrize("drift", DRIFTS)
+def test_scan_raises_when_the_report_depends_on_d(monkeypatch, drift):
+    evaluate = solver_module.evaluate_constraints
+
+    def drifting_evaluate(params, *args, **kw):
+        report = evaluate(params, *args, **kw)
+        return dataclasses.replace(report, c3=report.c3 + drift(params))
+
+    monkeypatch.setattr(solver_module, "evaluate_constraints", drifting_evaluate)
+    with pytest.raises(ArithmeticError, match="d-grid"):
+        solve(3, 6, SMALL_BOUNDS)
 
 
 def test_consistency_m_on_the_m1_ray_is_the_disk():
