@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -57,19 +56,6 @@ from .spectral import linear_system_dims, spectral_genus
 from .threefold import ChernX
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ELLSPEC_WORKERS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            raise SchemaError(f"ELLSPEC_WORKERS must be an integer, got {env!r}")
-        if count < 1:
-            raise SchemaError("ELLSPEC_WORKERS must be at least 1")
-        return count
-    return os.cpu_count() or 1
-
-
 def _join_terms(terms: list[str]) -> str:
     if not terms:
         return "0"
@@ -106,6 +92,8 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out directory {Path(args.out).parent} is not a directory")
     bounds = SearchBounds(
         u_abs=args.u_abs,
         x_abs=args.x_abs,
@@ -120,7 +108,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         bounds,
         hprime=tuple(args.hprime),
         allow_nonconstant_lists=args.allow_nonconstant_lists,
-        workers=args.workers,
     )
     for cert in certs:
         print(
@@ -335,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="polarization coefficients on (f', e1', xi')",
     )
     p.add_argument("--allow-nonconstant-lists", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="write certificates to this JSON file")
     p.set_defaults(func=_cmd_solve)
 
@@ -368,12 +354,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "solve" and args.workers is None:
-        try:
-            args.workers = _default_workers()
-        except SchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -15,19 +15,19 @@ multiplicity lists.  One scan serves both kinds of m-class:
                   coexist for some real x
     feasibility   the integer point (u, x, m) satisfies both conditions
 
-Each surviving (a2, a3, u, m, x) shape is crossed with its d-grid.  The
+Each surviving (u, x, m, a2, a3) shape is crossed with its d-grid.  The
 twists are affine in (d2, d3): a step d2 -> d2 + 2 subtracts f' from l2 and
 d3 -> d3 + 3 subtracts f' from l3, so they are built once per shape and
 stepped.  Every report value is a polynomial of degree <= 2 in (d2, d3), so
 the report is evaluated only on the triangle i + j <= 2 of grid steps (at
 most 6 points, unisolvent for such polynomials); equal reports there are
-the report of every grid point.  Each point is emitted as a
+the report of every grid point.  One process emits each point, in the
+order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -293,61 +293,40 @@ def _twists_along(start: DivisorClass, count: int) -> list[DivisorClass]:
     return twists
 
 
-def _scan_shape(task) -> list[SolutionCertificate]:
-    """The certificates on the d-grid of one feasible (a2, a3, u, m, x)
-    shape: every even d2 against every d3 = 1 (mod 3).
+def _scan_shape(
+    row: Table1Row, u: int, x: int, m_class: DivisorClass, a2, a3,
+    d2s: range, d3s: range, hp_class: DivisorClass, notes: tuple[str, ...],
+) -> tuple[list[DivisorClass], list[DivisorClass], ConstraintReport] | None:
+    """The stepped twists and the one report on the d-grid of one feasible
+    (u, x, m, a2, a3) shape, or None when that report fails.
 
     The twists are built once, at the grid's first point, and then stepped:
-    l2(d2 + 2) = l2(d2) - f' and l3(d3 + 3) = l3(d3) - f'.  The report is
-    evaluated only on the triangle {(i, j) : i + j <= 2} of grid steps,
-    clipped to the grid: at most 6 points, 1 on a 1x1 grid.  Every report
-    value and the C1 residual are polynomials of degree <= 2 in (d2, d3),
-    and the clipped triangle is unisolvent for those on the grid, so equal
-    reports there mean one report on the whole grid; the integrality detail
-    cannot change, since each step moves a twist by the integral class -f'.
-    Unequal reports break that argument and raise ArithmeticError.
+    l2(d2 + 2) = l2(d2) - f' and l3(d3 + 3) = l3(d3) - f', so l2s[i] and
+    l3s[j] are the twists at (d2s[i], d3s[j]).  The report is evaluated only
+    on the triangle {(i, j) : i + j <= 2} of grid steps, clipped to the grid:
+    at most 6 points, 1 on a 1x1 grid.  Every report value and the C1
+    residual are polynomials of degree <= 2 in (d2, d3), and the clipped
+    triangle is unisolvent for those on the grid, so equal reports there mean
+    one report on the whole grid; the integrality detail cannot change, since
+    each step moves a twist by the integral class -f'.  Unequal reports break
+    that argument and raise ArithmeticError.
     """
-    (row, a2, a3, u, z, m_class, x, d_abs, hprime, notes) = task
-    d2s, d3s = _congruent(d_abs, 2, 0), _congruent(d_abs, 3, 1)
-    if not (d2s and d3s):
-        return []
     s21, s31 = int(newton_sum(a2, 1)), int(newton_sum(a3, 1))
     l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2s[0], d3s[0], s21, s31)
     l2s, l3s = _twists_along(l2, len(d2s)), _twists_along(l3, len(d3s))
-
-    def params(i: int, j: int) -> BundleParams:
-        return BundleParams(row.k2, row.k3, d2s[i], d3s[j], a2, a3, l2s[i], l3s[j])
-
-    hp_class = polarization_class(hprime)
     triangle = [(i, j) for i in range(min(3, len(d2s))) for j in range(min(3 - i, len(d3s)))]
     report, *others = [
-        evaluate_constraints(params(i, j), hp_class, extra_notes=notes) for i, j in triangle
+        evaluate_constraints(
+            BundleParams(row.k2, row.k3, d2s[i], d3s[j], a2, a3, l2s[i], l3s[j]),
+            hp_class, extra_notes=notes,
+        )
+        for i, j in triangle
     ]
     if any(other != report for other in others):
         raise ArithmeticError("constraint report varies over the d-grid of one shape")
     if not report.all_pass:
-        return []
-    return [
-        SolutionCertificate(
-            row=row, k=row.k, u=u, x=x, z=z, m_class=m_class,
-            params=params(i, j), hprime=hprime, report=report, notes=notes,
-        )
-        for i in range(len(d2s))
-        for j in range(len(d3s))
-    ]
-
-
-def _certificate_sort_key(cert: SolutionCertificate):
-    return (
-        cert.u,
-        cert.x,
-        cert.z if cert.z is not None else 10**9,
-        cert.m_class.coeffs,
-        cert.params.d2,
-        cert.params.d3,
-        cert.params.a2,
-        cert.params.a3,
-    )
+        return None
+    return l2s, l3s, report
 
 
 def solve(
@@ -363,16 +342,20 @@ def solve(
     """Enumerate every certificate on one table row within the bounds.
 
     The scan is exhaustive over the bounded parameter box: (u, m) through
-    the consistency test, then the multiplicity lists (constant by default)
-    and x through the feasibility window, then the d-grid; u, x, d2, d3 and
-    the lists run over the residue classes that make the twists integral.
-    Results are deterministic and sorted regardless of the worker count.
+    the consistency test, then x and the multiplicity lists (constant by
+    default) through the feasibility window, then the d-grid; u, x, d2, d3
+    and the lists run over the residue classes that make the twists integral.
+    It runs in one process and emits in order of (u, x, z, m coefficients,
+    d2, d3, a2, a3): the loops nest that way, and explicit candidates are
+    scanned sorted by their coefficients, so no global sort is needed.  A
+    candidate listed twice is a ValueError.  `workers` must be 1; it remains
+    only because the benchmark's workloads pass it.
     """
     row = _row_for(k2, k3)
     k = row.k
     b = bounds if bounds is not None else SearchBounds()
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if workers != 1:
+        raise ValueError("workers must be 1: solve runs in one process")
     if not is_ample_fxi(*hprime).ample:
         raise PolarizationError("default search requires an ample polarization")
 
@@ -380,44 +363,50 @@ def solve(
         m_grid = [(z, z * _M1) for z in range(b.z_min, b.z_max + 1)]
     else:
         m_grid = []
-        for m_class in m_candidates:
+        for m_class in sorted(m_candidates, key=lambda m: m.coeffs):
             if not m_space_check(m_class):
                 raise ValueError(f"candidate {m_class} fails the m-space check")
             if not m_class.is_integral:
                 raise ValueError(f"candidate {m_class} is not integral")
+            if m_grid and m_grid[-1][1] == m_class:
+                raise ValueError(f"candidate {m_class} is listed twice")
             m_grid.append((None, m_class))
 
-    if 3 % k != 0:  # 9/k is fractional, so no twist on this row is integral
+    d2s, d3s = _congruent(b.d_abs, 2, 0), _congruent(b.d_abs, 3, 1)
+    if 3 % k != 0 or not (d2s and d3s):  # 9/k fractional (no integral twist) or no d-grid
         return []
     notes: tuple[str, ...] = ()
     if k == 1:
         notes = ("k = 1 row: geometric side conditions not certified by this search",)
 
+    hp_class = polarization_class(hprime)
     lists = [
         (a2, a3, means_gap(2, a2) + means_gap(3, a3))
         for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists)
         for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists)
     ]
-    tasks = []
+    certificates = []
     for u in _congruent(b.u_abs, 6, -9 // k):
-        for z, m_class in m_grid:
-            if not consistency_check_m(k, u, m_class).passes:
-                continue
-            for a2, a3, gaps in lists:
-                for x in _congruent(b.x_abs, 6, 5):
+        consistent = [(z, m) for z, m in m_grid if consistency_check_m(k, u, m).passes]
+        for x in _congruent(b.x_abs, 6, 5):
+            for z, m_class in consistent:
+                shapes = []
+                for a2, a3, gaps in lists:
                     feas = feasibility_check_m(k, u, x, m_class, gaps)
                     if feas.c2_ok and feas.ss_ok:
-                        tasks.append((row, a2, a3, u, z, m_class, x, b.d_abs, hprime, notes))
-
-    size = min(workers, len(tasks))
-    if size > 1:
-        with multiprocessing.Pool(size) as pool:
-            chunks = pool.map(_scan_shape, tasks)
-    else:
-        chunks = [_scan_shape(task) for task in tasks]
-
-    certificates = [cert for chunk in chunks for cert in chunk]
-    certificates.sort(key=_certificate_sort_key)
+                        scanned = _scan_shape(row, u, x, m_class, a2, a3, d2s, d3s, hp_class, notes)
+                        if scanned is not None:
+                            shapes.append((a2, a3, *scanned))
+                certificates.extend(
+                    SolutionCertificate(
+                        row=row, k=k, u=u, x=x, z=z, m_class=m_class,
+                        params=BundleParams(k2, k3, d2, d3, a2, a3, l2s[i], l3s[j]),
+                        hprime=hprime, report=report, notes=notes,
+                    )
+                    for i, d2 in enumerate(d2s)
+                    for j, d3 in enumerate(d3s)
+                    for a2, a3, l2s, l3s, report in shapes
+                )
     return certificates
 
 

@@ -60,7 +60,7 @@ class SpectralParams:
 def _ef_coordinates(div: DivisorClass) -> tuple[Fraction, Fraction]:
     sol = EF_FRAME.coordinates(div)
     if sol is None:
-        raise SpanError("divisor direction outside span{e, f} is not transformable")
+        raise SpanError(f"divisor {div} lies outside span{{e, f}}")
     return sol
 
 

@@ -21,19 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpanError, UnsupportedProductError
-from .lattice import EF_FRAME, DivisorClass, Surface, intersect, named_class, zero_class
-from .spectral import ChernB
+from .errors import UnsupportedProductError
+from .lattice import DivisorClass, Surface, intersect, named_class, zero_class
+from .spectral import ChernB, _ef_coordinates
 
 _E = named_class(Surface.B, "e")
 _FP = named_class(Surface.BPRIME, "f")
-
-
-def _split_ef(div: DivisorClass) -> tuple[Fraction, Fraction]:
-    sol = EF_FRAME.coordinates(div)
-    if sol is None:
-        raise SpanError("B-side H^2 parts must lie in span{e, f}")
-    return sol
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class ChernX:
         # identification pi'*f = pi*f'; a zero B part is already canonical
         if self.c1_b.is_zero:
             return
-        s, t = _split_ef(self.c1_b)
+        s, t = _ef_coordinates(self.c1_b)
         if t != 0:
             object.__setattr__(self, "c1_b", s * _E)
             object.__setattr__(self, "c1_bp", self.c1_bp + t * _FP)

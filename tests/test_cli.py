@@ -1,5 +1,6 @@
 """Exit codes and output of every subcommand."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ellspec
+from ellspec import cli
 from ellspec.certificates import bundle_params_to_json, loads_certificates
 from ellspec.cli import run
 
@@ -75,12 +77,26 @@ def test_solve_non_ample_polarization_fails(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_solve_respects_workers_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ELLSPEC_WORKERS", "2")
-    assert run(["solve", "--k2", "3", "--k3", "6", *TINY]) == 0
-    monkeypatch.setenv("ELLSPEC_WORKERS", "zero")
-    assert run(["solve", "--k2", "3", "--k3", "6", *TINY]) == 2
-    assert "ELLSPEC_WORKERS" in capsys.readouterr().err
+def test_solve_checks_the_out_directory_before_work(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the --out check")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json"):
+        assert run(["solve", "--k2", "3", "--k3", "6", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_default_bounds_solve_stdout_is_pinned(capsys):
+    """All 39,852 default-bounds certificate lines, in order."""
+    assert run(["solve", "--k2", "3", "--k3", "6"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "08ce26046d358618f01a9626356dcdc364c3209413d86730b713939074532570"
+    )
 
 
 def test_verify_tampered_file(tmp_path, capsys):

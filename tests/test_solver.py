@@ -1,8 +1,10 @@
 """Certificate search: the table, the parametrization, the gates, the scan."""
 
+import copy
 import dataclasses
 import hashlib
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -223,8 +225,7 @@ def test_solve_k1_row_is_empty_even_at_wide_bounds():
 def test_solve_deterministic_and_parallel_agrees():
     serial = solve(3, 6, SMALL_BOUNDS)
     again = solve(3, 6, SMALL_BOUNDS)
-    parallel = solve(3, 6, SMALL_BOUNDS, workers=2)
-    assert serial == again == parallel
+    assert serial == again
 
 
 def test_every_certificate_passes_verification():
@@ -270,6 +271,81 @@ def test_solve_with_explicit_m_candidates():
         solve(3, 6, SMALL_BOUNDS, m_candidates=[named_class(BP, "f")])
 
 
+# === emission order: the loops nest in certificate order ===
+
+
+def _certificate_sort_key(cert):
+    """The order solve promises, as the global sort it once applied."""
+    return (
+        cert.u,
+        cert.x,
+        cert.z if cert.z is not None else 10**9,
+        cert.m_class.coeffs,
+        cert.params.d2,
+        cert.params.d3,
+        cert.params.a2,
+        cert.params.a3,
+    )
+
+
+def _assert_in_order(certs):
+    assert certs and certs == sorted(certs, key=_certificate_sort_key)
+
+
+CANDIDATES = [named_combination(BP, coeffs) for coeffs in (
+    {"m1": 1}, {"m1": 2}, {"m1": -1}, {"m2": 1}, {"m3": 1}, {"m1": 1, "m2": -1},
+    {"m1": 1, "m3": 1}, {"m2": 1, "m3": -2},
+)]
+
+
+def test_solve_emits_in_order_on_the_quick_box():
+    _assert_in_order(solve(3, 6, SMALL_BOUNDS))
+
+
+@pytest.mark.parametrize("row", enumerate_table1(), ids=lambda r: f"{r.k2},{r.k3}")
+def test_solve_emits_in_order_with_nonconstant_lists(row):
+    bounds = SearchBounds(u_abs=12, x_abs=20, z_min=0, z_max=4, d_abs=3, a_max=2)
+    certs = solve(row.k2, row.k3, bounds, allow_nonconstant_lists=True)
+    assert certs == sorted(certs, key=_certificate_sort_key)
+    assert len(certs) == (54 if (row.k2, row.k3) == (3, 6) else 0)
+
+
+def test_solve_emits_in_order_whatever_the_candidate_order():
+    bounds = dataclasses.replace(SMALL_BOUNDS, d_abs=4, a_max=2)
+    ordered = solve(3, 6, bounds, m_candidates=CANDIDATES, allow_nonconstant_lists=True)
+    _assert_in_order(ordered)
+    for seed in range(3):
+        shuffled = CANDIDATES[:]
+        random.Random(seed).shuffle(shuffled)
+        assert solve(3, 6, bounds, m_candidates=shuffled, allow_nonconstant_lists=True) == ordered
+
+
+def test_solve_emits_in_order_when_every_gate_passes(monkeypatch):
+    """With the gates and the report forced to pass, every (u, x, m, d2, d3,
+    a2, a3) point of the box is emitted, so the order is tested across every
+    loop, for the z grid and for shuffled candidates."""
+    passing = solve(3, 6, SMALL_BOUNDS)[0].report
+    feasible = solver_module.FeasibilityResult(True, True, Fraction(0), Fraction(-1))
+    monkeypatch.setattr(solver_module, "consistency_check_m",
+                        lambda *a: solver_module.ConsistencyResult(True, Fraction(0)))
+    monkeypatch.setattr(solver_module, "feasibility_check_m", lambda *a: feasible)
+    monkeypatch.setattr(solver_module, "evaluate_constraints", lambda *a, **kw: passing)
+    bounds = SearchBounds(u_abs=6, x_abs=6, z_min=-1, z_max=1, d_abs=3, a_max=1)
+    # u in {-3, 3}, x in {-1, 5}, d2 in {-2, 0, 2}, d3 in {-2, 1}, 4 list pairs
+    certs = solve(3, 6, bounds, allow_nonconstant_lists=True)
+    assert len(certs) == 2 * 2 * 3 * 3 * 2 * 4
+    _assert_in_order(certs)
+    shuffled = CANDIDATES[::-1]
+    certs = solve(3, 6, bounds, m_candidates=shuffled, allow_nonconstant_lists=True)
+    assert len(certs) == 2 * 2 * len(CANDIDATES) * 3 * 2 * 4
+    _assert_in_order(certs)
+
+
+def test_solve_rejects_a_candidate_listed_twice():
+    with pytest.raises(ValueError, match="twice"):
+        solve(3, 6, SMALL_BOUNDS, m_candidates=[M1, named_class(BP, "m2"), M1])
+
+
 # === one scan path: enumerated integrality, one consistency test ===
 
 SCAN_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=3, a_max=1)
@@ -287,10 +363,9 @@ def _scan(monkeypatch, bounds, **kwargs):
     evaluations = Counter()
     scan, evaluate = solver_module._scan_shape, solver_module.evaluate_constraints
 
-    def recording_scan(task):
-        _, a2, a3, u, _, m_class, x = task[:7]
+    def recording_scan(row, u, x, m_class, a2, a3, *rest):
         shape["current"] = (a2, a3, u, x, m_class.coeffs)
-        return scan(task)
+        return scan(row, u, x, m_class, a2, a3, *rest)
 
     def recording_evaluate(params, *args, **kw):
         evaluations[shape["current"]] += 1
@@ -389,9 +464,10 @@ def test_shape_report_holds_off_the_triangle(row, u, x, m, a2, a3, d_abs, steps)
     beyond d_abs, has the report of its shape, on every row and for explicit
     m-classes off the m1 ray."""
     m_class = named_combination(BP, dict(zip(("m1", "m2", "m3"), m)))
-    task = (row, a2, a3, u, None, m_class, x, d_abs, DEFAULT_HPRIME, ())
-    certs = solver_module._scan_shape(task)  # raises ArithmeticError on unequal reports
+    d2s, d3s = solver_module._congruent(d_abs, 2, 0), solver_module._congruent(d_abs, 3, 1)
     hp_class = default_polarization()
+    # raises ArithmeticError on unequal reports
+    scanned = solver_module._scan_shape(row, u, x, m_class, a2, a3, d2s, d3s, hp_class, ())
     s21, s31 = sum(a2), sum(a3)
 
     def report_at(d2, d3):
@@ -399,7 +475,13 @@ def test_shape_report_holds_off_the_triangle(row, u, x, m, a2, a3, d_abs, steps)
         return evaluate_constraints(BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3), hp_class)
 
     shape_report = report_at(0, 1)
-    assert all(c.report == shape_report for c in certs)
+    assert (scanned is None) == (not shape_report.all_pass)
+    if scanned is not None:
+        l2s, l3s, report = scanned
+        assert report == shape_report
+        build = lambda d2, d3: build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, s21, s31)
+        assert l2s == [build(d2, d3s[0])[0] for d2 in d2s]
+        assert l3s == [build(d2s[0], d3)[1] for d3 in d3s]
     for i, j in steps:
         assert report_at(2 * i, 3 * j + 1) == shape_report
 
@@ -483,41 +565,10 @@ def test_solve_candidate_pins_the_nonconstant_box():
 # === search inputs are checked before any work starts ===
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, 2])
 def test_solve_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers"):
         solve(3, 6, SCAN_BOUNDS, workers=workers)
-
-
-def test_pool_is_sized_by_the_task_count(monkeypatch):
-    sizes, task_counts = [], []
-
-    class RecordingPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            task_counts.append(len(tasks))
-            return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(solver_module.multiprocessing, "Pool", RecordingPool)
-    bounds = dataclasses.replace(SCAN_BOUNDS, d_abs=1)
-    serial = solve(3, 6, bounds)
-    assert sizes == []
-    assert solve(3, 6, bounds, workers=64) == serial
-    assert solve(3, 6, bounds, workers=2) == serial
-    tasks = task_counts[0]
-    assert 2 < tasks < 64
-    assert sizes == [tasks, 2] and task_counts == [tasks, tasks]
-    # a single task never starts a pool
-    assert solve(3, 6, dataclasses.replace(bounds, a_max=0), workers=64)
-    assert sizes == [tasks, 2]
 
 
 @pytest.mark.parametrize("field", ["u_abs", "x_abs", "d_abs", "a_max"])
@@ -533,12 +584,12 @@ def test_search_bounds_reject_an_empty_z_window():
     assert SearchBounds(z_min=-2, z_max=-2).z_min == -2
 
 
-# === pickling, as a worker pool sends tasks and results ===
+# === pickling and copying ===
 
 
 def test_core_values_round_trip_through_pickle():
-    """Pool workers pickle m-classes in and certificates out; a class that
-    cannot be unpickled would hang a pool instead of failing, so check here."""
+    """DivisorClass is frozen and slotted, so its __reduce__ is what lets it,
+    and every value holding one, pickle or copy at all."""
     cert = solve(3, 6, SMALL_BOUNDS)[0]
     l2 = cert.params.l2
     half = Fraction(1, 2) * l2
@@ -548,6 +599,7 @@ def test_core_values_round_trip_through_pickle():
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             clone = pickle.loads(pickle.dumps(value, protocol))
             assert clone == value and clone is not value
+        assert copy.deepcopy(value) == value and copy.copy(value) == value
     clone = pickle.loads(pickle.dumps(half))
     assert (clone.num, clone.den) == (half.num, half.den) and hash(clone) == hash(half)
     assert verify_certificate(pickle.loads(pickle.dumps(cert))).all_pass
