@@ -19,15 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import PolarizationError
-from .hecke import HeckeMultiplicities, newton_sum
+from .hecke import HeckeMultiplicities
 from .lattice import (
     COMPONENT_SUM,
     DivisorClass,
     Surface,
+    combination,
     fxi_coordinates,
+    int_pairing,
     intersect,
     is_ample_fxi,
     named_class,
@@ -71,24 +74,26 @@ class BundleParams:
         raise ValueError("component index must be 2 or 3")
 
 
+def _ch_closed_form(i: int, p: BundleParams):
+    """ch(V_i) on the int numerators of its twist l = L/n: rank i, the
+    (coeff, class) terms of c1 (all from B'), ch2 on f x pt as a (numerator,
+    denominator) pair, ch2 on pt x f' (-k) and ch3 (-k l.f') as a pair."""
+    k, d, a, lcls = p.component(i)
+    s1, s2, L, n = sum(a), sum(x * x for x in a), lcls.num, lcls.den
+    fiber_coeff, lf = d - i * k + _CI[i], int_pairing(L, _FP.num)
+    # ch2 . f x pt = i/2 l.l + fiber_coeff l.f' - S^1 l.(n1' + o2') - 2 S^2
+    lc = int_pairing(L, COMPONENT_SUM.num)
+    h4_fpt = i * int_pairing(L, L) + 2 * n * (fiber_coeff * lf - s1 * lc) - 4 * s2 * n * n
+    c1_terms = ((i, lcls), (fiber_coeff, _FP), (-s1, COMPONENT_SUM))
+    return c1_terms, (h4_fpt, 2 * n * n), -k, (-k * lf, n)
+
+
 def ch_component(i: int, p: BundleParams) -> ChernX:
     """Closed form of ch(V_i)."""
-    k, d, a, lcls = p.component(i)
-    s1 = newton_sum(a, 1)
-    s2 = newton_sum(a, 2)
-    fiber_coeff = Fraction(d - i * k + _CI[i])
-    c1_bp = i * lcls + fiber_coeff * _FP - s1 * COMPONENT_SUM
-    lf = intersect(lcls, _FP)
+    c1_terms, h4_fpt, h4_ptf, h6 = _ch_closed_form(i, p)
     return ChernX(
-        rank=Fraction(i),
-        c1_b=zero_class(Surface.B),
-        c1_bp=c1_bp,
-        h4_fpt=Fraction(i, 2) * intersect(lcls, lcls)
-        + fiber_coeff * lf
-        - s1 * intersect(lcls, COMPONENT_SUM)
-        - 2 * s2,
-        h4_ptf=Fraction(-k),
-        h6=-k * lf,
+        rank=i, c1_b=zero_class(Surface.B), c1_bp=combination(Surface.BPRIME, c1_terms),
+        h4_fpt=Fraction(*h4_fpt), h4_ptf=h4_ptf, h6=Fraction(*h6),
     )
 
 
@@ -146,6 +151,13 @@ class ConstraintReport:
         return all(e.passes for e in self.entries)
 
 
+@lru_cache(maxsize=128)  # bounded: polarizations come from files
+def _certified_ample(hprime: DivisorClass) -> bool:
+    """Whether hprime is certified ample in the (f', e1', xi') frame."""
+    coords = fxi_coordinates(hprime)
+    return coords is not None and is_ample_fxi(*coords).ample
+
+
 def evaluate_constraints(
     p: BundleParams,
     hprime: DivisorClass,
@@ -155,31 +167,32 @@ def evaluate_constraints(
 ) -> ConstraintReport:
     """Evaluate the full constraint system against a polarization.
 
-    hprime must be an ample class in the (f', e1', xi') frame; passing
-    hprime_unverified=True downgrades a failed ampleness gate to a note.
+    hprime must be an ample class on B' in the (f', e1', xi') frame; passing
+    hprime_unverified=True downgrades a failed ampleness gate to a note.  The
+    values are computed on int numerators; only the stored ones are Fractions.
     """
     notes = list(extra_notes)
-    coords = fxi_coordinates(hprime)
-    ample = coords is not None and is_ample_fxi(*coords).ample
-    if not ample:
+    if not _certified_ample(hprime):
         if not hprime_unverified:
             raise PolarizationError(
                 "polarization is not certified ample in the (f', e1', xi') frame"
             )
         notes.append("polarization not certified ample; slope check is formal")
 
-    s21 = newton_sum(p.a2, 1)
-    s31 = newton_sum(p.a3, 1)
-    total = ch_total(p)
+    c1_2, (h4n2, h4d2), _, (h6n2, h6d2) = _ch_closed_form(2, p)
+    c1_3, (h4n3, h4d3), _, (h6n3, h6d3) = _ch_closed_form(3, p)
+    n2, n3 = p.l2.den, p.l3.den
+    l2f, l3f = int_pairing(p.l2.num, _FP.num), int_pairing(p.l3.num, _FP.num)
+    # ch3(V) = h6n / h6d; C3 asks c3(V) = 2 ch3(V) = 12, its residual is 6 - ch3(V)
+    h6n, h6d = h6n2 * h6d3 + h6n3 * h6d2, h6d2 * h6d3
 
-    l2f, l3f = intersect(p.l2, _FP), intersect(p.l3, _FP)
-    se_slack = l2f - l3f
-    slope_class = 2 * p.l2 + Fraction(p.d2 + 1 - 2 * p.k2) * _FP - s21 * COMPONENT_SUM
-    ss_value = intersect(slope_class, hprime)
-    c1_residual = total.c1_bp
+    se_slack = Fraction(l2f * n3 - l3f * n2, n2 * n3)
+    ss_value = intersect(combination(Surface.BPRIME, c1_2), hprime)  # the slope of V2
+    c1_residual = combination(Surface.BPRIME, c1_2 + c1_3)
     c2f_slack = Fraction(12 - (p.k2 + p.k3))
-    c2fp_slack = total.h4_fpt + 12
-    c3_residual = p.k2 * l2f + p.k3 * l3f + 6
+    c2fp_slack = Fraction(h4n2 * h4d3 + h4n3 * h4d2 + 12 * h4d2 * h4d3, h4d2 * h4d3)
+    c3_residual = Fraction(6 * h6d - h6n, h6d)
+    s21, s31 = sum(p.a2), sum(p.a3)
 
     integrality_detail = (
         ("l2_integral", p.l2.is_integral),
@@ -207,7 +220,7 @@ def evaluate_constraints(
         entries=entries,
         c2_deficit=(c2fp_slack, c2f_slack),
         c2_deficit_effective=c2fp_slack >= 0 and c2f_slack >= 0,
-        c3=2 * total.h6,
+        c3=Fraction(2 * h6n, h6d),
         nonsplit=se_slack > 0,
         slope_negative=ss_value < 0,
         notes=tuple(notes),

@@ -168,12 +168,15 @@ def basis_class(surface: Surface, name: str) -> DivisorClass:
     return _from_ints(surface, tuple(int(i == idx) for i in range(RANK)), 1)
 
 
+def int_pairing(x: Sequence[int], y: Sequence[int]) -> int:
+    """The intersection form diag(1, -1, ..., -1) on int coordinate vectors."""
+    return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
+
+
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Intersection number of two classes on the same surface: one int dot
-    product with the sign pattern of GRAM_DIAG = (1, -1, ..., -1)."""
+    """Intersection number of two classes on the same surface."""
     _require_same_surface(a, b)
-    x, y = a.num, b.num
-    return Fraction(x[0] * y[0] - sum(map(mul, x[1:], y[1:])), a.den * b.den)
+    return Fraction(int_pairing(a.num, b.num), a.den * b.den)
 
 
 def _build_named(surface: Surface) -> dict[str, DivisorClass]:
@@ -212,12 +215,34 @@ def named_class(surface: Surface, name: str) -> DivisorClass:
         raise ValueError(f"unknown class name {name!r}; known: {', '.join(NAMED_CLASS_NAMES)}") from None
 
 
+def combination(
+    surface: Surface, terms: Iterable[tuple[object, DivisorClass]], den: int = 1
+) -> DivisorClass:
+    """(sum of coeff * cls over the (coeff, cls) terms) / den for rational
+    coeffs, in one pass over the lcm of the denominators."""
+    if den <= 0:
+        raise ValueError("the denominator of a combination must be positive")
+    scaled, common = [], 1
+    for coeff, cls in terms:
+        if cls.surface is not surface:
+            raise SurfaceMismatchError(
+                f"classes live on different surfaces: {surface.value} vs {cls.surface.value}"
+            )
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        q = c.denominator * cls.den
+        scaled.append((c.numerator, q, cls.num))
+        common = lcm(common, q)
+    acc = [0] * RANK
+    for p, q, num in scaled:
+        if p:
+            s = p * (common // q)
+            acc = [a + s * x for a, x in zip(acc, num)]
+    return _from_ints(surface, tuple(acc), common * den)
+
+
 def named_combination(surface: Surface, terms: dict[str, object]) -> DivisorClass:
     """Linear combination of named classes, e.g. {"e": 1, "zeta": 1, "f": 5}."""
-    acc = zero_class(surface)
-    for name, coeff in terms.items():
-        acc = acc + Fraction(coeff) * named_class(surface, name)
-    return acc
+    return combination(surface, [(c, named_class(surface, name)) for name, c in terms.items()])
 
 
 # The fixed combinations on B' that the twist parametrization, the Hecke

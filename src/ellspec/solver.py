@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -47,6 +48,7 @@ from .lattice import (
     SECTION_SUM,
     DivisorClass,
     Surface,
+    combination,
     intersect,
     is_ample_fxi,
     m_space_check,
@@ -104,20 +106,17 @@ def build_l_classes_m(
     k = 2 * k3 - 3 * k2
     if k <= 0:
         raise ValueError("parametrization requires k = 2*k3 - 3*k2 > 0")
-    u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
-    nine_k = Fraction(9, k)
-    l2 = (
-        nine_k * SECTION_SUM
-        + Fraction(1, 2) * (x - d2 + 2 * k2 - 1) * _FP
-        + Fraction(1, 2) * (u + nine_k + s21) * COMPONENT_SUM
-        + 3 * m_class
-    )
-    l3 = (
-        Fraction(-6, k) * SECTION_SUM
-        + Fraction(1, 3) * (-x - d3 + 3 * k3 - 3) * _FP
-        + Fraction(1, 3) * (-u - nine_k + s31) * COMPONENT_SUM
-        - 2 * m_class
-    )
+    u, x, s21, s31 = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (u, x, s21, s31))
+    # 2k l2 = 18 (e'+zeta') + k (x - d2 + 2 k2 - 1) f' + (k u + 9 + k s21) (n1'+o2') + 6k m
+    l2 = combination(Surface.BPRIME, (
+        (18, SECTION_SUM), (k * (x - d2 + 2 * k2 - 1), _FP),
+        (k * u + 9 + k * s21, COMPONENT_SUM), (6 * k, m_class),
+    ), 2 * k)
+    # 3k l3 = -18 (e'+zeta') + k (-x - d3 + 3 k3 - 3) f' + (-k u - 9 + k s31) (n1'+o2') - 6k m
+    l3 = combination(Surface.BPRIME, (
+        (-18, SECTION_SUM), (k * (-x - d3 + 3 * k3 - 3), _FP),
+        (-k * u - 9 + k * s31, COMPONENT_SUM), (-6 * k, m_class),
+    ), 3 * k)
     return l2, l3
 
 
@@ -429,7 +428,7 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     if l2 != cert.params.l2 or l3 != cert.params.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     fresh = evaluate_constraints(
-        cert.params, polarization_class(cert.hprime), extra_notes=cert.notes
+        cert.params, _stored_polarization(tuple(cert.hprime)), extra_notes=cert.notes
     )
     difference = _report_difference(cert.report, fresh)
     if difference is not None:
@@ -437,8 +436,11 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     return fresh
 
 
+# one class per stored triple; bounded, since the triples come from files
+_stored_polarization = lru_cache(maxsize=128)(polarization_class)
+
 _ENTRY_FIELDS = ("passes", "value", "residual", "detail")
-_REPORT_FIELDS = ("c2_deficit", "c2_deficit_effective", "c3", "nonsplit", "slope_negative")
+_REPORT_FIELDS = ("c2_deficit", "c2_deficit_effective", "c3", "nonsplit", "slope_negative", "notes")
 
 
 def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str | None:

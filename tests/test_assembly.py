@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellspec.assembly as assembly_module
 from ellspec.assembly import (
     DEFAULT_HPRIME,
     BundleParams,
+    ConstraintEntry,
+    ConstraintReport,
     ch_component,
     ch_total,
     default_polarization,
@@ -17,9 +20,18 @@ from ellspec.assembly import (
     polarization_class,
     spectral_input,
 )
-from ellspec.errors import PolarizationError
-from ellspec.hecke import hecke_pattern_ch
-from ellspec.lattice import Surface, fxi_coordinates, named_class, named_combination
+from ellspec.errors import PolarizationError, SurfaceMismatchError
+from ellspec.hecke import hecke_pattern_ch, newton_sum
+from ellspec.lattice import (
+    COMPONENT_SUM,
+    DivisorClass,
+    Surface,
+    fxi_coordinates,
+    intersect,
+    is_ample_fxi,
+    named_class,
+    named_combination,
+)
 from ellspec.spectral import spectral_ch
 from ellspec.threefold import pullback_line_bundle_ch
 
@@ -101,6 +113,20 @@ twist_classes = st.builds(
 )
 
 
+def _fractional(classes):
+    """A twist class scaled by 1/q for q in {1, 2, 3, 6}."""
+    return st.builds(
+        lambda c, q: Fraction(1, q) * c, classes, st.sampled_from([1, 2, 3, 6])
+    )
+
+
+any_classes = st.builds(
+    lambda cs: DivisorClass(BP, cs),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=10, max_size=10),
+)
+twists = _fractional(st.one_of(twist_classes, any_classes))
+
+
 @settings(max_examples=200)
 @given(
     st.integers(min_value=2, max_value=8),
@@ -113,8 +139,8 @@ twist_classes = st.builds(
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=4),
     ),
-    twist_classes,
-    twist_classes,
+    twists,
+    twists,
 )
 def test_components_match_product_oracle(k2, k3, d2, d3, a2, a3, l2, l3):
     p = BundleParams(k2, k3, d2, d3, a2, a3, l2, l3)
@@ -224,3 +250,145 @@ def test_slope_pairing_grid(a, b, c):
 def test_ext_lower_bound_values():
     assert ext_lower_bound(3, 6, 6, -4) == 150
     assert ext_lower_bound(2, 4, 9, -6) == 120
+
+
+# === the int kernel of the report against the ChernX oracle ===
+
+
+def _report_oracle(p, hprime, *, hprime_unverified=False, extra_notes=()):
+    """The constraint report built step by step from ch(V) = ch(V2) + ch(V3)
+    as ChernX values, each from the product-rule oracle, with Fraction
+    pairings throughout."""
+    notes = list(extra_notes)
+    coords = fxi_coordinates(hprime)
+    ample = coords is not None and is_ample_fxi(*coords).ample
+    if not ample:
+        if not hprime_unverified:
+            raise PolarizationError(
+                "polarization is not certified ample in the (f', e1', xi') frame"
+            )
+        notes.append("polarization not certified ample; slope check is formal")
+
+    s21 = newton_sum(p.a2, 1)
+    s31 = newton_sum(p.a3, 1)
+    total = oracle_component(2, p) + oracle_component(3, p)
+
+    l2f, l3f = intersect(p.l2, FP), intersect(p.l3, FP)
+    se_slack = l2f - l3f
+    slope_class = 2 * p.l2 + Fraction(p.d2 + 1 - 2 * p.k2) * FP - s21 * COMPONENT_SUM
+    ss_value = intersect(slope_class, hprime)
+    c1_residual = total.c1_bp
+    c2f_slack = Fraction(12 - (p.k2 + p.k3))
+    c2fp_slack = total.h4_fpt + 12
+    c3_residual = p.k2 * l2f + p.k3 * l3f + 6
+
+    integrality_detail = (
+        ("l2_integral", p.l2.is_integral),
+        ("l3_integral", p.l3.is_integral),
+        ("d2_even", p.d2 % 2 == 0),
+        ("d3_mod_3_is_1", p.d3 % 3 == 1),
+        ("s21_even", s21 % 2 == 0),
+        ("s31_mod_3_is_0", s31 % 3 == 0),
+    )
+
+    entries = (
+        ConstraintEntry("S_e", se_slack > 0, value=se_slack),
+        ConstraintEntry("S_s", ss_value < 0, value=ss_value),
+        ConstraintEntry("C1", c1_residual.is_zero, residual=c1_residual),
+        ConstraintEntry("C2_f", c2f_slack >= 0, value=c2f_slack),
+        ConstraintEntry("C2_fprime", c2fp_slack >= 0, value=c2fp_slack),
+        ConstraintEntry("C3", c3_residual == 0, value=c3_residual),
+        ConstraintEntry(
+            "integrality",
+            all(ok for _, ok in integrality_detail),
+            detail=integrality_detail,
+        ),
+    )
+    return ConstraintReport(
+        entries=entries,
+        c2_deficit=(c2fp_slack, c2f_slack),
+        c2_deficit_effective=c2fp_slack >= 0 and c2f_slack >= 0,
+        c3=2 * total.h6,
+        nonsplit=se_slack > 0,
+        slope_negative=ss_value < 0,
+        notes=tuple(notes),
+    )
+
+
+
+
+# polarizations: ample and non-ample triples, fractional ones, and classes
+# off the (f', e1', xi') frame
+polarizations = st.one_of(
+    st.builds(
+        polarization_class,
+        st.tuples(*[st.integers(min_value=-5, max_value=200)] * 3),
+    ),
+    st.builds(
+        lambda t, q: Fraction(1, q) * polarization_class(t),
+        st.tuples(*[st.integers(min_value=1, max_value=60)] * 3),
+        st.sampled_from([2, 3, 7]),
+    ),
+    st.builds(
+        lambda t, e: polarization_class(t) + e * named_class(BP, "e2"),
+        st.tuples(*[st.integers(min_value=1, max_value=60)] * 3),
+        st.integers(min_value=1, max_value=3),
+    ),
+)
+multiplicities = st.integers(min_value=0, max_value=5)
+
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=3, max_value=9),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.tuples(multiplicities, multiplicities),
+    st.tuples(multiplicities, multiplicities, multiplicities),
+    twists,
+    twists,
+    polarizations,
+    st.booleans(),
+    st.sampled_from([(), ("k = 1 row: geometric side conditions not certified by this search",)]),
+)
+def test_report_matches_chern_oracle(k2, k3, d2, d3, a2, a3, l2, l3, hprime, unverified, notes):
+    p = BundleParams(k2, k3, d2, d3, a2, a3, l2, l3)
+    kwargs = dict(hprime_unverified=unverified, extra_notes=notes)
+    try:
+        expected = _report_oracle(p, hprime, **kwargs)
+    except PolarizationError:
+        with pytest.raises(PolarizationError):
+            evaluate_constraints(p, hprime, **kwargs)
+        return
+    report = evaluate_constraints(p, hprime, **kwargs)
+    assert report == expected
+    for entry in report.entries:
+        assert entry.value is None or type(entry.value) is Fraction
+    assert all(type(v) is Fraction for v in report.c2_deficit)
+    assert type(report.c3) is Fraction
+
+
+def test_report_rejects_a_polarization_on_b():
+    hprime = named_combination(Surface.B, {"f": 25, "e1": 144, "xi": 168})
+    with pytest.raises(SurfaceMismatchError):
+        evaluate_constraints(golden_params(), hprime)
+    with pytest.raises(SurfaceMismatchError):
+        _report_oracle(golden_params(), hprime)
+
+
+def test_memoized_gate_raises_on_every_call():
+    hprime = named_combination(BP, {"f": 1, "e1": 3, "xi": 1})
+    for _ in range(2):
+        with pytest.raises(PolarizationError):
+            evaluate_constraints(golden_params(), hprime)
+
+
+def test_gate_cache_stays_bounded():
+    gate = assembly_module._certified_ample
+    for a in range(200):
+        evaluate_constraints(golden_params(), polarization_class((300 + a, 1, 1)))
+    info = gate.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 200

@@ -266,6 +266,20 @@ def test_verify_reports_a_non_ample_polarization_and_goes_on(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_verify_fails_every_certificate_with_a_shared_non_ample_polarization(tmp_path, capsys):
+    first, second = _golden_json(), _golden_json()
+    first["hprime"] = second["hprime"] = {"f": 1, "e1": 1, "xi": 5}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"version": "1", "certificates": [first, second]}))
+    assert run(["verify", str(path)]) == 1
+    reason = "polarization is not certified ample in the (f', e1', xi') frame"
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL certificate 0 (k2=3, k3=6, u=-3, x=5): {reason}",
+        f"FAIL certificate 1 (k2=3, k3=6, u=-3, x=5): {reason}",
+        "0/2 certificate(s) verified",
+    ]
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ellspec.__file__).resolve().parents[1]))
     proc = _run_script(sys.executable, "-m", "ellspec", "table1", cwd=tmp_path, env=env)

@@ -19,6 +19,7 @@ from ellspec.lattice import (
     RANK,
     DivisorClass,
     Surface,
+    combination,
     descent_not_effective,
     fxi_coordinates,
     intersect,
@@ -382,6 +383,42 @@ def test_int_core_matches_fraction_oracle(pa, pb, s):
     assert twin == a and hash(twin) == hash(a)
     assert a != DivisorClass(B, ra)
     assert twin.den > 0 and all(type(x) is int for x in twin.num)
+
+
+def _fold(surface, terms, den=1):
+    """The combination by + and * alone, starting from the zero class."""
+    acc = zero_class(surface)
+    for coeff, cls in terms:
+        acc = acc + coeff * cls
+    return Fraction(1, den) * acc
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(_scalars, _vectors), max_size=5),
+    st.integers(min_value=1, max_value=12),
+)
+def test_combination_matches_the_fold(raw, den):
+    terms = [(s, DivisorClass(BP, _oracle(v))) for s, v in raw]
+    got = combination(BP, terms, den)
+    assert got == _fold(BP, terms, den)
+    assert got.surface is BP and got.den > 0 and all(type(x) is int for x in got.num)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_combination_edge_cases():
+    assert combination(BP, []) == zero_class(BP)
+    assert combination(B, [], 7) == zero_class(B)
+    assert combination(BP, [("1/2", n("f")), (0.5, n("f"))], 3) == Fraction(1, 3) * n("f")
+    with pytest.raises(SurfaceMismatchError):
+        combination(BP, [(1, n("f")), (2, n("f", B))])
+    with pytest.raises(SurfaceMismatchError):
+        combination(B, [(0, n("f"))])
+    with pytest.raises(ValueError):
+        combination(BP, [(1, n("f"))], 0)
+    terms = {"f": 25, "e1": "144", "xi": Fraction(336, 2)}
+    expected = _fold(BP, [(Fraction(c), n(name)) for name, c in terms.items()])
+    assert named_combination(BP, terms) == expected
 
 
 def test_divisor_class_is_immutable():

@@ -20,9 +20,10 @@ from ellspec.assembly import (
     ConstraintEntry,
     default_polarization,
     evaluate_constraints,
+    polarization_class,
 )
 from ellspec.certificates import dumps_certificates
-from ellspec.errors import TamperError
+from ellspec.errors import SurfaceMismatchError, TamperError
 from ellspec.hecke import means_gap
 from ellspec.lattice import Surface, intersect, m_space_check, named_class, named_combination
 from ellspec.solver import (
@@ -120,6 +121,59 @@ def test_c1_identity_holds_for_all_parameters(row, u, x, z, d2, d3, s21, s31):
     comps = named_combination(BP, {"n1": 1, "o2": 1})
     forced = (s21 + s31) * comps - (d2 + d3 - 2 * k2 - 3 * k3 + 4) * fp
     assert 2 * l2 + 3 * l3 == forced
+
+
+def _twists_by_fold(k2, k3, u, x, m_class, d2, d3, s21, s31):
+    """The twist parametrization by + and * on Fraction coefficients."""
+    k = 2 * k3 - 3 * k2
+    u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
+    nine_k = Fraction(9, k)
+    sections = named_combination(BP, {"e": 1, "zeta": 1})
+    components = named_combination(BP, {"n1": 1, "o2": 1})
+    fp = named_class(BP, "f")
+    l2 = (
+        nine_k * sections
+        + Fraction(1, 2) * (x - d2 + 2 * k2 - 1) * fp
+        + Fraction(1, 2) * (u + nine_k + s21) * components
+        + 3 * m_class
+    )
+    l3 = (
+        Fraction(-6, k) * sections
+        + Fraction(1, 3) * (-x - d3 + 3 * k3 - 3) * fp
+        + Fraction(1, 3) * (-u - nine_k + s31) * components
+        - 2 * m_class
+    )
+    return l2, l3
+
+
+_small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([(2, 4), (2, 6), (3, 5), (3, 6), (4, 7), (2, 5), (3, 7)]),
+    _small_rationals,
+    _small_rationals,
+    st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 3),
+    st.integers(min_value=-15, max_value=15),
+    st.integers(min_value=-15, max_value=15),
+    _small_rationals,
+    _small_rationals,
+)
+def test_build_l_classes_matches_the_fold(row, u, x, mc, d2, d3, s21, s31):
+    m_class = mc[0] * M1 + mc[1] * named_class(BP, "m2") + mc[2] * named_class(BP, "m3")
+    k2, k3 = row
+    got = build_l_classes_m(k2, k3, u, x, m_class, d2, d3, s21, s31)
+    assert got == _twists_by_fold(k2, k3, u, x, m_class, d2, d3, s21, s31)
+    ints = (int(u), int(x), int(s21), int(s31))
+    assert build_l_classes_m(k2, k3, ints[0], ints[1], m_class, d2, d3, *ints[2:]) == (
+        _twists_by_fold(k2, k3, ints[0], ints[1], m_class, d2, d3, *ints[2:])
+    )
+
+
+def test_build_l_classes_rejects_an_m_class_on_b():
+    with pytest.raises(SurfaceMismatchError):
+        build_l_classes_m(3, 6, -3, 5, named_class(Surface.B, "m1"), 10, 10, 0, 0)
 
 
 # === the scalar gates ===
@@ -252,6 +306,29 @@ def test_verify_detects_tampered_report():
     tampered = dataclasses.replace(cert, report=doctored)
     with pytest.raises(TamperError):
         verify_certificate(tampered)
+
+
+def test_verify_detects_a_forged_report_note():
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    assert cert.report.notes == cert.notes == ()
+    doctored = dataclasses.replace(cert.report, notes=("forged note",))
+    with pytest.raises(TamperError) as exc:
+        verify_certificate(dataclasses.replace(cert, report=doctored))
+    assert str(exc.value) == (
+        "stored constraint report disagrees with recomputation at"
+        " notes: stored (forged note), recomputed ()"
+    )
+
+
+def test_stored_polarization_cache_stays_bounded():
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    for j in range(200):
+        hprime = (25, 144 + j, 168 + j)
+        report = evaluate_constraints(cert.params, polarization_class(hprime))
+        verify_certificate(dataclasses.replace(cert, hprime=hprime, report=report))
+    info = solver_module._stored_polarization.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 200
 
 
 def test_verify_detects_mismatched_m_class():
