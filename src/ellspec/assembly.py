@@ -58,10 +58,8 @@ class BundleParams:
     l3: DivisorClass
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a2", tuple(int(x) for x in self.a2))
-        object.__setattr__(self, "a3", tuple(int(x) for x in self.a3))
-        HeckeMultiplicities(2, self.a2)
-        HeckeMultiplicities(3, self.a3)
+        object.__setattr__(self, "a2", HeckeMultiplicities(2, self.a2).a)
+        object.__setattr__(self, "a3", HeckeMultiplicities(3, self.a3).a)
         for lcls in (self.l2, self.l3):
             if lcls.surface is not Surface.BPRIME:
                 raise ValueError("twist classes must live on B'")
@@ -158,27 +156,25 @@ def _certified_ample(hprime: DivisorClass) -> bool:
     return coords is not None and is_ample_fxi(*coords).ample
 
 
+def _require_ample(hprime: DivisorClass) -> None:
+    """The report's polarization gate, which `solve` also runs up front."""
+    if not _certified_ample(hprime):
+        raise PolarizationError(
+            "polarization is not certified ample in the (f', e1', xi') frame"
+        )
+
+
 def evaluate_constraints(
     p: BundleParams,
     hprime: DivisorClass,
     *,
-    hprime_unverified: bool = False,
     extra_notes: Sequence[str] = (),
 ) -> ConstraintReport:
-    """Evaluate the full constraint system against a polarization.
-
-    hprime must be an ample class on B' in the (f', e1', xi') frame; passing
-    hprime_unverified=True downgrades a failed ampleness gate to a note.  The
-    values are computed on int numerators; only the stored ones are Fractions.
+    """Evaluate the full constraint system against a certified-ample
+    polarization.  The values are computed on int numerators; only the
+    stored ones are Fractions.
     """
-    notes = list(extra_notes)
-    if not _certified_ample(hprime):
-        if not hprime_unverified:
-            raise PolarizationError(
-                "polarization is not certified ample in the (f', e1', xi') frame"
-            )
-        notes.append("polarization not certified ample; slope check is formal")
-
+    _require_ample(hprime)
     c1_2, (h4n2, h4d2), _, (h6n2, h6d2) = _ch_closed_form(2, p)
     c1_3, (h4n3, h4d3), _, (h6n3, h6d3) = _ch_closed_form(3, p)
     n2, n3 = p.l2.den, p.l3.den
@@ -223,7 +219,7 @@ def evaluate_constraints(
         c3=Fraction(2 * h6n, h6d),
         nonsplit=se_slack > 0,
         slope_negative=ss_value < 0,
-        notes=tuple(notes),
+        notes=tuple(extra_notes),
     )
 
 

@@ -377,12 +377,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def loads_certificates(text: str) -> list[SolutionCertificate]:
+def loads_json(text: str) -> Any:
+    """json.loads, with a repeated key, a too-long int or too-deep nesting a SchemaError."""
     try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     # JSONDecodeError, an int past the digit limit, or nesting past the stack
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+def loads_certificates(text: str) -> list[SolutionCertificate]:
+    payload = loads_json(text)
     if isinstance(payload, dict) and "certificates" in payload:
         _object(payload, "certificate file", _FILE_KEYS)
         if payload["version"] != FORMAT_VERSION:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -21,6 +22,7 @@ from .certificates import (
     certificate_to_dict,
     load_certificates,
     loads_certificates,
+    loads_json,
     rational_to_str,
     save_certificates,
 )
@@ -94,14 +96,9 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.out is not None and not Path(args.out).parent.is_dir():
         raise ValueError(f"--out directory {Path(args.out).parent} is not a directory")
-    bounds = SearchBounds(
-        u_abs=args.u_abs,
-        x_abs=args.x_abs,
-        z_min=args.z_min,
-        z_max=args.z_max,
-        d_abs=args.d_abs,
-        a_max=args.a_max,
-    )
+    if args.out is not None and Path(args.out).is_dir():
+        raise ValueError(f"--out {args.out} is a directory, not a file")
+    bounds = SearchBounds(**{f.name: getattr(args, f.name) for f in fields(SearchBounds)})
     certs = solve(
         args.k2,
         args.k3,
@@ -158,10 +155,10 @@ def _cmd_ample(args: argparse.Namespace) -> int:
 
 def _cmd_chern(args: argparse.Namespace) -> int:
     try:
-        payload = json.loads(Path(args.params).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        text = Path(args.params).read_text()
+    except OSError as exc:
         raise SchemaError(f"cannot read parameter file: {exc}")
-    params = bundle_params_from_json(payload)
+    params = bundle_params_from_json(loads_json(text))
     print(_format_chern("ch(V2)", ch_component(2, params)))
     print(_format_chern("ch(V3)", ch_component(3, params)))
     print(_format_chern("ch(V)", ch_total(params)))
@@ -306,13 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="enumerate certificates on one table row")
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--k3", type=int, required=True)
-    defaults = SearchBounds()
-    p.add_argument("--u-abs", type=int, default=defaults.u_abs)
-    p.add_argument("--x-abs", type=int, default=defaults.x_abs)
-    p.add_argument("--z-min", type=int, default=defaults.z_min)
-    p.add_argument("--z-max", type=int, default=defaults.z_max)
-    p.add_argument("--d-abs", type=int, default=defaults.d_abs)
-    p.add_argument("--a-max", type=int, default=defaults.a_max)
+    for field in fields(SearchBounds):
+        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
     p.add_argument(
         "--hprime",
         type=int,

@@ -280,7 +280,6 @@ class Frame:
             if w is None:
                 raise ArithmeticError(f"frame {names} is linearly dependent")
             dual.append(w)
-        self.names = names
         # int pairing vectors: the dual vectors times the sign pattern and
         # their common denominator; named classes are integral, so the
         # frame's columns are their numerators

@@ -28,7 +28,7 @@ SolutionCertificate that can be re-verified from its raw parameters alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -37,12 +37,14 @@ from typing import Iterable
 from .assembly import (
     DEFAULT_HPRIME,
     BundleParams,
+    ConstraintEntry,
     ConstraintReport,
+    _require_ample,
     evaluate_constraints,
     polarization_class,
 )
-from .errors import PolarizationError, TamperError
-from .hecke import means_gap, newton_sum
+from .errors import TamperError
+from .hecke import means_gap
 from .lattice import (
     COMPONENT_SUM,
     SECTION_SUM,
@@ -50,7 +52,6 @@ from .lattice import (
     Surface,
     combination,
     intersect,
-    is_ample_fxi,
     m_space_check,
     named_class,
 )
@@ -310,8 +311,7 @@ def _scan_shape(
     each step moves a twist by the integral class -f'.  Unequal reports break
     that argument and raise ArithmeticError.
     """
-    s21, s31 = int(newton_sum(a2, 1)), int(newton_sum(a3, 1))
-    l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2s[0], d3s[0], s21, s31)
+    l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2s[0], d3s[0], sum(a2), sum(a3))
     l2s, l3s = _twists_along(l2, len(d2s)), _twists_along(l3, len(d3s))
     triangle = [(i, j) for i in range(min(3, len(d2s))) for j in range(min(3 - i, len(d3s)))]
     report, *others = [
@@ -355,8 +355,8 @@ def solve(
     b = bounds if bounds is not None else SearchBounds()
     if workers != 1:
         raise ValueError("workers must be 1: solve runs in one process")
-    if not is_ample_fxi(*hprime).ample:
-        raise PolarizationError("default search requires an ample polarization")
+    hp_class = polarization_class(hprime)
+    _require_ample(hp_class)
 
     if m_candidates is None:
         m_grid = [(z, z * _M1) for z in range(b.z_min, b.z_max + 1)]
@@ -378,7 +378,6 @@ def solve(
     if k == 1:
         notes = ("k = 1 row: geometric side conditions not certified by this search",)
 
-    hp_class = polarization_class(hprime)
     lists = [
         (a2, a3, means_gap(2, a2) + means_gap(3, a3))
         for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists)
@@ -419,19 +418,17 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
         raise TamperError("stored m-space class fails the m-space check")
     if cert.z is not None and cert.m_class != cert.z * _M1:
         raise TamperError("stored m-space class disagrees with z")
-    s21 = int(newton_sum(cert.params.a2, 1))
-    s31 = int(newton_sum(cert.params.a3, 1))
     l2, l3 = build_l_classes_m(
         cert.row.k2, cert.row.k3, cert.u, cert.x, cert.m_class,
-        cert.params.d2, cert.params.d3, s21, s31,
+        cert.params.d2, cert.params.d3, sum(cert.params.a2), sum(cert.params.a3),
     )
     if l2 != cert.params.l2 or l3 != cert.params.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     fresh = evaluate_constraints(
         cert.params, _stored_polarization(tuple(cert.hprime)), extra_notes=cert.notes
     )
-    difference = _report_difference(cert.report, fresh)
-    if difference is not None:
+    if cert.report != fresh:
+        difference = _report_difference(cert.report, fresh)
         raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
     return fresh
 
@@ -439,27 +436,24 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
 # one class per stored triple; bounded, since the triples come from files
 _stored_polarization = lru_cache(maxsize=128)(polarization_class)
 
-_ENTRY_FIELDS = ("passes", "value", "residual", "detail")
-_REPORT_FIELDS = ("c2_deficit", "c2_deficit_effective", "c3", "nonsplit", "slope_negative", "notes")
 
-
-def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str | None:
-    """The first entry or field where two reports differ, with the stored
-    and the recomputed exact value; None when they agree."""
+def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str:
+    """The first entry or field, as the dataclasses list them, where two unequal
+    reports differ, with the stored and the recomputed exact value."""
     names = [e.name for e in stored.entries]
     fresh_names = [e.name for e in fresh.entries]
     if names != fresh_names:
         return f"entry names: stored {names}, recomputed {fresh_names}"
     for s, f in zip(stored.entries, fresh.entries):
-        for name in _ENTRY_FIELDS:
-            a, b = getattr(s, name), getattr(f, name)
+        for field in fields(ConstraintEntry)[1:]:
+            a, b = getattr(s, field.name), getattr(f, field.name)
             if a != b:
-                return f"{s.name}.{name}: stored {_shown(a)}, recomputed {_shown(b)}"
-    for name in _REPORT_FIELDS:
-        a, b = getattr(stored, name), getattr(fresh, name)
+                return f"{s.name}.{field.name}: stored {_shown(a)}, recomputed {_shown(b)}"
+    for field in fields(ConstraintReport)[1:]:
+        a, b = getattr(stored, field.name), getattr(fresh, field.name)
         if a != b:
-            return f"{name}: stored {_shown(a)}, recomputed {_shown(b)}"
-    return None
+            return f"{field.name}: stored {_shown(a)}, recomputed {_shown(b)}"
+    raise ArithmeticError("unequal reports agree on every field")
 
 
 def _shown(value) -> str:

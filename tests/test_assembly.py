@@ -219,15 +219,6 @@ def test_non_ample_polarization_raises():
         evaluate_constraints(golden_params(), hprime)
 
 
-def test_unverified_polarization_flag():
-    hprime = named_combination(BP, {"f": 1, "e1": 3, "xi": 1})
-    report = evaluate_constraints(golden_params(), hprime, hprime_unverified=True)
-    assert any("not certified ample" in note for note in report.notes)
-    assert report.entry("S_s").value == 12 * 1 - (3 + 1)
-    assert not report.entry("S_s").passes
-    assert not report.all_pass
-
-
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=40),
@@ -235,13 +226,17 @@ def test_unverified_polarization_flag():
     st.integers(min_value=1, max_value=40),
 )
 def test_slope_pairing_grid(a, b, c):
-    """For the worked assembly the slope pairing is 12a - (b + c) on the
-    whole polarization grid."""
+    """For the worked assembly the slope pairing c1(V2) . h' is 12a - (b + c)
+    on the whole polarization grid; the report's S_s carries it wherever h'
+    is ample and refuses the other points."""
     hprime = named_combination(BP, {"f": a, "e1": b, "xi": c})
-    report = evaluate_constraints(
-        golden_params(), hprime, hprime_unverified=True
-    )
-    assert report.entry("S_s").value == 12 * a - (b + c)
+    slope = intersect(ch_component(2, golden_params()).c1_bp, hprime)
+    assert slope == 12 * a - (b + c)
+    if is_ample_fxi(a, b, c).ample:
+        assert evaluate_constraints(golden_params(), hprime).entry("S_s").value == slope
+    else:
+        with pytest.raises(PolarizationError):
+            evaluate_constraints(golden_params(), hprime)
 
 
 # === dimension bookkeeping ===
@@ -255,19 +250,15 @@ def test_ext_lower_bound_values():
 # === the int kernel of the report against the ChernX oracle ===
 
 
-def _report_oracle(p, hprime, *, hprime_unverified=False, extra_notes=()):
+def _report_oracle(p, hprime, *, extra_notes=()):
     """The constraint report built step by step from ch(V) = ch(V2) + ch(V3)
     as ChernX values, each from the product-rule oracle, with Fraction
     pairings throughout."""
-    notes = list(extra_notes)
     coords = fxi_coordinates(hprime)
-    ample = coords is not None and is_ample_fxi(*coords).ample
-    if not ample:
-        if not hprime_unverified:
-            raise PolarizationError(
-                "polarization is not certified ample in the (f', e1', xi') frame"
-            )
-        notes.append("polarization not certified ample; slope check is formal")
+    if coords is None or not is_ample_fxi(*coords).ample:
+        raise PolarizationError(
+            "polarization is not certified ample in the (f', e1', xi') frame"
+        )
 
     s21 = newton_sum(p.a2, 1)
     s31 = newton_sum(p.a3, 1)
@@ -311,7 +302,7 @@ def _report_oracle(p, hprime, *, hprime_unverified=False, extra_notes=()):
         c3=2 * total.h6,
         nonsplit=se_slack > 0,
         slope_negative=ss_value < 0,
-        notes=tuple(notes),
+        notes=tuple(extra_notes),
     )
 
 
@@ -350,19 +341,17 @@ multiplicities = st.integers(min_value=0, max_value=5)
     twists,
     twists,
     polarizations,
-    st.booleans(),
     st.sampled_from([(), ("k = 1 row: geometric side conditions not certified by this search",)]),
 )
-def test_report_matches_chern_oracle(k2, k3, d2, d3, a2, a3, l2, l3, hprime, unverified, notes):
+def test_report_matches_chern_oracle(k2, k3, d2, d3, a2, a3, l2, l3, hprime, notes):
     p = BundleParams(k2, k3, d2, d3, a2, a3, l2, l3)
-    kwargs = dict(hprime_unverified=unverified, extra_notes=notes)
     try:
-        expected = _report_oracle(p, hprime, **kwargs)
+        expected = _report_oracle(p, hprime, extra_notes=notes)
     except PolarizationError:
         with pytest.raises(PolarizationError):
-            evaluate_constraints(p, hprime, **kwargs)
+            evaluate_constraints(p, hprime, extra_notes=notes)
         return
-    report = evaluate_constraints(p, hprime, **kwargs)
+    report = evaluate_constraints(p, hprime, extra_notes=notes)
     assert report == expected
     for entry in report.entries:
         assert entry.value is None or type(entry.value) is Fraction

@@ -74,7 +74,9 @@ def test_solve_off_table_row_is_input_error(capsys):
 def test_solve_non_ample_polarization_fails(capsys):
     args = ["solve", "--k2", "3", "--k3", "6", *TINY, "--hprime", "1", "3", "1"]
     assert run(args) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: polarization is not certified ample in the (f', e1', xi') frame\n"
+    )
 
 
 def test_solve_checks_the_out_directory_before_work(tmp_path, monkeypatch, capsys):
@@ -83,12 +85,12 @@ def test_solve_checks_the_out_directory_before_work(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(cli, "solve", no_solve)
     (tmp_path / "file").write_text("")
-    for out in (tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json"):
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json", tmp_path):
         assert run(["solve", "--k2", "3", "--k3", "6", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
-        assert not out.exists()
+        assert out == tmp_path or not out.exists()
 
 
 def test_default_bounds_solve_stdout_is_pinned(capsys):
@@ -133,10 +135,16 @@ def test_chern_golden_params(tmp_path, capsys):
 
 
 def test_chern_malformed_params(tmp_path, capsys):
+    """Each file ends in exit 2 with one error line: a missing field, nesting
+    past the stack and a repeated key."""
+    params = json.dumps(bundle_params_to_json(golden_certificate().params))
     path = tmp_path / "params.json"
-    path.write_text('{"k2": 3}')
-    assert run(["chern", "--params", str(path)]) == 2
-    capsys.readouterr()
+    for text in ('{"k2": 3}', "[" * 100_000, '{"k2": 3, ' + params[1:]):
+        path.write_text(text)
+        assert run(["chern", "--params", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_chars(capsys):

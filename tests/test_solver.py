@@ -18,6 +18,7 @@ from ellspec.assembly import (
     DEFAULT_HPRIME,
     BundleParams,
     ConstraintEntry,
+    ConstraintReport,
     default_polarization,
     evaluate_constraints,
     polarization_class,
@@ -317,6 +318,58 @@ def test_verify_detects_a_forged_report_note():
     assert str(exc.value) == (
         "stored constraint report disagrees with recomputation at"
         " notes: stored (forged note), recomputed ()"
+    )
+
+
+_QUICK_CERT = solve(3, 6, SMALL_BOUNDS)[0]
+# (entry name or None for the report itself, field): every field after the name
+_FORGEABLE = [(None, f.name) for f in dataclasses.fields(ConstraintReport)[1:]] + [
+    (e.name, f.name)
+    for e in _QUICK_CERT.report.entries
+    for f in dataclasses.fields(ConstraintEntry)[1:]
+]
+_FORGED_FOR_NONE = {
+    "value": Fraction(1), "residual": named_class(BP, "f"), "detail": (("forged", True),),
+}
+
+
+def _shown(value):
+    if isinstance(value, tuple):
+        return "(" + ", ".join(_shown(v) for v in value) + ")"
+    return str(value)
+
+
+def _forged(field, value):
+    """A value of the field's kind that differs from value."""
+    if value is None:
+        return _FORGED_FOR_NONE[field]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return value + ("forged",)
+    return value + (named_class(BP, "f") if field == "residual" else 1)
+
+
+@pytest.mark.parametrize("entry, field", _FORGEABLE)
+def test_verify_names_every_forged_report_field(entry, field):
+    """Each field of a genuine report, changed on its own, fails verify with
+    a message that names it and shows the stored and recomputed values."""
+    report = _QUICK_CERT.report
+    if entry is None:
+        stored = getattr(report, field)
+        doctored = dataclasses.replace(report, **{field: _forged(field, stored)})
+    else:
+        entries = list(report.entries)
+        i = [e.name for e in entries].index(entry)
+        stored = getattr(entries[i], field)
+        entries[i] = dataclasses.replace(entries[i], **{field: _forged(field, stored)})
+        doctored = dataclasses.replace(report, entries=tuple(entries))
+    where = field if entry is None else f"{entry}.{field}"
+    with pytest.raises(TamperError) as exc:
+        verify_certificate(dataclasses.replace(_QUICK_CERT, report=doctored))
+    assert str(exc.value) == (
+        "stored constraint report disagrees with recomputation at"
+        f" {where}: stored {_shown(_forged(field, stored))}, recomputed {_shown(stored)}"
     )
 
 
