@@ -8,23 +8,31 @@ denominator, no "/1" for integers, i.e. the grammar
 with a denominator of at least 2 coprime to the numerator and no "-0".
 Loading matches that grammar before converting any digits, so every other
 spelling, and any numerator or denominator past CPython's 4300-digit
-int-string limit, is a SchemaError.  The emitter writes exactly the bytes of
+int-string limit, is a SchemaError.
+
+The format is one table, a declaration per JSON object with one codec per
+key, walked by both the writer and the strict loader.  A dataclass's keys
+are its field names in field order (one that defaults to None is left out
+while None); the only others are the ``version``/``basis_convention`` head
+and ``hprime``'s ``f``/``e1``/``xi``.  The writer emits the bytes of
 ``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
-strict checks (every object holds exactly the keys the writer emits, each
-once, booleans are JSON booleans, notes are arrays of strings), so a loaded
-certificate is byte-for-byte reproducible when saved again.  A file holds
-either one certificate object or {"version": "1", "certificates": [...]}.
+strict checks (the written keys, each once, each value of its exact JSON
+type), so a loaded file saves back byte for byte, and its SchemaError names
+the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file holds
+one certificate object or {"version": "1", "certificates": [...]}.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .assembly import BundleParams, ConstraintEntry, ConstraintReport
 from .errors import SchemaError
@@ -41,20 +49,9 @@ BASIS_CONVENTION = (
 # _rational_parts.  Each run of digits is capped at CPython's default
 # int-string limit, so no text costs more than one bounded int conversion.
 _RATIONAL = re.compile(r"(0|-?[1-9][0-9]{0,4299})(?:/([1-9][0-9]{0,4299}))?")
-
-# The keys the writer emits for each object; the loader accepts no others.
-_FILE_KEYS = frozenset({"version", "certificates"})
-_CERT_KEYS = frozenset(
-    "version basis_convention row k u x z m_class params hprime report notes".split()
-)
-_ROW_KEYS = frozenset({"k2", "k3", "l2f", "l3f"})
-_HPRIME_KEYS = frozenset({"f", "e1", "xi"})
-_PARAMS_KEYS = frozenset({"k2", "k3", "d2", "d3", "a2", "a3", "l2", "l3"})
-_REPORT_KEYS = frozenset(
-    "entries c2_deficit c2_deficit_effective c3 nonsplit slope_negative notes".split()
-)
-_ENTRY_KEYS = frozenset({"name", "passes"})
-_ENTRY_OPTIONAL = frozenset({"value", "residual", "detail"})
+_INTEGER = r"(?:0|-?[1-9][0-9]{0,4299})"
+# RANK canonical integers joined by commas: the coefficients of an integral class
+_INTEGRAL = re.compile(r"(?:%s,){%d}%s" % (_INTEGER, RANK - 1, _INTEGER))
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -85,12 +82,8 @@ def rational_from_str(text: Any) -> Fraction:
 
 
 def divisor_to_json(d: DivisorClass) -> dict:
-    den = d.den
-    coeffs = []
-    for x in d.num:
-        g = gcd(x, den)
-        coeffs.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-    return {"surface": d.surface.value, "coeffs": coeffs}
+    coeffs = d.num if d.den == 1 else d.coeffs
+    return {"surface": d.surface.value, "coeffs": list(map(str, coeffs))}
 
 
 def divisor_from_json(obj: Any) -> DivisorClass:
@@ -99,219 +92,162 @@ def divisor_from_json(obj: Any) -> DivisorClass:
     try:
         surface = Surface(obj["surface"])
     except ValueError as exc:
-        raise SchemaError(f"unknown surface tag {obj['surface']!r}") from exc
+        raise SchemaError(f"unknown surface tag {obj['surface']!r}", ("surface",)) from exc
     coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or len(coeffs) != RANK:
-        raise SchemaError(f"divisor classes need {RANK} coefficients")
-    nums, dens = zip(*map(_rational_parts, coeffs))
+    try:  # the common case, integer coefficients, in one match
+        if coeffs.__class__ is list and _INTEGRAL.fullmatch(",".join(coeffs)):
+            return _from_ints(surface, tuple(map(int, coeffs)), 1)
+    except (TypeError, ValueError):  # not all strings, or past a lowered digit limit
+        pass
+    try:
+        nums, dens = zip(*_COEFFS.load(coeffs))
+    except SchemaError as exc:
+        exc.path = ("coeffs", *exc.path)
+        raise
     den = lcm(*dens)
     return _from_ints(surface, tuple(p * (den // q) for p, q in zip(nums, dens)), den)
 
 
-def _object(obj: Any, what: str, keys: frozenset, optional: frozenset = frozenset()) -> dict:
-    """obj, if it is an object holding every one of keys and no key beyond
-    keys and optional."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what} must be an object")
-    if not keys <= obj.keys() <= keys | optional:
-        missing = sorted(keys - obj.keys())
-        if missing:
-            raise SchemaError(f"{what} is missing field {missing[0]!r}")
-        raise SchemaError(f"{what} has unknown field {sorted(obj.keys() - keys - optional)[0]!r}")
-    return obj
+class _Scalar(namedtuple("_Scalar", "what types")):
+    """A JSON scalar, stored as it is; its types are exact: True is no integer."""
+
+    def load(self, value: Any) -> Any:
+        if value.__class__ in self.types:
+            return value
+        raise SchemaError(f"expected {self.what}")
 
 
-def _int_field(obj: dict, key: str) -> int:
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"field {key!r} must be an integer")
-    return value
+_Codec = namedtuple("_Codec", "dump load")  # a value with its own JSON spelling
 
 
-def _bool_field(obj: dict, key: str) -> bool:
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise SchemaError(f"field {key!r} must be a boolean")
-    return value
+class _Array(namedtuple("_Array", "item length", defaults=[None])):
+    """A JSON array of one codec's values, loaded as a tuple."""
+
+    def dump(self, values: Sequence) -> list:
+        return list(values if self.item.__class__ is _Scalar else map(self.item.dump, values))
+
+    def load(self, items: Any) -> tuple:
+        if items.__class__ is not list or self.length not in (None, len(items)):
+            raise SchemaError("expected an array" + (f" of {self.length}" if self.length else ""))
+        out = []
+        try:
+            for item in items:
+                out.append(self.item.load(item))
+        except SchemaError as exc:
+            exc.path = (len(out), *exc.path)
+            raise
+        return tuple(out)
 
 
-def _notes_field(obj: dict) -> tuple[str, ...]:
-    notes = obj["notes"]
-    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
-        raise SchemaError("'notes' must be an array of strings")
-    return tuple(notes)
+class _Object:
+    """One JSON object: the fixed head, then one key and one codec per value
+    that ``read`` takes off a Python value and ``build`` takes back, in that
+    order.  A key in ``optional`` is left out while its value is None."""
+
+    def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable, build: Callable,
+                 head: dict[str, str] | None = None, optional: frozenset = frozenset()) -> None:
+        self.keys, self.read, self.build = keys, read, build
+        self.plan = tuple(zip(keys, kinds, strict=True))
+        # scalars are written as they are; only the other values are spelled
+        self.spelled = tuple((k, c.dump) for k, c in self.plan if c.__class__ is not _Scalar)
+        self.head, self.optional = head or {}, optional
+        self.allowed = frozenset(self.head) | frozenset(keys)
+        self.required = self.allowed - optional
+
+    def dump(self, value: Any) -> dict:
+        out = dict(self.head)
+        out.update(zip(self.keys, self.read(value)))
+        for key, dump in self.spelled:
+            item = out[key]
+            if item is not None or key not in self.optional:
+                out[key] = dump(item)
+            else:
+                del out[key]
+        return out
+
+    def load(self, obj: Any) -> Any:
+        if obj.__class__ is not dict:
+            raise SchemaError("expected an object")
+        if not self.required <= obj.keys() <= self.allowed:
+            missing, unknown = self.required - obj.keys(), obj.keys() - self.allowed
+            raise SchemaError(f"missing field {min(missing)!r}" if missing
+                              else f"unknown field {min(unknown)!r}")
+        for key, value in self.head.items():
+            if obj[key] != value:
+                raise SchemaError(f"field {key!r} has unsupported value {obj[key]!r:.40}")
+        values = []
+        try:
+            for key, kind in self.plan:
+                values.append(kind.load(obj[key]) if key in obj else None)
+        except SchemaError as exc:
+            if kind.__class__ is _Scalar:  # named as a field of this object
+                raise SchemaError(f"field {key!r} must be {kind.what}") from None
+            exc.path = (key, *exc.path)
+            raise
+        try:
+            return self.build(*values)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed: {exc}") from exc
+
+
+def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None) -> _Object:
+    """The object that stores a dataclass: its fields as keys, in field order;
+    a field that defaults to None is optional."""
+    keys = tuple(f.name for f in fields(cls))
+    optional = frozenset(f.name for f in fields(cls) if f.default is None)
+    return _Object(keys, kinds, attrgetter(*keys), cls, head, optional)
+
+
+def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
+    if obj.__class__ is not dict:
+        raise SchemaError("expected an object")
+    for name, ok in obj.items():
+        if ok.__class__ is not bool:
+            raise SchemaError(f"field {name!r} must be a boolean")
+    return tuple(obj.items())
+
+
+_INT = _Scalar("an integer", (int,))
+_BOOL = _Scalar("a boolean", (bool,))
+_STR = _Scalar("a string", (str,))
+_INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
+_STRS = _Array(_STR)
+_Q = _Codec(rational_to_str, rational_from_str)
+_DIVISOR = _Codec(divisor_to_json, divisor_from_json)
+_COEFFS = _Array(_Codec(None, _rational_parts), RANK)  # read only, as (p, q) pairs
+
+# The format, one declaration per JSON object.
+_ROW = _stores(Table1Row, _INT, _INT, _INT, _INT)
+_PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
+                  _DIVISOR, _DIVISOR)
+_ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Codec(dict, _detail_from_json))
+_REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS)
+_HPRIME = _Object(("f", "e1", "xi"), (_INT, _INT, _INT), tuple, lambda *coords: coords)
+_CERTIFICATE = _stores(SolutionCertificate, _ROW, _INT, _INT, _INT, _INT_OR_NULL, _DIVISOR, _PARAMS,
+                       _HPRIME, _REPORT, _STRS,
+                       head={"version": FORMAT_VERSION, "basis_convention": BASIS_CONVENTION})
+_FILE = _Object(("certificates",), (_Array(_CERTIFICATE),), lambda certs: (certs,), list,
+                head={"version": FORMAT_VERSION})
 
 
 def bundle_params_to_json(params: BundleParams) -> dict:
-    return {
-        "k2": params.k2,
-        "k3": params.k3,
-        "d2": params.d2,
-        "d3": params.d3,
-        "a2": list(params.a2),
-        "a3": list(params.a3),
-        "l2": divisor_to_json(params.l2),
-        "l3": divisor_to_json(params.l3),
-    }
+    return _PARAMS.dump(params)
 
 
 def bundle_params_from_json(obj: Any) -> BundleParams:
-    _object(obj, "bundle parameters", _PARAMS_KEYS)
-    try:
-        a2 = obj["a2"]
-        a3 = obj["a3"]
-        for seq in (a2, a3):
-            if not isinstance(seq, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in seq
-            ):
-                raise SchemaError("multiplicity lists must be integer arrays")
-        return BundleParams(
-            k2=_int_field(obj, "k2"),
-            k3=_int_field(obj, "k3"),
-            d2=_int_field(obj, "d2"),
-            d3=_int_field(obj, "d3"),
-            a2=tuple(a2),
-            a3=tuple(a3),
-            l2=divisor_from_json(obj["l2"]),
-            l3=divisor_from_json(obj["l3"]),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"malformed bundle parameters: {exc}") from exc
-
-
-def _entry_to_json(entry: ConstraintEntry) -> dict:
-    out: dict[str, Any] = {"name": entry.name, "passes": entry.passes}
-    if entry.value is not None:
-        out["value"] = rational_to_str(entry.value)
-    if entry.residual is not None:
-        out["residual"] = divisor_to_json(entry.residual)
-    if entry.detail is not None:
-        out["detail"] = {name: ok for name, ok in entry.detail}
-    return out
-
-
-def _entry_from_json(obj: Any) -> ConstraintEntry:
-    _object(obj, "constraint entry", _ENTRY_KEYS, _ENTRY_OPTIONAL)
-    if not isinstance(obj["name"], str):
-        raise SchemaError("'name' must be a string")
-    if not isinstance(obj["passes"], bool):
-        raise SchemaError("'passes' must be a boolean")
-    detail = None
-    if "detail" in obj:
-        if not isinstance(obj["detail"], dict) or not all(
-            isinstance(v, bool) for v in obj["detail"].values()
-        ):
-            raise SchemaError("'detail' must map check names to booleans")
-        detail = tuple(obj["detail"].items())
-    return ConstraintEntry(
-        name=obj["name"],
-        passes=obj["passes"],
-        value=rational_from_str(obj["value"]) if "value" in obj else None,
-        residual=divisor_from_json(obj["residual"]) if "residual" in obj else None,
-        detail=detail,
-    )
-
-
-def report_to_json(report: ConstraintReport) -> dict:
-    return {
-        "entries": [_entry_to_json(e) for e in report.entries],
-        "c2_deficit": [rational_to_str(v) for v in report.c2_deficit],
-        "c2_deficit_effective": report.c2_deficit_effective,
-        "c3": rational_to_str(report.c3),
-        "nonsplit": report.nonsplit,
-        "slope_negative": report.slope_negative,
-        "notes": list(report.notes),
-    }
-
-
-def report_from_json(obj: Any) -> ConstraintReport:
-    _object(obj, "report", _REPORT_KEYS)
-    if not isinstance(obj["entries"], list):
-        raise SchemaError("'entries' must be an array")
-    entries = tuple(_entry_from_json(e) for e in obj["entries"])
-    deficit = obj["c2_deficit"]
-    if not isinstance(deficit, list) or len(deficit) != 2:
-        raise SchemaError("'c2_deficit' must be a pair")
-    return ConstraintReport(
-        entries=entries,
-        c2_deficit=(rational_from_str(deficit[0]), rational_from_str(deficit[1])),
-        c2_deficit_effective=_bool_field(obj, "c2_deficit_effective"),
-        c3=rational_from_str(obj["c3"]),
-        nonsplit=_bool_field(obj, "nonsplit"),
-        slope_negative=_bool_field(obj, "slope_negative"),
-        notes=_notes_field(obj),
-    )
+    return _PARAMS.load(obj)
 
 
 def certificate_to_dict(cert: SolutionCertificate) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "basis_convention": BASIS_CONVENTION,
-        "row": {
-            "k2": cert.row.k2,
-            "k3": cert.row.k3,
-            "l2f": cert.row.l2f,
-            "l3f": cert.row.l3f,
-        },
-        "k": cert.k,
-        "u": cert.u,
-        "x": cert.x,
-        "z": cert.z,
-        "m_class": divisor_to_json(cert.m_class),
-        "params": bundle_params_to_json(cert.params),
-        "hprime": {"f": cert.hprime[0], "e1": cert.hprime[1], "xi": cert.hprime[2]},
-        "report": report_to_json(cert.report),
-        "notes": list(cert.notes),
-    }
+    return _CERTIFICATE.dump(cert)
 
 
 def certificate_from_dict(obj: Any) -> SolutionCertificate:
-    _object(obj, "certificate", _CERT_KEYS)
-    if obj["version"] != FORMAT_VERSION:
-        raise SchemaError(f"unsupported certificate version {obj['version']!r}")
-    if obj["basis_convention"] != BASIS_CONVENTION:
-        raise SchemaError("certificate uses another basis convention")
-    try:
-        row_obj = _object(obj["row"], "row", _ROW_KEYS)
-        hprime_obj = _object(obj["hprime"], "hprime", _HPRIME_KEYS)
-        row = Table1Row(
-            k2=_int_field(row_obj, "k2"),
-            k3=_int_field(row_obj, "k3"),
-            l2f=_int_field(row_obj, "l2f"),
-            l3f=_int_field(row_obj, "l3f"),
-        )
-        params = bundle_params_from_json(obj["params"])
-        z = obj["z"]
-        if z is not None and (not isinstance(z, int) or isinstance(z, bool)):
-            raise SchemaError("field 'z' must be an integer or null")
-        return SolutionCertificate(
-            row=row,
-            k=_int_field(obj, "k"),
-            u=_int_field(obj, "u"),
-            x=_int_field(obj, "x"),
-            z=z,
-            m_class=divisor_from_json(obj["m_class"]),
-            params=params,
-            hprime=(
-                _int_field(hprime_obj, "f"),
-                _int_field(hprime_obj, "e1"),
-                _int_field(hprime_obj, "xi"),
-            ),
-            report=report_from_json(obj["report"]),
-            notes=_notes_field(obj),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed certificate: {exc}") from exc
+    return _CERTIFICATE.load(obj)
 
 
 def dumps_certificates(certs: Sequence[SolutionCertificate]) -> str:
-    if len(certs) == 1:
-        payload: Any = certificate_to_dict(certs[0])
-    else:
-        payload = {
-            "version": FORMAT_VERSION,
-            "certificates": [certificate_to_dict(c) for c in certs],
-        }
+    payload = certificate_to_dict(certs[0]) if len(certs) == 1 else _FILE.dump(certs)
     out: list[str] = []
     _emit(payload, "\n", out)
     out.append("\n")
@@ -338,27 +274,32 @@ def _emit(value: Any, newline: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key, item in value.items():  # _quote raises TypeError on a non-str key
-            out.append(sep + _quote(key) + ": ")
-            _emit(item, inner, out)
-            sep = "," + inner
+            spell = _SPELL.get(item.__class__)
+            if spell is None:
+                out.append(sep + _quote(key) + ": ")
+                _emit(item, inner, out)
+            else:  # a scalar, spelled in place
+                out.append(sep + _quote(key) + ": " + spell(item))
+            sep = comma
         out.append(newline + "}")
     elif isinstance(value, list):
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
-        try:  # the common case, an array of strings, in one join
-            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
-            return
-        except TypeError:
-            pass
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
+        if value[0].__class__ is str:
+            try:  # the common case, an array of strings, in one join
+                out.append(sep + comma.join(map(_quote, value)) + newline + "]")
+                return
+            except TypeError:
+                pass
         for item in value:
             out.append(sep)
             _emit(item, inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(newline + "]")
     else:
         spell = _SPELL.get(value.__class__)
@@ -389,13 +330,7 @@ def loads_json(text: str) -> Any:
 def loads_certificates(text: str) -> list[SolutionCertificate]:
     payload = loads_json(text)
     if isinstance(payload, dict) and "certificates" in payload:
-        _object(payload, "certificate file", _FILE_KEYS)
-        if payload["version"] != FORMAT_VERSION:
-            raise SchemaError(f"unsupported file version {payload['version']!r}")
-        items = payload["certificates"]
-        if not isinstance(items, list):
-            raise SchemaError("'certificates' must be an array")
-        return [certificate_from_dict(item) for item in items]
+        return _FILE.load(payload)
     return [certificate_from_dict(payload)]
 
 

@@ -22,7 +22,20 @@ class PolarizationError(EllspecError):
 
 
 class SchemaError(EllspecError):
-    """A certificate file is malformed."""
+    """A certificate file is malformed.
+
+    ``path`` locates the bad value in the document as object keys and array
+    indices; the loaders prepend their own key as the error passes up.
+    """
+
+    def __init__(self, reason: str, path: tuple[str | int, ...] = ()) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.path = path
+
+    def __str__(self) -> str:
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
+        return f"{where.lstrip('.')}: {self.reason}" if where else self.reason
 
 
 class TamperError(EllspecError):

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import ellspec
+from ellspec.assembly import BundleParams, ConstraintEntry, ConstraintReport
 from ellspec.certificates import (
     certificate_from_dict,
     certificate_to_dict,
@@ -30,7 +31,13 @@ from ellspec.certificates import (
 from ellspec.cli import run
 from ellspec.errors import SchemaError, TamperError
 from ellspec.lattice import DivisorClass, Surface, named_class
-from ellspec.solver import SearchBounds, solve, verify_certificate
+from ellspec.solver import (
+    SearchBounds,
+    SolutionCertificate,
+    Table1Row,
+    solve,
+    verify_certificate,
+)
 
 SMALL_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1)
 
@@ -52,14 +59,14 @@ def test_rational_strings_canonical():
     assert rational_from_str("0") == 0
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "2/4", "1.5", " 1", "1/-2", "-0", "+3", 7, None,
-        "1e10000000", "1e4300", pytest.param("1" * 5000, id="5000-digits"),
-        "1/1", "0/3", "01", "1/0", "1_0", "\u0661",
-    ],
-)
+_NONCANONICAL = [
+    "2/4", "1.5", " 1", "1/-2", "-0", "+3", 7, None,
+    "1e10000000", "1e4300", pytest.param("1" * 5000, id="5000-digits"),
+    "1/1", "0/3", "01", "1/0", "1_0", "\u0661",
+]
+
+
+@pytest.mark.parametrize("bad", _NONCANONICAL)
 def test_rational_strings_reject_noncanonical(bad):
     with pytest.raises(SchemaError):
         rational_from_str(bad)
@@ -78,6 +85,15 @@ def test_rational_exponent_rejected_quickly():
 def test_divisor_round_trip():
     d = named_class(Surface.BPRIME, "xi") * Fraction(5, 3)
     assert divisor_from_json(divisor_to_json(d)) == d
+
+
+@pytest.mark.parametrize("bad", _NONCANONICAL)
+def test_divisor_rejects_a_noncanonical_coefficient(bad):
+    """Among integer coefficients, one bad spelling is found and located."""
+    good = divisor_to_json(named_class(Surface.B, "f"))
+    with pytest.raises(SchemaError) as caught:
+        divisor_from_json({**good, "coeffs": good["coeffs"][:3] + [bad] + good["coeffs"][4:]})
+    assert caught.value.path == ("coeffs", 3)
 
 
 def test_divisor_rejects_malformed():
@@ -395,6 +411,29 @@ def test_file_wrapper_accepts_exactly_the_written_keys():
         loads_certificates(text)
 
 
+# === the format is the dataclasses' fields ===
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_written_keys_are_the_dataclass_fields_in_order(certs):
+    """At every level the keys are the field names in field order; the only
+    others are the head and hprime's frame, and only None entry fields are
+    left out."""
+    for cert in [certs[0], _fractional(certs[-1]), _noted(certs[0])]:
+        obj = certificate_to_dict(cert)
+        assert list(obj) == ["version", "basis_convention", *_names(SolutionCertificate)]
+        assert list(obj["row"]) == _names(Table1Row)
+        assert list(obj["params"]) == _names(BundleParams)
+        assert list(obj["hprime"]) == ["f", "e1", "xi"]
+        assert list(obj["report"]) == _names(ConstraintReport)
+        for written, entry in zip(obj["report"]["entries"], cert.report.entries, strict=True):
+            kept = [n for n in _names(ConstraintEntry) if getattr(entry, n) is not None]
+            assert list(written) == kept
+
+
 # === the verify boundary ===
 
 
@@ -472,3 +511,56 @@ def test_verify_survives_any_one_key_deleted(path):
     obj = copy.deepcopy(_GOLDEN_OBJ)
     del _node(obj, path[:-1])[path[-1]]
     _verify_doctored(obj)
+
+
+# === errors name the key path ===
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _is_leaf(node):
+    return not isinstance(node, (dict, list)) or not node
+
+
+_GOLDEN_LEAVES = [p for p in _GOLDEN_PATHS if _is_leaf(_node(_GOLDEN_OBJ, p))]
+# a value of another JSON type than each leaf's
+_WRONG_TYPE = {str: 7, int: "7", bool: "true", list: 7}
+
+
+@pytest.mark.parametrize("path", _GOLDEN_LEAVES, ids=lambda p: "/".join(map(str, p)))
+def test_verify_error_names_the_key_path(tmp_path, path):
+    """A wrong-typed leaf in the second certificate of a file ends in exit 2
+    and one error line that locates it: a value checked on its own by its
+    full path, a field checked in its object by the object's path and the
+    field's name."""
+    obj = json.loads(GOLDEN.read_text())
+    node = _node(obj, path[:-1])
+    node[path[-1]] = _WRONG_TYPE[type(node[path[-1]])]
+    target = tmp_path / "wrong.json"
+    target.write_text(json.dumps({"version": "1", "certificates": [_GOLDEN_OBJ, obj]}))
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        assert run(["verify", str(target)]) == 2
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    *where, key = ("certificates", 1, *path)
+    if isinstance(key, str) and f"field {key!r}" in line:
+        assert line.startswith(f"error: {_dotted(where)}: field {key!r} ")
+    else:
+        assert line.startswith(f"error: {_dotted((*where, key))}: ")
+
+
+def test_loader_errors_name_the_key_path():
+    obj = json.loads(GOLDEN.read_text())
+    obj["report"]["c2_deficit"][1] = "x"
+    with pytest.raises(SchemaError) as caught:
+        certificate_from_dict(obj)
+    assert str(caught.value) == "report.c2_deficit[1]: not a canonical rational: 'x'"
+    text = json.dumps({"version": "1", "certificates": [_GOLDEN_OBJ, 3]})
+    with pytest.raises(SchemaError, match=r"^certificates\[1\]: expected an object$"):
+        loads_certificates(text)
+    obj = json.loads(GOLDEN.read_text())
+    obj["params"]["l2"]["coeffs"][3] = "2/4"
+    with pytest.raises(SchemaError, match=r"^params\.l2\.coeffs\[3\]: non-canonical"):
+        certificate_from_dict(obj)
