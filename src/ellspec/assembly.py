@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import PolarizationError
 from .hecke import HeckeMultiplicities
@@ -42,6 +41,7 @@ from .threefold import ChernX
 
 _CI = {2: 1, 3: 3}  # binom(i+1, 2) - i
 _FP = named_class(Surface.BPRIME, "f")
+_K1_NOTES = ("k = 1 row: geometric side conditions not certified by this search",)
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,11 @@ def _require_ample(hprime: DivisorClass) -> None:
         )
 
 
-def evaluate_constraints(
-    p: BundleParams,
-    hprime: DivisorClass,
-    *,
-    extra_notes: Sequence[str] = (),
-) -> ConstraintReport:
+def evaluate_constraints(p: BundleParams, hprime: DivisorClass) -> ConstraintReport:
     """Evaluate the full constraint system against a certified-ample
     polarization.  The values are computed on int numerators; only the
-    stored ones are Fractions.
+    stored ones are Fractions.  On the k = 2 k3 - 3 k2 = 1 row the report
+    notes that the search does not certify the geometric side conditions.
     """
     _require_ample(hprime)
     c1_2, (h4n2, h4d2), _, (h6n2, h6d2) = _ch_closed_form(2, p)
@@ -219,7 +215,7 @@ def evaluate_constraints(
         c3=Fraction(2 * h6n, h6d),
         nonsplit=se_slack > 0,
         slope_negative=ss_value < 0,
-        notes=tuple(extra_notes),
+        notes=_K1_NOTES if 2 * p.k3 - 3 * p.k2 == 1 else (),
     )
 
 

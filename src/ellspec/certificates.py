@@ -318,10 +318,36 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, repeats kept."""
+
+
+def _raise_duplicate(value: Any, path: tuple[str | int, ...] = ()) -> None:
+    """_unique_keys's error with its key path: at the first object, in the
+    order json.loads builds them (members before their object), that repeats
+    a key in a value parsed with _Pairs objects."""
+    is_object = value.__class__ is _Pairs
+    if is_object or value.__class__ is list:
+        for key, item in value if is_object else enumerate(value):
+            _raise_duplicate(item, (*path, key))
+    if is_object:
+        try:
+            _unique_keys(value)
+        except SchemaError as exc:
+            exc.path = path
+            raise
+
+
 def loads_json(text: str) -> Any:
     """json.loads, with a repeated key, a too-long int or too-deep nesting a SchemaError."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
+    except SchemaError:  # a repeated key: parse again, keeping every pair, to locate it
+        try:
+            _raise_duplicate(json.loads(text, object_pairs_hook=_Pairs))
+        except (ValueError, RecursionError):  # not JSON past the repeat, or nested too deep
+            pass
+        raise
     # JSONDecodeError, an int past the digit limit, or nesting past the stack
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc

@@ -15,14 +15,18 @@ multiplicity lists.  One scan serves both kinds of m-class:
                   coexist for some real x
     feasibility   the integer point (u, x, m) satisfies both conditions
 
-Each surviving (u, x, m, a2, a3) shape is crossed with its d-grid.  The
-twists are affine in (d2, d3): a step d2 -> d2 + 2 subtracts f' from l2 and
-d3 -> d3 + 3 subtracts f' from l3, so they are built once per shape and
-stepped.  Every report value is a polynomial of degree <= 2 in (d2, d3), so
-the report is evaluated only on the triangle i + j <= 2 of grid steps (at
-most 6 points, unisolvent for such polynomials); equal reports there are
-the report of every grid point.  One process emits each point, in the
-order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
+Each surviving (u, x, m, a2, a3) shape is crossed with its d-grid.  A grid
+step maps (d_i, l_i) to (d_i + i, l_i - f'), so the twists are built once
+per shape and stepped, and the report is evaluated once: with
+c_i = binom(i+1, 2) - i, it reads l_i only through
+
+    c1(V_i) = i l_i + (d_i - i k_i + c_i) f' - S^1 (n1'+o2'),    l_i.f',
+    i l_i.l_i + 2 (d_i - i k_i + c_i) l_i.f' - 2 S^1 l_i.(n1'+o2'),
+
+each unchanged by the step since f'.f' = 0 and f'.(n1'+o2') = 0; f' is
+integral and the step keeps d2 mod 2 and d3 mod 3, so the integrality
+detail is unchanged too.  One process emits each point, in the order of
+the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
 """
 
@@ -37,7 +41,6 @@ from typing import Iterable
 from .assembly import (
     DEFAULT_HPRIME,
     BundleParams,
-    ConstraintEntry,
     ConstraintReport,
     _require_ample,
     evaluate_constraints,
@@ -293,41 +296,6 @@ def _twists_along(start: DivisorClass, count: int) -> list[DivisorClass]:
     return twists
 
 
-def _scan_shape(
-    row: Table1Row, u: int, x: int, m_class: DivisorClass, a2, a3,
-    d2s: range, d3s: range, hp_class: DivisorClass, notes: tuple[str, ...],
-) -> tuple[list[DivisorClass], list[DivisorClass], ConstraintReport] | None:
-    """The stepped twists and the one report on the d-grid of one feasible
-    (u, x, m, a2, a3) shape, or None when that report fails.
-
-    The twists are built once, at the grid's first point, and then stepped:
-    l2(d2 + 2) = l2(d2) - f' and l3(d3 + 3) = l3(d3) - f', so l2s[i] and
-    l3s[j] are the twists at (d2s[i], d3s[j]).  The report is evaluated only
-    on the triangle {(i, j) : i + j <= 2} of grid steps, clipped to the grid:
-    at most 6 points, 1 on a 1x1 grid.  Every report value and the C1
-    residual are polynomials of degree <= 2 in (d2, d3), and the clipped
-    triangle is unisolvent for those on the grid, so equal reports there mean
-    one report on the whole grid; the integrality detail cannot change, since
-    each step moves a twist by the integral class -f'.  Unequal reports break
-    that argument and raise ArithmeticError.
-    """
-    l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2s[0], d3s[0], sum(a2), sum(a3))
-    l2s, l3s = _twists_along(l2, len(d2s)), _twists_along(l3, len(d3s))
-    triangle = [(i, j) for i in range(min(3, len(d2s))) for j in range(min(3 - i, len(d3s)))]
-    report, *others = [
-        evaluate_constraints(
-            BundleParams(row.k2, row.k3, d2s[i], d3s[j], a2, a3, l2s[i], l3s[j]),
-            hp_class, extra_notes=notes,
-        )
-        for i, j in triangle
-    ]
-    if any(other != report for other in others):
-        raise ArithmeticError("constraint report varies over the d-grid of one shape")
-    if not report.all_pass:
-        return None
-    return l2s, l3s, report
-
-
 def solve(
     k2: int,
     k3: int,
@@ -374,9 +342,7 @@ def solve(
     d2s, d3s = _congruent(b.d_abs, 2, 0), _congruent(b.d_abs, 3, 1)
     if 3 % k != 0 or not (d2s and d3s):  # 9/k fractional (no integral twist) or no d-grid
         return []
-    notes: tuple[str, ...] = ()
-    if k == 1:
-        notes = ("k = 1 row: geometric side conditions not certified by this search",)
+    start = (d2s[0], d3s[0])  # the grid point each shape is built and evaluated at
 
     lists = [
         (a2, a3, means_gap(2, a2) + means_gap(3, a3))
@@ -391,15 +357,20 @@ def solve(
                 shapes = []
                 for a2, a3, gaps in lists:
                     feas = feasibility_check_m(k, u, x, m_class, gaps)
-                    if feas.c2_ok and feas.ss_ok:
-                        scanned = _scan_shape(row, u, x, m_class, a2, a3, d2s, d3s, hp_class, notes)
-                        if scanned is not None:
-                            shapes.append((a2, a3, *scanned))
+                    if not (feas.c2_ok and feas.ss_ok):
+                        continue
+                    # one report for the shape's whole d-grid: see the module docstring
+                    l2, l3 = build_l_classes_m(k2, k3, u, x, m_class, *start, sum(a2), sum(a3))
+                    params = BundleParams(k2, k3, *start, a2, a3, l2, l3)
+                    report = evaluate_constraints(params, hp_class)
+                    if report.all_pass:
+                        l2s, l3s = _twists_along(l2, len(d2s)), _twists_along(l3, len(d3s))
+                        shapes.append((a2, a3, l2s, l3s, report))
                 certificates.extend(
                     SolutionCertificate(
                         row=row, k=k, u=u, x=x, z=z, m_class=m_class,
                         params=BundleParams(k2, k3, d2, d3, a2, a3, l2s[i], l3s[j]),
-                        hprime=hprime, report=report, notes=notes,
+                        hprime=hprime, report=report, notes=report.notes,
                     )
                     for i, d2 in enumerate(d2s)
                     for j, d3 in enumerate(d3s)
@@ -412,7 +383,8 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """Recompute a certificate from its raw parameters and compare.
 
     Returns the fresh report; raises TamperError if the stored twist
-    classes or any stored report entry disagree with recomputation.
+    classes, any stored report entry or the stored notes disagree with
+    recomputation.
     """
     if not m_space_check(cert.m_class):
         raise TamperError("stored m-space class fails the m-space check")
@@ -424,12 +396,13 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     )
     if l2 != cert.params.l2 or l3 != cert.params.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
-    fresh = evaluate_constraints(
-        cert.params, _stored_polarization(tuple(cert.hprime)), extra_notes=cert.notes
-    )
+    fresh = evaluate_constraints(cert.params, _stored_polarization(tuple(cert.hprime)))
     if cert.report != fresh:
         difference = _report_difference(cert.report, fresh)
         raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
+    if cert.notes != fresh.notes:
+        shown = f"stored {_shown(cert.notes)}, recomputed {_shown(fresh.notes)}"
+        raise TamperError(f"stored notes disagree with recomputation: {shown}")
     return fresh
 
 
@@ -444,15 +417,12 @@ def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str
     fresh_names = [e.name for e in fresh.entries]
     if names != fresh_names:
         return f"entry names: stored {names}, recomputed {fresh_names}"
-    for s, f in zip(stored.entries, fresh.entries):
-        for field in fields(ConstraintEntry)[1:]:
+    pairs = [(f"{s.name}.", s, f) for s, f in zip(stored.entries, fresh.entries)]
+    for prefix, s, f in [*pairs, ("", stored, fresh)]:
+        for field in fields(s)[1:]:  # after the entry's name, or the report's entries
             a, b = getattr(s, field.name), getattr(f, field.name)
             if a != b:
-                return f"{s.name}.{field.name}: stored {_shown(a)}, recomputed {_shown(b)}"
-    for field in fields(ConstraintReport)[1:]:
-        a, b = getattr(stored, field.name), getattr(fresh, field.name)
-        if a != b:
-            return f"{field.name}: stored {_shown(a)}, recomputed {_shown(b)}"
+                return f"{prefix}{field.name}: stored {_shown(a)}, recomputed {_shown(b)}"
     raise ArithmeticError("unequal reports agree on every field")
 
 

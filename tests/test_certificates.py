@@ -24,6 +24,7 @@ from ellspec.certificates import (
     dumps_certificates,
     load_certificates,
     loads_certificates,
+    loads_json,
     rational_from_str,
     rational_to_str,
     save_certificates,
@@ -366,6 +367,23 @@ def test_verify_exits_2_on_a_duplicate_key(tmp_path):
     with redirect_stderr(io.StringIO()) as err:
         assert run(["verify", str(path)]) == 2
     assert "duplicate key 'u'" in err.getvalue()
+
+
+def test_duplicate_key_error_names_its_object(certs):
+    text = dumps_certificates(certs[:3])
+    second = text.index('"c2_deficit_effective"', text.index('"c2_deficit_effective"') + 1)
+    doctored = text[:second] + '"c3": "0",\n' + text[second:]
+    with pytest.raises(SchemaError) as exc:
+        loads_certificates(doctored)
+    assert str(exc.value) == "certificates[1].report: duplicate key 'c3'"
+    # the innermost object repeating a key is named, as json.loads meets them
+    with pytest.raises(SchemaError) as exc:
+        loads_json('{"a": [1, {"b": 1, "c": {"d": 1, "d": 2}, "b": 2}], "a": 3}')
+    assert str(exc.value) == "a[1].c: duplicate key 'd'"
+    # text that is not JSON past the repeat keeps the pathless error
+    with pytest.raises(SchemaError) as exc:
+        loads_json('{"u": 1, "u": 2} x')
+    assert str(exc.value) == "duplicate key 'u'"
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,7 @@ from ellspec.threefold import ChernX
 
 BP = Surface.BPRIME
 M1 = named_class(BP, "m1")
+FP = named_class(BP, "f")
 SMALL_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1)
 
 
@@ -321,6 +322,50 @@ def test_verify_detects_a_forged_report_note():
     )
 
 
+def _certificate_on(row):
+    """A certificate at one fixed point of a row, whatever its report says;
+    on the k = 1 row, (3, 5), solve finds none."""
+    l2, l3 = build_l_classes_m(row.k2, row.k3, -3, 5, M1, 0, 1, 0, 0)
+    params = BundleParams(row.k2, row.k3, 0, 1, (0, 0), (0, 0, 0), l2, l3)
+    report = evaluate_constraints(params, default_polarization())
+    return solver_module.SolutionCertificate(
+        row=row, k=row.k, u=-3, x=5, z=1, m_class=M1, params=params,
+        hprime=DEFAULT_HPRIME, report=report, notes=report.notes,
+    )
+
+
+@pytest.mark.parametrize("row", enumerate_table1(), ids=lambda r: f"{r.k2},{r.k3}")
+def test_evaluate_constraints_notes_the_k1_row_only(row):
+    cert = _certificate_on(row)
+    k1_note = "k = 1 row: geometric side conditions not certified by this search"
+    assert cert.report.notes == ((k1_note,) if row.k == 1 else ())
+    assert verify_certificate(cert) == cert.report
+
+
+@pytest.mark.parametrize(
+    "cert, notes",
+    [(solve(3, 6, SMALL_BOUNDS)[0], ("forged",)), (_certificate_on(Table1Row(3, 5, 18, -12)), ())],
+    ids=["note-added", "k1-caveat-stripped"],
+)
+def test_verify_detects_notes_forged_in_both_places(cert, notes):
+    """Notes are recomputed, not copied from the certificate: forging them in
+    the certificate alone, or in it and its report alike, is caught."""
+    recomputed = _shown(cert.notes)
+    forged = dataclasses.replace(cert, notes=notes)
+    with pytest.raises(TamperError) as exc:
+        verify_certificate(forged)
+    assert str(exc.value) == (
+        f"stored notes disagree with recomputation: stored {_shown(notes)}, recomputed {recomputed}"
+    )
+    forged = dataclasses.replace(forged, report=dataclasses.replace(cert.report, notes=notes))
+    with pytest.raises(TamperError) as exc:
+        verify_certificate(forged)
+    assert str(exc.value) == (
+        "stored constraint report disagrees with recomputation at"
+        f" notes: stored {_shown(notes)}, recomputed {recomputed}"
+    )
+
+
 _QUICK_CERT = solve(3, 6, SMALL_BOUNDS)[0]
 # (entry name or None for the report itself, field): every field after the name
 _FORGEABLE = [(None, f.name) for f in dataclasses.fields(ConstraintReport)[1:]] + [
@@ -487,25 +532,26 @@ def _point(cert):
 
 
 def _scan(monkeypatch, bounds, **kwargs):
-    """solve's certificates, and the evaluate_constraints calls per scanned
-    (a2, a3, u, x, m) shape, recorded through the shape being scanned."""
-    shape = {}
+    """solve's certificates, the number of twist builds (one per scanned
+    shape), and the evaluate_constraints calls per scanned (a2, a3, u, x, m)
+    shape, keyed through the twists built just before."""
+    built = []
     evaluations = Counter()
-    scan, evaluate = solver_module._scan_shape, solver_module.evaluate_constraints
+    build, evaluate = solver_module.build_l_classes_m, solver_module.evaluate_constraints
 
-    def recording_scan(row, u, x, m_class, a2, a3, *rest):
-        shape["current"] = (a2, a3, u, x, m_class.coeffs)
-        return scan(row, u, x, m_class, a2, a3, *rest)
+    def recording_build(k2, k3, u, x, m_class, *rest):
+        built.append((u, x, m_class.coeffs))
+        return build(k2, k3, u, x, m_class, *rest)
 
     def recording_evaluate(params, *args, **kw):
-        evaluations[shape["current"]] += 1
+        evaluations[(params.a2, params.a3, *built[-1])] += 1
         return evaluate(params, *args, **kw)
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver_module, "_scan_shape", recording_scan)
+        patch.setattr(solver_module, "build_l_classes_m", recording_build)
         patch.setattr(solver_module, "evaluate_constraints", recording_evaluate)
         certs = solve(3, 6, bounds, allow_nonconstant_lists=True, **kwargs)
-    return certs, evaluations
+    return certs, len(built), evaluations
 
 
 def _passing_integral_points_by_brute_force(zs):
@@ -542,17 +588,16 @@ def _passing_integral_points_by_brute_force(zs):
 
 
 def _check_scan_against_brute_force(monkeypatch, zs, **kwargs):
-    certs, evaluations = _scan(monkeypatch, SCAN_BOUNDS, **kwargs)
+    certs, builds, evaluations = _scan(monkeypatch, SCAN_BOUNDS, **kwargs)
     emitted = Counter(_point(c) for c in certs)
     expected = _passing_integral_points_by_brute_force(zs)
     assert expected and max(emitted.values()) == 1
     assert emitted == Counter(point for point, _ in expected)
     emitted_reports = {_point(c): c.report for c in certs}
     assert all(emitted_reports[point] == report for point, report in expected)
-    # the report is evaluated on the clipped triangle of grid steps only
-    assert evaluations and max(evaluations.values()) <= 6
-    _, evaluations = _scan(monkeypatch, dataclasses.replace(SCAN_BOUNDS, d_abs=1), **kwargs)
+    # each scanned shape is built and evaluated exactly once, whatever its d-grid
     assert evaluations and set(evaluations.values()) == {1}
+    assert builds == sum(evaluations.values())
 
 
 def test_scan_evaluates_exactly_the_integral_points_of_the_grid(monkeypatch):
@@ -564,7 +609,7 @@ def test_scan_evaluates_exactly_the_integral_points_of_a_candidate(monkeypatch):
     _check_scan_against_brute_force(monkeypatch, [1], m_candidates=[named_class(BP, "m1")])
 
 
-# === one report per shape: the degree argument behind the triangle ===
+# === one report per shape: a d-grid step changes no report value ===
 
 
 def test_default_bounds_solve_shares_one_report():
@@ -577,67 +622,44 @@ def test_default_bounds_solve_shares_one_report():
     assert reports[0].all_pass and all(r == reports[0] for r in reports)
 
 
-@settings(max_examples=80, deadline=None)
+def _thirds(bound):
+    return st.integers(min_value=-3 * bound, max_value=3 * bound).map(lambda n: Fraction(n, 3))
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(enumerate_table1()),
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-12, max_value=12),
-    st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3),
+    st.fractions(min_value=-8, max_value=8, max_denominator=6),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    st.tuples(_thirds(2), _thirds(2), _thirds(2)),
     st.tuples(*[st.integers(min_value=0, max_value=3)] * 2),
     st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
-    st.integers(min_value=1, max_value=12),
-    st.lists(st.tuples(st.integers(min_value=-100, max_value=100),
-                       st.integers(min_value=-67, max_value=66)), min_size=1, max_size=6),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.lists(st.tuples(*[st.integers(min_value=-20, max_value=20)] * 2), min_size=1, max_size=6),
+    st.sampled_from([(25, 144, 168), (3, 21, 21), (7, 2, 3)]),
 )
-def test_shape_report_holds_off_the_triangle(row, u, x, m, a2, a3, d_abs, steps):
-    """Any (d2, d3) in the congruence classes, off the evaluated triangle and
-    beyond d_abs, has the report of its shape, on every row and for explicit
-    m-classes off the m1 ray."""
+def test_shape_report_holds_off_the_triangle(row, u, x, m, a2, a3, d2, d3, steps, hprime):
+    """The report solve evaluates once per shape is the report of every point
+    of its d-grid: i steps along d2 and j along d3, i.e. (d2 + 2i, d3 + 3j),
+    subtract i f' from l2 and j f' from l3 and leave every report value
+    unchanged.  Checked on every row, for rational u and x, m-classes in
+    thirds off the m1 ray, non-constant lists, d off its congruences and
+    certified-ample polarizations besides the default."""
     m_class = named_combination(BP, dict(zip(("m1", "m2", "m3"), m)))
-    d2s, d3s = solver_module._congruent(d_abs, 2, 0), solver_module._congruent(d_abs, 3, 1)
-    hp_class = default_polarization()
-    # raises ArithmeticError on unequal reports
-    scanned = solver_module._scan_shape(row, u, x, m_class, a2, a3, d2s, d3s, hp_class, ())
+    hp_class = polarization_class(hprime)
     s21, s31 = sum(a2), sum(a3)
 
-    def report_at(d2, d3):
+    def twists_and_report(d2, d3):
         l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, s21, s31)
-        return evaluate_constraints(BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3), hp_class)
+        params = BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3)
+        return l2, l3, evaluate_constraints(params, hp_class)
 
-    shape_report = report_at(0, 1)
-    assert (scanned is None) == (not shape_report.all_pass)
-    if scanned is not None:
-        l2s, l3s, report = scanned
-        assert report == shape_report
-        build = lambda d2, d3: build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, s21, s31)
-        assert l2s == [build(d2, d3s[0])[0] for d2 in d2s]
-        assert l3s == [build(d2s[0], d3)[1] for d3 in d3s]
+    l2, l3, report = twists_and_report(d2, d3)
     for i, j in steps:
-        assert report_at(2 * i, 3 * j + 1) == shape_report
-
-
-# On SMALL_BOUNDS the grid starts at (d2, d3) = (-12, -11); the last three
-# drifts vanish on all of the triangle but one point: (1, 1), (2, 0), (0, 2).
-DRIFTS = [
-    lambda p: p.d2,
-    lambda p: p.d3,
-    lambda p: (p.d2 + 12) * (p.d3 + 11),
-    lambda p: (p.d2 + 12) * (p.d2 + 10),
-    lambda p: (p.d3 + 11) * (p.d3 + 8),
-]
-
-
-@pytest.mark.parametrize("drift", DRIFTS)
-def test_scan_raises_when_the_report_depends_on_d(monkeypatch, drift):
-    evaluate = solver_module.evaluate_constraints
-
-    def drifting_evaluate(params, *args, **kw):
-        report = evaluate(params, *args, **kw)
-        return dataclasses.replace(report, c3=report.c3 + drift(params))
-
-    monkeypatch.setattr(solver_module, "evaluate_constraints", drifting_evaluate)
-    with pytest.raises(ArithmeticError, match="d-grid"):
-        solve(3, 6, SMALL_BOUNDS)
+        l2_at, l3_at, report_at = twists_and_report(d2 + 2 * i, d3 + 3 * j)
+        assert (l2_at, l3_at) == (l2 - i * FP, l3 - j * FP)
+        assert report_at == report
 
 
 def test_consistency_m_on_the_m1_ray_is_the_disk():
