@@ -348,9 +348,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TamperError, PolarizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,10 @@ multiplicity lists.  One scan serves both kinds of m-class:
                   s21 even and s31 = 0 (mod 3) occur exactly when k | 3,
                   u + 9/k = 0 (mod 6) and x = 5 (mod 6); the scan steps
                   through these residue classes
-    consistency   (u, m) lets the c2 window and the slope inequality
-                  coexist for some real x
-    feasibility   the integer point (u, x, m) satisfies both conditions
+    consistency   the c2 window at zero gaps, x >= lo, and the slope
+                  inequality, x < hi, bound the x-window of (u, m); the scan
+                  keeps (u, m) when lo <= hi, since gaps <= 0 only raise lo
+    feasibility   the integer point (u, x, m) lies in the window
 
 Each surviving (u, x, m, a2, a3) shape is crossed with its d-grid.  A grid
 step maps (d_i, l_i) to (d_i + i, l_i - f'), so the twists are built once
@@ -124,32 +125,29 @@ def build_l_classes_m(
     return l2, l3
 
 
+def _x_window(k: int, u, m_class: DivisorClass) -> tuple[Fraction, Fraction]:
+    """The two half-lines in x the gates test at (u, m): the c2 window at
+    zero gaps, x >= lo, and the slope inequality x + u + 9/k + 6 m.e4' < 0,
+    i.e. x < hi."""
+    if k <= 0:
+        raise ValueError("the x-window requires k > 0")
+    u, mm = Fraction(u), intersect(m_class, m_class)
+    lo = Fraction(k, 30) * (Fraction(5, 3) * u * u - 15 * mm + Fraction(135, k * k) - 12)
+    return lo, -u - Fraction(9, k) - 6 * intersect(m_class, _E4)
+
+
 @dataclass(frozen=True)
 class ConsistencyResult:
     passes: bool
     value: Fraction
 
 
-def consistency_check_m(k: int, u, m_class: DivisorClass) -> ConsistencyResult:
-    """Whether (u, m) lets the c2 window and the slope inequality hold for
-    some real x: eliminating x between c2_value <= gaps <= 0 and
-    gamma.e4 = x + u + 9/k + 6 m.e4 < 0 leaves value <= 0."""
-    if k <= 0:
-        raise ValueError("consistency check requires k > 0")
-    value = (
-        Fraction(5, 3) * (Fraction(u) + Fraction(9, k)) ** 2
-        - 15 * intersect(m_class, m_class)
-        + Fraction(180, k) * intersect(m_class, _E4)
-        + Fraction(270, k * k)
-        - 12
-    )
-    return ConsistencyResult(passes=value <= 0, value=value)
-
-
 def consistency_check(k: int, u, z) -> ConsistencyResult:
-    """The consistency test on the m1 ray, where it is the (u, z) disk
-    5/3 (u + 9/k)^2 + 30 (z - 3/k)^2 <= 12."""
-    return consistency_check_m(k, u, Fraction(z) * _M1)
+    """The consistency test on the m1 ray, where (30/k)(lo - hi) is the
+    (u, z) disk 5/3 (u + 9/k)^2 + 30 (z - 3/k)^2 - 12."""
+    lo, hi = _x_window(k, u, Fraction(z) * _M1)
+    value = Fraction(30, k) * (lo - hi)
+    return ConsistencyResult(passes=value <= 0, value=value)
 
 
 @dataclass(frozen=True)
@@ -161,27 +159,15 @@ class FeasibilityResult:
 
 
 def feasibility_check_m(k: int, u, x, m_class: DivisorClass, gaps) -> FeasibilityResult:
-    """Integer-point feasibility at (u, x) with an explicit m-space class.
-
-    c2_ok compares the quadratic form against the (nonpositive) multiplicity
-    gaps; ss_ok certifies the slope inequality through the effectivity of
-    the witness class gamma, checked by its pairings.
-    """
-    if k <= 0:
-        raise ValueError("feasibility check requires k > 0")
-    u, x, gaps = Fraction(u), Fraction(x), Fraction(gaps)
-    c2_value = (
-        Fraction(5, 3) * u * u
-        - 15 * intersect(m_class, m_class)
-        - Fraction(30, k) * x
-        + Fraction(135, k * k)
-        - 12
-    )
-    gamma = (x + u + Fraction(9, k)) * _FP + 6 * m_class
-    gamma_exit = intersect(gamma, _E4)
-    ss_ok = gamma_exit < 0 and intersect(gamma - _E4, _FP) == -1
+    """Whether x lies in the x-window of (u, m): c2_ok compares (30/k)(lo - x)
+    with the (nonpositive) multiplicity gaps; ss_ok asks x < hi and m.f' = 0,
+    so that a class outside m-space fails."""
+    lo, hi = _x_window(k, u, m_class)
+    x, gaps = Fraction(x), Fraction(gaps)
+    c2_value = Fraction(30, k) * (lo - x)
     return FeasibilityResult(
-        c2_ok=c2_value <= gaps, ss_ok=ss_ok, c2_value=c2_value, gamma_exit=gamma_exit
+        c2_ok=c2_value <= gaps, ss_ok=x < hi and intersect(m_class, _FP) == 0,
+        c2_value=c2_value, gamma_exit=x - hi,
     )
 
 
@@ -230,9 +216,12 @@ class SearchBounds:
     a_max: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("u_abs", "x_abs", "d_abs", "a_max"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"search bound {name} must be nonnegative")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"search bound {field.name} must be an int, got {value!r}")
+            if value < 0 and field.name in ("u_abs", "x_abs", "d_abs", "a_max"):
+                raise ValueError(f"search bound {field.name} must be nonnegative")
         if self.z_min > self.z_max:
             raise ValueError("search bound z_min must not exceed z_max")
 
@@ -259,8 +248,6 @@ class SolutionCertificate:
     def __post_init__(self) -> None:
         if self.k != self.row.k:
             raise ValueError("stored k disagrees with the table row")
-        if self.k <= 0:
-            raise ValueError("certificates require k > 0")
         if self.m_class.surface is not Surface.BPRIME:
             raise ValueError("m-space class must live on B'")
         if (self.params.k2, self.params.k3) != (self.row.k2, self.row.k3):
@@ -351,7 +338,8 @@ def solve(
     ]
     certificates = []
     for u in _congruent(b.u_abs, 6, -9 // k):
-        consistent = [(z, m) for z, m in m_grid if consistency_check_m(k, u, m).passes]
+        windows = ((z, m, *_x_window(k, u, m)) for z, m in m_grid)
+        consistent = [(z, m) for z, m, lo, hi in windows if lo <= hi]
         for x in _congruent(b.x_abs, 6, 5):
             for z, m_class in consistent:
                 shapes = []

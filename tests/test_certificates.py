@@ -188,6 +188,14 @@ def test_rejects_row_param_mismatch(certs):
         certificate_from_dict(obj)
 
 
+def test_rejects_a_stored_k_of_zero(certs):
+    """k must equal the row's k, which is positive, so k = 0 fails to load."""
+    obj = certificate_to_dict(certs[0])
+    obj["k"] = 0
+    with pytest.raises(SchemaError, match="disagrees with the table row"):
+        certificate_from_dict(obj)
+
+
 def test_rejects_noncanonical_rational_in_coeffs(certs):
     obj = certificate_to_dict(certs[0])
     obj["params"]["l2"]["coeffs"][0] = "2/4"

@@ -158,6 +158,9 @@ def test_report_all_green(capsys):
     assert run(["report"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f60a639d84ff61c7f0f9a855f5945dec79b96ce4ede4c5ca500699969fe9b17d"
+    )
     assert "FAIL" not in out
 
 

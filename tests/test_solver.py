@@ -30,9 +30,9 @@ from ellspec.lattice import Surface, intersect, m_space_check, named_class, name
 from ellspec.solver import (
     SearchBounds,
     Table1Row,
+    _x_window,
     build_l_classes_m,
     consistency_check,
-    consistency_check_m,
     enumerate_table1,
     feasibility_check_m,
     integrality_check,
@@ -44,6 +44,7 @@ from ellspec.threefold import ChernX
 BP = Surface.BPRIME
 M1 = named_class(BP, "m1")
 FP = named_class(BP, "f")
+E4 = named_class(BP, "e4")
 SMALL_BOUNDS = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1)
 
 
@@ -70,6 +71,17 @@ def test_table_row_invariants():
         Table1Row(3, 6, 6, -5)
     with pytest.raises(ValueError):
         Table1Row(1, 6, 6, -4)
+
+
+def test_every_constructible_row_has_positive_k():
+    """The invariants force l3f = -2t, l2f = 3t with t > 0 and t k = 6."""
+    built = []
+    for k2, k3, l2f, l3f in product(range(13), range(13), range(-24, 25), range(-24, 25)):
+        try:
+            built.append(Table1Row(k2, k3, l2f, l3f))
+        except ValueError:
+            continue
+    assert len(built) == 5 and all(row.k > 0 for row in built)
 
 
 def test_no_sixth_row_by_independent_brute_force():
@@ -213,6 +225,67 @@ def test_feasibility_failures():
     assert result.ss_ok
     result = feasibility_check_m(3, -3, 5, 1 * M1, -3)
     assert not result.c2_ok
+
+
+def _thirds(bound):
+    return st.integers(min_value=-3 * bound, max_value=3 * bound).map(lambda n: Fraction(n, 3))
+
+
+def _disk_oracle(k, u, m_class):
+    """Consistency as first derived: x eliminated by hand between the c2
+    window at zero gaps and the slope inequality, leaving value <= 0."""
+    return (Fraction(5, 3) * (u + Fraction(9, k)) ** 2 - 15 * intersect(m_class, m_class)
+            + Fraction(180, k) * intersect(m_class, E4) + Fraction(270, k * k) - 12)
+
+
+def _c2_oracle(k, u, x, m_class):
+    """The c2 polynomial that c2_ok compares with the multiplicity gaps."""
+    return (Fraction(5, 3) * u * u - 15 * intersect(m_class, m_class) - Fraction(30, k) * x
+            + Fraction(135, k * k) - 12)
+
+
+def _gamma_oracle(k, u, x, m_class):
+    """The witness class gamma = (x + u + 9/k) f' + 6 m: its pairing with e4'
+    and the slope test with both of its clauses."""
+    gamma = (x + u + Fraction(9, k)) * FP + 6 * m_class
+    exit_ = intersect(gamma, E4)
+    return exit_, exit_ < 0 and intersect(gamma - E4, FP) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 6]),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.tuples(_thirds(3), _thirds(3), _thirds(3)),
+    st.fractions(min_value=-12, max_value=0, max_denominator=6),
+)
+def test_x_window_gates_match_the_hand_derived_oracles(k, u, x, z, m, gaps):
+    """Every field of both gates, read off the x-window, equals the formula
+    it replaced: the disk polynomial, the c2 polynomial and the gamma
+    witness.  On m-space classes in thirds, off the m1 ray, with rational u
+    and x and nonpositive gaps."""
+    m_class = named_combination(BP, dict(zip(("m1", "m2", "m3"), m)))
+    lo, hi = _x_window(k, u, m_class)
+    assert (lo <= hi) == (_disk_oracle(k, u, m_class) <= 0)
+    disk = _disk_oracle(k, u, z * M1)
+    assert consistency_check(k, u, z) == solver_module.ConsistencyResult(disk <= 0, disk)
+    c2_value = _c2_oracle(k, u, x, m_class)
+    gamma_exit, ss_ok = _gamma_oracle(k, u, x, m_class)
+    assert feasibility_check_m(k, u, x, m_class, gaps) == solver_module.FeasibilityResult(
+        c2_ok=c2_value <= gaps, ss_ok=ss_ok, c2_value=c2_value, gamma_exit=gamma_exit
+    )
+
+
+def test_feasibility_fails_a_class_outside_m_space():
+    """e4' pairs to 1 with f', so gamma's second clause fails though its
+    exit is negative; the window's x < hi alone would pass."""
+    assert not m_space_check(E4)
+    result = feasibility_check_m(3, -3, -100, E4, 0)
+    assert result.gamma_exit == _gamma_oracle(3, -3, -100, E4)[0] < 0
+    assert not result.ss_ok
+    assert -100 < _x_window(3, -3, E4)[1]
 
 
 def test_integrality_golden():
@@ -501,8 +574,7 @@ def test_solve_emits_in_order_when_every_gate_passes(monkeypatch):
     loop, for the z grid and for shuffled candidates."""
     passing = solve(3, 6, SMALL_BOUNDS)[0].report
     feasible = solver_module.FeasibilityResult(True, True, Fraction(0), Fraction(-1))
-    monkeypatch.setattr(solver_module, "consistency_check_m",
-                        lambda *a: solver_module.ConsistencyResult(True, Fraction(0)))
+    monkeypatch.setattr(solver_module, "_x_window", lambda *a: (Fraction(0), Fraction(0)))
     monkeypatch.setattr(solver_module, "feasibility_check_m", lambda *a: feasible)
     monkeypatch.setattr(solver_module, "evaluate_constraints", lambda *a, **kw: passing)
     bounds = SearchBounds(u_abs=6, x_abs=6, z_min=-1, z_max=1, d_abs=3, a_max=1)
@@ -622,10 +694,6 @@ def test_default_bounds_solve_shares_one_report():
     assert reports[0].all_pass and all(r == reports[0] for r in reports)
 
 
-def _thirds(bound):
-    return st.integers(min_value=-3 * bound, max_value=3 * bound).map(lambda n: Fraction(n, 3))
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(enumerate_table1()),
@@ -663,14 +731,14 @@ def test_shape_report_holds_off_the_triangle(row, u, x, m, a2, a3, d2, d3, steps
 
 
 def test_consistency_m_on_the_m1_ray_is_the_disk():
-    m1 = named_class(BP, "m1")
+    """The x-window's (30/k)(lo - hi) on the m1 ray is the (u, z) disk."""
     for k in (1, 2, 3, 6):
         for u in [*range(-6, 7), Fraction(-9, k), Fraction(1, 2)]:
             for z in [*range(-2, 5), Fraction(3, k), Fraction(-1, 3)]:
-                result = consistency_check_m(k, u, z * m1)
-                assert result == consistency_check(k, u, z)
+                lo, hi = _x_window(k, u, z * M1)
                 disk = Fraction(5, 3) * (u + Fraction(9, k)) ** 2 + 30 * (z - Fraction(3, k)) ** 2 - 12
-                assert result.value == disk
+                assert Fraction(30, k) * (lo - hi) == disk
+                assert consistency_check(k, u, z) == solver_module.ConsistencyResult(disk <= 0, disk)
 
 
 def test_consistency_m_rejects_only_infeasible_shapes():
@@ -678,7 +746,8 @@ def test_consistency_m_rejects_only_infeasible_shapes():
     m_classes = [n("m1"), 2 * n("m1"), -n("m1"), n("m3"), n("m1") - n("m2")]
     rejected = passed = 0
     for k, m_class, u in product((1, 3), m_classes, range(-6, 7)):
-        if consistency_check_m(k, u, m_class).passes:
+        lo, hi = _x_window(k, u, m_class)
+        if lo <= hi:
             passed += 1
             continue
         rejected += 1
@@ -687,12 +756,16 @@ def test_consistency_m_rejects_only_infeasible_shapes():
             feas = feasibility_check_m(k, u, x, m_class, 0)
             assert not (feas.c2_ok and feas.ss_ok), (k, str(m_class), u, x)
     assert rejected and passed
-    assert consistency_check_m(3, -3, n("m1")).passes
+    lo, hi = _x_window(3, -3, n("m1"))
+    assert lo <= hi
 
 
 def test_consistency_m_requires_positive_k():
-    with pytest.raises(ValueError):
-        consistency_check_m(0, 0, named_class(BP, "m1"))
+    for k in (0, -3):
+        with pytest.raises(ValueError):
+            _x_window(k, 0, named_class(BP, "m1"))
+        with pytest.raises(ValueError):
+            feasibility_check_m(k, 0, 5, named_class(BP, "m1"), 0)
 
 
 def test_solve_rejects_non_integral_candidates():
@@ -728,6 +801,13 @@ def test_search_bounds_reject_negative_windows(field):
     with pytest.raises(ValueError, match=field):
         SearchBounds(**{field: -1})
     assert getattr(SearchBounds(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SearchBounds)])
+@pytest.mark.parametrize("value", [2.5, "0", True, Fraction(1), None])
+def test_search_bounds_reject_values_that_are_not_ints(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        SearchBounds(**{field: value})
 
 
 def test_search_bounds_reject_an_empty_z_window():
