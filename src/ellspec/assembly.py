@@ -42,6 +42,8 @@ from .threefold import ChernX
 _CI = {2: 1, 3: 3}  # binom(i+1, 2) - i
 _FP = named_class(Surface.BPRIME, "f")
 _K1_NOTES = ("k = 1 row: geometric side conditions not certified by this search",)
+# (detail name, modulus, residue) for d2, d3, S^1(a2), S^1(a3): forced by integral twists
+CONGRUENCES = (("d2_even", 2, 0), ("d3_mod_3_is_1", 3, 1), ("s21_even", 2, 0), ("s31_mod_3_is_0", 3, 0))
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,12 @@ def _require_ample(hprime: DivisorClass) -> None:
         )
 
 
+def congruence_check(congruence, value) -> tuple[str, bool]:
+    """(name, whether value meets the congruence) for a (name, modulus, residue) row."""
+    name, modulus, residue = congruence
+    return name, value % modulus == residue
+
+
 def evaluate_constraints(p: BundleParams, hprime: DivisorClass) -> ConstraintReport:
     """Evaluate the full constraint system against a certified-ample
     polarization.  The values are computed on int numerators; only the
@@ -184,15 +192,11 @@ def evaluate_constraints(p: BundleParams, hprime: DivisorClass) -> ConstraintRep
     c2f_slack = Fraction(12 - (p.k2 + p.k3))
     c2fp_slack = Fraction(h4n2 * h4d3 + h4n3 * h4d2 + 12 * h4d2 * h4d3, h4d2 * h4d3)
     c3_residual = Fraction(6 * h6d - h6n, h6d)
-    s21, s31 = sum(p.a2), sum(p.a3)
 
     integrality_detail = (
         ("l2_integral", p.l2.is_integral),
         ("l3_integral", p.l3.is_integral),
-        ("d2_even", p.d2 % 2 == 0),
-        ("d3_mod_3_is_1", p.d3 % 3 == 1),
-        ("s21_even", s21 % 2 == 0),
-        ("s31_mod_3_is_0", s31 % 3 == 0),
+        *map(congruence_check, CONGRUENCES, (p.d2, p.d3, sum(p.a2), sum(p.a3))),
     )
 
     entries = (
@@ -202,11 +206,7 @@ def evaluate_constraints(p: BundleParams, hprime: DivisorClass) -> ConstraintRep
         ConstraintEntry("C2_f", c2f_slack >= 0, value=c2f_slack),
         ConstraintEntry("C2_fprime", c2fp_slack >= 0, value=c2fp_slack),
         ConstraintEntry("C3", c3_residual == 0, value=c3_residual),
-        ConstraintEntry(
-            "integrality",
-            all(ok for _, ok in integrality_detail),
-            detail=integrality_detail,
-        ),
+        ConstraintEntry("integrality", all(ok for _, ok in integrality_detail), detail=integrality_detail),
     )
     return ConstraintReport(
         entries=entries,

@@ -69,10 +69,12 @@ _COMPONENT_MATRIX = _component_matrix()
 
 
 def _validate(chi: Sequence[int]) -> tuple[int, ...]:
-    chi = tuple(int(x) for x in chi)
-    if len(chi) != 12:
+    ints = tuple(int(x) for x in chi)
+    if ints != tuple(chi):
+        raise ValueError("character coefficients must be integers")
+    if len(ints) != 12:
         raise ValueError("a character needs one coefficient per marked point (12)")
-    return chi
+    return ints
 
 
 def component_image(chi: Sequence[int]) -> tuple[int, ...]:

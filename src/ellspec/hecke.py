@@ -22,6 +22,16 @@ from .threefold import ChernX, pullback_from_b
 _COMPONENTS = ("n1", "o2")
 
 
+def _multiplicities(a: Sequence) -> tuple[int, ...]:
+    """The list as ints; a non-integral or negative entry is a ValueError."""
+    ints = tuple(int(x) for x in a)
+    if ints != tuple(a):
+        raise ValueError("multiplicities must be integers")
+    if any(x < 0 for x in ints):
+        raise ValueError("multiplicities must be nonnegative")
+    return ints
+
+
 @dataclass(frozen=True)
 class HeckeMultiplicities:
     """Per-point correction multiplicities for one rank-i bundle component.
@@ -34,13 +44,11 @@ class HeckeMultiplicities:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        object.__setattr__(self, "a", _multiplicities(self.a))
         if self.i not in (2, 3):
             raise ValueError("component rank i must be 2 or 3")
         if len(self.a) != self.i:
             raise ValueError(f"expected {self.i} multiplicities, got {len(self.a)}")
-        if any(x < 0 for x in self.a):
-            raise ValueError("multiplicities must be nonnegative")
 
 
 def newton_sum(a: Sequence[int], alpha: int) -> Fraction:
@@ -71,9 +79,7 @@ def hecke_pattern_ch(w: ChernB, mult: Union[HeckeMultiplicities, Sequence[int]])
     Equivalent to chaining single corrections point by point along both
     components; the accumulated effect only sees the power sums S^1 and S^2.
     """
-    a = mult.a if isinstance(mult, HeckeMultiplicities) else tuple(int(x) for x in mult)
-    if any(x < 0 for x in a):
-        raise ValueError("multiplicities must be nonnegative")
+    a = mult.a if isinstance(mult, HeckeMultiplicities) else _multiplicities(mult)
     s1 = newton_sum(a, 1)
     s2 = newton_sum(a, 2)
     c = pullback_from_b(w)

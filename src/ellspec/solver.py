@@ -9,8 +9,8 @@ multiplicity lists.  One scan serves both kinds of m-class:
     integrality   enumerated, not tested: {e+zeta, f, n1+o2, m1} is
                   saturated, so integral twists with d2 even, d3 = 1 (mod 3),
                   s21 even and s31 = 0 (mod 3) occur exactly when k | 3,
-                  u + 9/k = 0 (mod 6) and x = 5 (mod 6); the scan steps
-                  through these residue classes
+                  u = 3 (mod 6) on the k | 3 rows and x = 5 (mod 6); the scan
+                  steps through these residue classes
     consistency   the c2 window at zero gaps, x >= lo, and the slope
                   inequality, x < hi, bound the x-window of (u, m); the scan
                   keeps (u, m) when lo <= hi, since gaps <= 0 only raise lo
@@ -40,10 +40,12 @@ from itertools import product
 from typing import Iterable
 
 from .assembly import (
+    CONGRUENCES,
     DEFAULT_HPRIME,
     BundleParams,
     ConstraintReport,
     _require_ample,
+    congruence_check,
     evaluate_constraints,
     polarization_class,
 )
@@ -63,6 +65,8 @@ from .lattice import (
 _FP = named_class(Surface.BPRIME, "f")
 _E4 = named_class(Surface.BPRIME, "e4")
 _M1 = named_class(Surface.BPRIME, "m1")
+# u and x (mod 6) of the integral twists meeting CONGRUENCES on the k | 3 rows
+_U_MOD_6, _X_MOD_6 = ("u_mod_6_is_3", 6, 3), ("x_mod_6_is_5", 6, 5)
 
 
 @dataclass(frozen=True)
@@ -178,30 +182,14 @@ class IntegralityReport:
 
 
 def integrality_check(k: int, u, x, z, d2: int, d3: int, s21, s31) -> IntegralityReport:
-    """Integrality of the built twist classes plus the forced congruences."""
-    u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
-    checks = [("k_divides_3", k > 0 and 3 % k == 0)]
-    if k > 0:
-        checks.extend(
-            [
-                ("section_coeff_l2", Fraction(9, k).denominator == 1),
-                ("section_coeff_l3", Fraction(6, k).denominator == 1),
-                ("fiber_coeff_l2", ((x - d2 - 1) / 2).denominator == 1),
-                ("fiber_coeff_l3", ((x + d3) / 3).denominator == 1),
-                ("component_coeff_l2", ((u + Fraction(9, k) + s21) / 2).denominator == 1),
-                ("component_coeff_l3", ((u + Fraction(9, k) - s31) / 3).denominator == 1),
-                ("m_coeff", Fraction(z).denominator == 1),
-            ]
-        )
-    checks.extend(
-        [
-            ("d2_even", d2 % 2 == 0),
-            ("d3_mod_3_is_1", d3 % 3 == 1),
-            ("s21_even", s21 % 2 == 0),
-            ("s31_mod_3_is_0", s31 % 3 == 0),
-        ]
+    """Integrality of the built twists, by the residue classes `solve` enumerates."""
+    u, x, z, s21, s31 = (Fraction(v) for v in (u, x, z, s21, s31))
+    checks = (
+        ("k_divides_3", k > 0 and 3 % k == 0),
+        ("m_coeff", z.denominator == 1),
+        *map(congruence_check, (_U_MOD_6, _X_MOD_6, *CONGRUENCES), (u, x, d2, d3, s21, s31)),
     )
-    return IntegralityReport(passes=all(ok for _, ok in checks), checks=tuple(checks))
+    return IntegralityReport(passes=all(ok for _, ok in checks), checks=checks)
 
 
 @dataclass(frozen=True)
@@ -261,16 +249,15 @@ def _row_for(k2: int, k3: int) -> Table1Row:
     raise ValueError(f"({k2}, {k3}) is not an admissible table row")
 
 
-def _multiplicity_lists(length: int, a_max: int, nonconstant: bool) -> list[tuple[int, ...]]:
-    """The lists whose sum is divisible by their length: s21 even, s31 = 0 (mod 3)."""
-    if nonconstant:
-        lists = product(range(a_max + 1), repeat=length)
-        return sorted(a for a in lists if sum(a) % length == 0)
-    return [(v,) * length for v in range(a_max + 1)]
+def _multiplicity_lists(length: int, a_max: int, nonconstant: bool, congruence) -> list[tuple[int, ...]]:
+    """The lists, sorted, whose sum meets the congruence; only constant ones unless nonconstant."""
+    lists = product(range(a_max + 1), repeat=length)
+    return [a for a in lists if congruence_check(congruence, sum(a))[1] and (nonconstant or len(set(a)) == 1)]
 
 
-def _congruent(bound: int, modulus: int, residue: int) -> range:
-    """The integers in [-bound, bound] congruent to residue (mod modulus)."""
+def _congruent(bound: int, congruence) -> range:
+    """The integers in [-bound, bound] that meet the congruence (name, modulus, residue)."""
+    _, modulus, residue = congruence
     return range(-bound + (residue + bound) % modulus, bound + 1, modulus)
 
 
@@ -326,21 +313,22 @@ def solve(
                 raise ValueError(f"candidate {m_class} is listed twice")
             m_grid.append((None, m_class))
 
-    d2s, d3s = _congruent(b.d_abs, 2, 0), _congruent(b.d_abs, 3, 1)
+    d2c, d3c, s21c, s31c = CONGRUENCES
+    d2s, d3s = _congruent(b.d_abs, d2c), _congruent(b.d_abs, d3c)
     if 3 % k != 0 or not (d2s and d3s):  # 9/k fractional (no integral twist) or no d-grid
         return []
     start = (d2s[0], d3s[0])  # the grid point each shape is built and evaluated at
 
     lists = [
         (a2, a3, means_gap(2, a2) + means_gap(3, a3))
-        for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists)
-        for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists)
+        for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists, s21c)
+        for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists, s31c)
     ]
     certificates = []
-    for u in _congruent(b.u_abs, 6, -9 // k):
+    for u in _congruent(b.u_abs, _U_MOD_6):
         windows = ((z, m, *_x_window(k, u, m)) for z, m in m_grid)
         consistent = [(z, m) for z, m, lo, hi in windows if lo <= hi]
-        for x in _congruent(b.x_abs, 6, 5):
+        for x in _congruent(b.x_abs, _X_MOD_6):
             for z, m_class in consistent:
                 shapes = []
                 for a2, a3, gaps in lists:

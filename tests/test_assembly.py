@@ -204,6 +204,16 @@ def test_bad_d3_fails_integrality():
     assert not detail["d3_mod_3_is_1"]
 
 
+@pytest.mark.parametrize("a2, a3", [
+    ((0.9, 0.9), (0, 0, 0)), ((0, 0), (Fraction(1, 3), 0, 0)), ((Fraction(3, 2), 0), (0, 0, 0)),
+])
+def test_bundle_params_reject_non_integral_multiplicities(a2, a3):
+    """Truncating (0.9, 0.9) to (0, 0) once gave a passing report."""
+    golden = golden_params()
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        BundleParams(3, 6, 10, 10, a2, a3, golden.l2, golden.l3)
+
+
 def test_small_ample_polarization_fails_slope():
     # (1, 1, 1) is ample but the slope check fails: 12*1 - (1+1) = +10
     hprime = named_combination(BP, {"f": 1, "e1": 1, "xi": 1})

@@ -232,7 +232,11 @@ def _oracle_dumps(certs):
 
 
 def _oracle_rational(text):
-    """The reference reading: Fraction's parser plus a canonical round trip."""
+    """The reference reading: Fraction's parser plus a canonical round trip.
+    No canonical spelling has an exponent, and Fraction("1e99999999") would
+    build a 10**99999999 first, so such text is refused before parsing."""
+    if "e" in text or "E" in text:
+        return None
     try:
         value = Fraction(text)
         canonical = str(value)
@@ -313,6 +317,7 @@ _RATIONAL_TEXT = st.one_of(
 @given(_RATIONAL_TEXT)
 @example("1e5000")
 @example("1e-5000")
+@example("1e99999999")
 def test_rational_from_str_matches_fraction_oracle(text):
     expected = _oracle_rational(text)
     if expected is None:

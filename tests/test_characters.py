@@ -1,5 +1,7 @@
 """Character lattice and its lambda representation."""
 
+from fractions import Fraction
+
 import pytest
 
 from ellspec.characters import (
@@ -34,6 +36,21 @@ def test_single_point_not_in_lattice():
     assert not chi_in_lattice(eps11)
     image = component_image(eps11)
     assert image != (0,) * 6
+
+
+@pytest.mark.parametrize("function", [chi_in_lattice, component_image, lambda_representation])
+@pytest.mark.parametrize("chi", [
+    [0.5] * 12, [Fraction(1, 3)] + [0] * 11, list(SPANNING_CHARACTERS[0][:11]) + [0.25],
+])
+def test_non_integral_characters_are_rejected_not_truncated(function, chi):
+    with pytest.raises(ValueError, match="character coefficients must be integers"):
+        function(chi)
+
+
+def test_integral_characters_of_any_number_type_are_read_as_ints():
+    chi = SPANNING_CHARACTERS[0]
+    assert lambda_representation([float(x) for x in chi]) == lambda_representation(chi)
+    assert lambda_representation([Fraction(x) for x in chi]) == lambda_representation(chi)
 
 
 def test_lambda_matrix_frozen():

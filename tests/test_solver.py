@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ellspec.solver as solver_module
 from ellspec.assembly import (
+    CONGRUENCES,
     DEFAULT_HPRIME,
     BundleParams,
     ConstraintEntry,
@@ -302,6 +303,76 @@ def test_integrality_bad_k():
     report = integrality_check(2, -3, 5, 1, 10, 10, 0, 0)
     assert not report.passes
     assert dict(report.checks)["k_divides_3"] is False
+
+
+def _integrality_oracle(k, u, x, z, d2, d3, s21, s31):
+    """Integrality as first derived: each section, fiber, component and m
+    coefficient of the built twists has denominator 1, plus the congruences."""
+    u, x, s21, s31 = Fraction(u), Fraction(x), Fraction(s21), Fraction(s31)
+    checks = [("k_divides_3", k > 0 and 3 % k == 0)]
+    if k > 0:
+        checks += [
+            ("section_coeff_l2", Fraction(9, k).denominator == 1),
+            ("section_coeff_l3", Fraction(6, k).denominator == 1),
+            ("fiber_coeff_l2", ((x - d2 - 1) / 2).denominator == 1),
+            ("fiber_coeff_l3", ((x + d3) / 3).denominator == 1),
+            ("component_coeff_l2", ((u + Fraction(9, k) + s21) / 2).denominator == 1),
+            ("component_coeff_l3", ((u + Fraction(9, k) - s31) / 3).denominator == 1),
+            ("m_coeff", Fraction(z).denominator == 1),
+        ]
+    checks += [
+        ("d2_even", d2 % 2 == 0),
+        ("d3_mod_3_is_1", d3 % 3 == 1),
+        ("s21_even", s21 % 2 == 0),
+        ("s31_mod_3_is_0", s31 % 3 == 0),
+    ]
+    return all(ok for _, ok in checks), dict(checks)
+
+
+_SURVIVING_CHECKS = ("k_divides_3", "m_coeff", "d2_even", "d3_mod_3_is_1", "s21_even", "s31_mod_3_is_0")
+
+
+def _assert_integrality_matches_oracle(*args):
+    passes, oracle_checks = _integrality_oracle(*args)
+    report = integrality_check(*args)
+    assert report.passes == passes, args
+    checks = dict(report.checks)
+    for name in _SURVIVING_CHECKS:
+        if name in oracle_checks:
+            assert checks[name] == oracle_checks[name], (name, args)
+
+
+_INTEGRALITY_KS = (-3, 0, 1, 2, 3, 6, 9)
+
+
+def test_integrality_matches_the_coefficient_oracle_on_a_grid():
+    """Both verdicts on every integral point of a box that covers each
+    residue of u and x (mod 6), d2 (mod 2), d3 and the sums (mod 3), and a
+    half-integral z."""
+    for point in product(_INTEGRALITY_KS, range(6), range(6), (0, 1, Fraction(1, 2)),
+                         range(2), range(3), range(2), range(3)):
+        _assert_integrality_matches_oracle(*point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_INTEGRALITY_KS),
+    *[st.fractions(min_value=-30, max_value=30, max_denominator=6)] * 3,
+    *[st.integers(min_value=-30, max_value=30)] * 2,
+    *[st.fractions(min_value=-30, max_value=30, max_denominator=6)] * 2,
+)
+def test_integrality_matches_the_coefficient_oracle(k, u, x, z, d2, d3, s21, s31):
+    """The residue classes give the oracle's verdict at rational u, x, z and
+    sums, on rows with and without k | 3, and k <= 0 raises nothing."""
+    _assert_integrality_matches_oracle(k, u, x, z, d2, d3, s21, s31)
+
+
+def test_report_integrality_detail_is_the_congruence_table():
+    """After the twists' own integrality, the report's integrality detail
+    names exactly the CONGRUENCES that solve enumerates, in their order."""
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    names = [name for name, _ in cert.report.entry("integrality").detail]
+    assert names == ["l2_integral", "l3_integral", *(name for name, _, _ in CONGRUENCES)]
 
 
 # === the certificate scan ===

@@ -216,6 +216,38 @@ def test_multiplicity_validation():
         hecke_pattern_ch(spectral_ch(SpectralParams(2, 3, 10)), [-1, 2])
 
 
+@pytest.mark.parametrize("a", [
+    (Fraction(1, 2), Fraction(5, 2)), (0.9, 0.9), (1, 1.5), (Fraction(-1, 2), 0),
+])
+def test_non_integral_multiplicities_are_rejected_not_truncated(a):
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        HeckeMultiplicities(2, a)
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        hecke_pattern_ch(spectral_ch(SpectralParams(2, 3, 10)), a)
+
+
+@pytest.mark.parametrize("a", [[1.9], [0, 2.5, 1], [Fraction(7, 3)]])
+def test_pattern_rejects_non_integral_lists_of_any_length(a):
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        hecke_pattern_ch(spectral_ch(SpectralParams(2, 3, 10)), a)
+
+
+@pytest.mark.parametrize("a", [(Fraction(2), 1.0), (True, 0), [2.0, 0]])
+def test_integral_multiplicities_of_any_number_type_become_ints(a):
+    stored = HeckeMultiplicities(2, a).a
+    assert stored == tuple(a) and all(type(x) is int for x in stored)
+    w = spectral_ch(SpectralParams(2, 3, 10))
+    assert hecke_pattern_ch(w, a) == hecke_pattern_ch(w, stored)
+
+
+@pytest.mark.parametrize("a", [(-1, 1), (Fraction(-2), 0), (0, -3.0)])
+def test_negative_multiplicities_keep_their_message(a):
+    with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+        HeckeMultiplicities(2, a)
+    with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+        hecke_pattern_ch(spectral_ch(SpectralParams(2, 3, 10)), a)
+
+
 # === means gap ===
 
 
