@@ -69,9 +69,12 @@ _COMPONENT_MATRIX = _component_matrix()
 
 
 def _validate(chi: Sequence[int]) -> tuple[int, ...]:
-    ints = tuple(int(x) for x in chi)
-    if ints != tuple(chi):
-        raise ValueError("character coefficients must be integers")
+    try:
+        ints = tuple(int(x) for x in chi)
+        if ints != tuple(chi):
+            raise ValueError
+    except (OverflowError, ValueError):  # also inf and nan, which int() refuses
+        raise ValueError("character coefficients must be integers") from None
     if len(ints) != 12:
         raise ValueError("a character needs one coefficient per marked point (12)")
     return ints

@@ -43,6 +43,7 @@ from .lattice import (
     intersect,
     invariant_subspace_has_integral_point,
     is_ample_fxi,
+    join_terms,
     named_class,
     named_combination,
     pairing_table,
@@ -58,15 +59,6 @@ from .spectral import linear_system_dims, spectral_genus
 from .threefold import ChernX
 
 
-def _join_terms(terms: list[str]) -> str:
-    if not terms:
-        return "0"
-    out = terms[0]
-    for term in terms[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
-
-
 def _format_chern(label: str, c: ChernX) -> str:
     ch2_terms = []
     if c.h4_fpt != 0:
@@ -77,7 +69,7 @@ def _format_chern(label: str, c: ChernX) -> str:
         f"{label}:",
         f"  ch0 = {rational_to_str(c.rank)}",
         f"  ch1 = [on B: {c.c1_b}]  +  [on B': {c.c1_bp}]",
-        f"  ch2 = {_join_terms(ch2_terms)}",
+        f"  ch2 = {join_terms(ch2_terms)}",
         f"  ch3 = {rational_to_str(c.h6)} pt",
     ]
     return "\n".join(lines)

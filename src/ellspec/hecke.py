@@ -24,9 +24,12 @@ _COMPONENTS = ("n1", "o2")
 
 def _multiplicities(a: Sequence) -> tuple[int, ...]:
     """The list as ints; a non-integral or negative entry is a ValueError."""
-    ints = tuple(int(x) for x in a)
-    if ints != tuple(a):
-        raise ValueError("multiplicities must be integers")
+    try:
+        ints = tuple(int(x) for x in a)
+        if ints != tuple(a):
+            raise ValueError
+    except (OverflowError, ValueError):  # also inf and nan, which int() refuses
+        raise ValueError("multiplicities must be integers") from None
     if any(x < 0 for x in ints):
         raise ValueError("multiplicities must be nonnegative")
     return ints

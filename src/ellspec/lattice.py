@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -82,18 +82,16 @@ class DivisorClass:
         return hash((self.surface, self.num, self.den))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return _combine(self, other, add)
+        return combination(self.surface, ((1, self), (1, other)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return _combine(self, other, sub)
+        return combination(self.surface, ((1, self), (-1, other)))
 
     def __neg__(self) -> "DivisorClass":
-        return _from_ints(self.surface, tuple(-x for x in self.num), self.den)
+        return combination(self.surface, ((-1, self),))
 
     def __mul__(self, scalar) -> "DivisorClass":
-        s = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
-        p = s.numerator
-        return _from_ints(self.surface, tuple(p * x for x in self.num), self.den * s.denominator)
+        return combination(self.surface, ((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -106,29 +104,19 @@ class DivisorClass:
         return self.den == 1
 
     def __str__(self) -> str:
-        terms = []
-        for name, c in zip(BASIS, self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            body = name if mag == 1 else f"{mag}*{name}"
-            terms.append(("- " if c < 0 else "+ ") + body)
-        if not terms:
-            return "0"
-        head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
-        return " ".join([head] + terms[1:])
+        return join_terms([name if c == 1 else "-" + name if c == -1 else f"{c}*{name}"
+                           for name, c in zip(BASIS, self.coeffs) if c])
 
 
-def _combine(a: DivisorClass, b: DivisorClass, op) -> DivisorClass:
-    """a + b or a - b (op is operator.add or operator.sub), over the lcm of
-    the two denominators."""
-    _require_same_surface(a, b)
-    if a.den == b.den:
-        return _from_ints(a.surface, tuple(map(op, a.num, b.num)), a.den)
-    g = gcd(a.den, b.den)
-    sa, sb = b.den // g, a.den // g
-    num = tuple(map(op, [x * sa for x in a.num], [y * sb for y in b.num]))
-    return _from_ints(a.surface, num, a.den * sa)
+def join_terms(terms: Sequence[str]) -> str:
+    """Signed terms joined as "a + b - c"; a term that starts with "-" is
+    subtracted, and no terms read "0"."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
 
 
 _set = object.__setattr__
@@ -152,11 +140,8 @@ def _from_ints(surface: Surface, num: tuple[int, ...], den: int) -> DivisorClass
     return obj
 
 
-def _require_same_surface(a: DivisorClass, b: DivisorClass) -> None:
-    if a.surface is not b.surface:
-        raise SurfaceMismatchError(
-            f"classes live on different surfaces: {a.surface.value} vs {b.surface.value}"
-        )
+def _mismatch(a: Surface, b: Surface) -> SurfaceMismatchError:
+    return SurfaceMismatchError(f"classes live on different surfaces: {a.value} vs {b.value}")
 
 
 def zero_class(surface: Surface) -> DivisorClass:
@@ -175,8 +160,32 @@ def int_pairing(x: Sequence[int], y: Sequence[int]) -> int:
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
     """Intersection number of two classes on the same surface."""
-    _require_same_surface(a, b)
+    if a.surface is not b.surface:
+        raise _mismatch(a.surface, b.surface)
     return Fraction(int_pairing(a.num, b.num), a.den * b.den)
+
+
+def combination(
+    surface: Surface, terms: Iterable[tuple[object, DivisorClass]], den: int = 1
+) -> DivisorClass:
+    """(sum of coeff * cls over the (coeff, cls) terms) / den for rational
+    coeffs, in one pass over the lcm of the denominators."""
+    if den <= 0:
+        raise ValueError("the denominator of a combination must be positive")
+    scaled, common = [], 1
+    for coeff, cls in terms:
+        if cls.surface is not surface:
+            raise _mismatch(surface, cls.surface)
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        q = c.denominator * cls.den
+        scaled.append((c.numerator, q, cls.num))
+        common = lcm(common, q)
+    acc = [0] * RANK
+    for p, q, num in scaled:
+        if p:
+            s = p * (common // q)
+            acc = [a + s * x for a, x in zip(acc, num)]
+    return _from_ints(surface, tuple(acc), common * den)
 
 
 def _build_named(surface: Surface) -> dict[str, DivisorClass]:
@@ -213,31 +222,6 @@ def named_class(surface: Surface, name: str) -> DivisorClass:
         return _NAMED[surface][name]
     except KeyError:
         raise ValueError(f"unknown class name {name!r}; known: {', '.join(NAMED_CLASS_NAMES)}") from None
-
-
-def combination(
-    surface: Surface, terms: Iterable[tuple[object, DivisorClass]], den: int = 1
-) -> DivisorClass:
-    """(sum of coeff * cls over the (coeff, cls) terms) / den for rational
-    coeffs, in one pass over the lcm of the denominators."""
-    if den <= 0:
-        raise ValueError("the denominator of a combination must be positive")
-    scaled, common = [], 1
-    for coeff, cls in terms:
-        if cls.surface is not surface:
-            raise SurfaceMismatchError(
-                f"classes live on different surfaces: {surface.value} vs {cls.surface.value}"
-            )
-        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
-        q = c.denominator * cls.den
-        scaled.append((c.numerator, q, cls.num))
-        common = lcm(common, q)
-    acc = [0] * RANK
-    for p, q, num in scaled:
-        if p:
-            s = p * (common // q)
-            acc = [a + s * x for a, x in zip(acc, num)]
-    return _from_ints(surface, tuple(acc), common * den)
 
 
 def named_combination(surface: Surface, terms: dict[str, object]) -> DivisorClass:
@@ -462,7 +446,8 @@ def invariant_subspace_has_integral_point(
     t = offset if offset is not None else _default_obstruction_offset()
     vectors = tuple(span) if span is not None else _default_obstruction_span()
     for v in vectors:
-        _require_same_surface(t, v)
+        if v.surface is not t.surface:
+            raise _mismatch(t.surface, v.surface)
 
     rows = [list(v.coeffs) for v in vectors]
     annihilators = linalg.kernel_integer(rows) if rows else [
@@ -492,13 +477,11 @@ def invariant_subspace_has_integral_point(
 
 
 def m_space_check(m: DivisorClass) -> bool:
-    """Whether m lies in span_Q{m1, m2, m3} and pairs to zero with the
-    section sum, the fiber, and the I2 component sum."""
+    """Whether m lies in span_Q{m1, m2, m3}, decided by the frame alone.
+
+    m1, m2 and m3 pair to zero with the section sum, the fiber and the I2
+    component sum, so by bilinearity every class of their span does too.
+    """
     if m.surface is not Surface.BPRIME:
         raise SurfaceMismatchError("m-space classes live on the second surface")
-    if M_FRAME.coordinates(m) is None:
-        return False
-    return all(intersect(m, other) == 0 for other in _M_ANNIHILATED)
-
-
-_M_ANNIHILATED = (SECTION_SUM, named_class(Surface.BPRIME, "f"), COMPONENT_SUM)
+    return M_FRAME.coordinates(m) is not None

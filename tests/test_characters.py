@@ -41,6 +41,7 @@ def test_single_point_not_in_lattice():
 @pytest.mark.parametrize("function", [chi_in_lattice, component_image, lambda_representation])
 @pytest.mark.parametrize("chi", [
     [0.5] * 12, [Fraction(1, 3)] + [0] * 11, list(SPANNING_CHARACTERS[0][:11]) + [0.25],
+    [float("inf")] + [0] * 11, [0] * 11 + [float("-inf")], [float("nan")] * 12,
 ])
 def test_non_integral_characters_are_rejected_not_truncated(function, chi):
     with pytest.raises(ValueError, match="character coefficients must be integers"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ellspec.errors import SpanError, SurfaceMismatchError
 from ellspec.lattice import (
+    COMPONENT_SUM,
     EF_FRAME,
     FXI_FRAME,
     GRAM_DIAG,
@@ -17,6 +18,7 @@ from ellspec.lattice import (
     M_FRAME,
     NOT_EFFECTIVE,
     RANK,
+    SECTION_SUM,
     DivisorClass,
     Surface,
     combination,
@@ -76,8 +78,12 @@ def test_xi_identities():
 
 
 def test_m_classes_pair_to_zero_with_fixed_part():
+    """The implication m_space_check relies on: each of m1, m2, m3, and so by
+    bilinearity every class of their span, pairs to zero with e' + zeta', f'
+    and n1' + o2', the classes SECTION_SUM and COMPONENT_SUM hold."""
     esum = named_combination(BP, {"e": 1, "zeta": 1})
     comps = named_combination(BP, {"n1": 1, "o2": 1})
+    assert (esum, comps) == (SECTION_SUM, COMPONENT_SUM)
     for name in ("m1", "m2", "m3"):
         m = n(name)
         assert intersect(m, esum) == 0
@@ -385,12 +391,13 @@ def test_int_core_matches_fraction_oracle(pa, pb, s):
     assert twin.den > 0 and all(type(x) is int for x in twin.num)
 
 
-def _fold(surface, terms, den=1):
-    """The combination by + and * alone, starting from the zero class."""
-    acc = zero_class(surface)
+def _fold(terms, den=1):
+    """The combination's coefficients as a plain Fraction-tuple sum; the
+    class operators are the kernel itself, so they cannot be its oracle."""
+    acc = (Fraction(0),) * RANK
     for coeff, cls in terms:
-        acc = acc + coeff * cls
-    return Fraction(1, den) * acc
+        acc = tuple(a + Fraction(coeff) * c for a, c in zip(acc, cls.coeffs))
+    return tuple(a / den for a in acc)
 
 
 @settings(max_examples=200)
@@ -401,7 +408,7 @@ def _fold(surface, terms, den=1):
 def test_combination_matches_the_fold(raw, den):
     terms = [(s, DivisorClass(BP, _oracle(v))) for s, v in raw]
     got = combination(BP, terms, den)
-    assert got == _fold(BP, terms, den)
+    assert got.coeffs == _fold(terms, den)
     assert got.surface is BP and got.den > 0 and all(type(x) is int for x in got.num)
     assert all(type(c) is Fraction for c in got.coeffs)
 
@@ -417,8 +424,8 @@ def test_combination_edge_cases():
     with pytest.raises(ValueError):
         combination(BP, [(1, n("f"))], 0)
     terms = {"f": 25, "e1": "144", "xi": Fraction(336, 2)}
-    expected = _fold(BP, [(Fraction(c), n(name)) for name, c in terms.items()])
-    assert named_combination(BP, terms) == expected
+    expected = _fold([(Fraction(c), n(name)) for name, c in terms.items()])
+    assert named_combination(BP, terms).coeffs == expected
 
 
 def test_divisor_class_is_immutable():
@@ -456,3 +463,27 @@ def test_dual_basis_coordinates_match_rref(frame, names, data):
     assert frame.coordinates(inside) == tuple(Fraction(c) for c in coords)
     # a class off the span stays off it whatever is added from the span
     assert frame.coordinates(inside + n("l", surface) - 4 * n("e2", surface)) is None
+
+
+_thirds = st.integers(min_value=-12, max_value=12).map(lambda k: Fraction(k, 3))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_thirds, min_size=3, max_size=3),
+    st.sampled_from([n("e2"), n("f"), n("e2") - n("e3")]),
+    _thirds,
+)
+def test_m_space_check_matches_the_two_clause_oracle(coords, perturbation, t):
+    """The frame alone against the old test: in span{m1, m2, m3} and pairing
+    to zero with the section sum, the fiber and the component sum.  e2' is
+    off the span and fails a pairing, f' is off it and fails one too, and
+    e2' - e3' is off it but pairs to zero with all three."""
+    inside = combination(BP, zip(coords, (n("m1"), n("m2"), n("m3"))))
+    for m in (inside, inside + t * perturbation):
+        oracle = _solve_in_frame(("m1", "m2", "m3"), m) is not None and all(
+            intersect(m, other) == 0 for other in (SECTION_SUM, n("f"), COMPONENT_SUM)
+        )
+        assert m_space_check(m) == oracle
+    assert m_space_check(inside)
+    assert m_space_check(inside + t * perturbation) == (t == 0)

@@ -218,6 +218,7 @@ def test_multiplicity_validation():
 
 @pytest.mark.parametrize("a", [
     (Fraction(1, 2), Fraction(5, 2)), (0.9, 0.9), (1, 1.5), (Fraction(-1, 2), 0),
+    (float("inf"), 0), (0, float("-inf")), (float("nan"), 1),
 ])
 def test_non_integral_multiplicities_are_rejected_not_truncated(a):
     with pytest.raises(ValueError, match="multiplicities must be integers"):
@@ -226,7 +227,9 @@ def test_non_integral_multiplicities_are_rejected_not_truncated(a):
         hecke_pattern_ch(spectral_ch(SpectralParams(2, 3, 10)), a)
 
 
-@pytest.mark.parametrize("a", [[1.9], [0, 2.5, 1], [Fraction(7, 3)]])
+@pytest.mark.parametrize("a", [
+    [1.9], [0, 2.5, 1], [Fraction(7, 3)], [float("inf")], [0, float("-inf"), 1], [float("nan")],
+])
 def test_pattern_rejects_non_integral_lists_of_any_length(a):
     with pytest.raises(ValueError, match="multiplicities must be integers"):
         hecke_pattern_ch(spectral_ch(SpectralParams(2, 3, 10)), a)
