@@ -20,6 +20,15 @@ strict checks (the written keys, each once, each value of its exact JSON
 type), so a loaded file saves back byte for byte, and its SchemaError names
 the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file holds
 one certificate object or {"version": "1", "certificates": [...]}.
+``certificate_to_dict`` is the written text parsed back.
+
+Each call handles a recurring object once, as ``solve`` shares one report,
+row, hprime and twist class among many certificates.  The writer renders a
+value once per codec and indentation it occurs at (keyed by ``id``, the
+object held for the call); the loader builds one row, hprime and report per
+distinct tuple of loaded values, after every check has run on each copy.
+Neither memo outlives its call, and the bytes written and the errors raised
+are those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -100,7 +109,7 @@ def divisor_from_json(obj: Any) -> DivisorClass:
     except (TypeError, ValueError):  # not all strings, or past a lowered digit limit
         pass
     try:
-        nums, dens = zip(*_COEFFS.load(coeffs))
+        nums, dens = zip(*_COEFFS.load(coeffs, None))
     except SchemaError as exc:
         exc.path = ("coeffs", *exc.path)
         raise
@@ -111,28 +120,45 @@ def divisor_from_json(obj: Any) -> DivisorClass:
 class _Scalar(namedtuple("_Scalar", "what types")):
     """A JSON scalar, stored as it is; its types are exact: True is no integer."""
 
-    def load(self, value: Any) -> Any:
+    def load(self, value: Any, memo: dict) -> Any:
         if value.__class__ in self.types:
             return value
         raise SchemaError(f"expected {self.what}")
 
 
-_Codec = namedtuple("_Codec", "dump load")  # a value with its own JSON spelling
+class _Codec(namedtuple("_Codec", "spell parse")):
+    """A value with its own JSON spelling: spell gives the JSON value, parse
+    takes it back."""
+
+    def write(self, value: Any, newline: str, memo: dict, out: list[str]) -> None:
+        _emit(self.spell(value), newline, out)
+
+    def load(self, value: Any, memo: dict) -> Any:
+        return self.parse(value)
 
 
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
     """A JSON array of one codec's values, loaded as a tuple."""
 
-    def dump(self, values: Sequence) -> list:
-        return list(values if self.item.__class__ is _Scalar else map(self.item.dump, values))
+    def write(self, values: Sequence, newline: str, memo: dict, out: list[str]) -> None:
+        if self.item.__class__ is _Scalar:
+            _emit(list(values), newline, out)
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in values:
+            out.append(sep)
+            _write(self.item, value, inner, memo, out)
+            sep = comma
+        out.append(newline + "]" if sep is comma else "[]")
 
-    def load(self, items: Any) -> tuple:
+    def load(self, items: Any, memo: dict) -> tuple:
         if items.__class__ is not list or self.length not in (None, len(items)):
             raise SchemaError("expected an array" + (f" of {self.length}" if self.length else ""))
         out = []
         try:
             for item in items:
-                out.append(self.item.load(item))
+                out.append(self.item.load(item, memo))
         except SchemaError as exc:
             exc.path = (len(out), *exc.path)
             raise
@@ -142,30 +168,39 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
 class _Object:
     """One JSON object: the fixed head, then one key and one codec per value
     that ``read`` takes off a Python value and ``build`` takes back, in that
-    order.  A key in ``optional`` is left out while its value is None."""
+    order.  A key in ``optional`` is left out while its value is None.  A
+    ``shared`` object is built once per distinct tuple of loaded values."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable, build: Callable,
-                 head: dict[str, str] | None = None, optional: frozenset = frozenset()) -> None:
-        self.keys, self.read, self.build = keys, read, build
+                 head: dict[str, str] | None = None, optional: frozenset = frozenset(),
+                 shared: bool = False) -> None:
+        self.read, self.build, self.shared = read, build, shared
         self.plan = tuple(zip(keys, kinds, strict=True))
-        # scalars are written as they are; only the other values are spelled
-        self.spelled = tuple((k, c.dump) for k, c in self.plan if c.__class__ is not _Scalar)
-        self.head, self.optional = head or {}, optional
+        self.head = head or {}
         self.allowed = frozenset(self.head) | frozenset(keys)
         self.required = self.allowed - optional
+        # each key as written, '"key": '; the head's values are written in place
+        self.head_lines = tuple(_quote(k) + ": " + _quote(v) for k, v in self.head.items())
+        self.labels = tuple((_quote(k) + ": ", kind, k in optional) for k, kind in self.plan)
 
-    def dump(self, value: Any) -> dict:
-        out = dict(self.head)
-        out.update(zip(self.keys, self.read(value)))
-        for key, dump in self.spelled:
-            item = out[key]
-            if item is not None or key not in self.optional:
-                out[key] = dump(item)
+    def write(self, value: Any, newline: str, memo: dict, out: list[str]) -> None:
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for line in self.head_lines:
+            out.append(sep + line)
+            sep = comma
+        for (label, kind, optional), item in zip(self.labels, self.read(value)):
+            if item is None and optional:
+                continue
+            out.append(sep + label)
+            if kind.__class__ is _Scalar:
+                _emit(item, inner, out)
             else:
-                del out[key]
-        return out
+                _write(kind, item, inner, memo, out)
+            sep = comma
+        out.append(newline + "}" if sep is comma else "{}")
 
-    def load(self, obj: Any) -> Any:
+    def load(self, obj: Any, memo: dict) -> Any:
         if obj.__class__ is not dict:
             raise SchemaError("expected an object")
         if not self.required <= obj.keys() <= self.allowed:
@@ -178,24 +213,36 @@ class _Object:
         values = []
         try:
             for key, kind in self.plan:
-                values.append(kind.load(obj[key]) if key in obj else None)
+                values.append(kind.load(obj[key], memo) if key in obj else None)
         except SchemaError as exc:
             if kind.__class__ is _Scalar:  # named as a field of this object
                 raise SchemaError(f"field {key!r} must be {kind.what}") from None
             exc.path = (key, *exc.path)
             raise
+        if self.shared:
+            # Equal values here mean equal text: each position loads one exact
+            # type (a _BOOL is never an int, a _Q always a Fraction), so the
+            # shared object saves back as every copy was spelled.
+            memo_key = (self, *values)
+            built = memo.get(memo_key)
+            if built is not None:
+                return built
         try:
-            return self.build(*values)
+            built = self.build(*values)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed: {exc}") from exc
+        if self.shared:
+            memo[memo_key] = built
+        return built
 
 
-def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None) -> _Object:
+def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
+            shared: bool = False) -> _Object:
     """The object that stores a dataclass: its fields as keys, in field order;
     a field that defaults to None is optional."""
     keys = tuple(f.name for f in fields(cls))
     optional = frozenset(f.name for f in fields(cls) if f.default is None)
-    return _Object(keys, kinds, attrgetter(*keys), cls, head, optional)
+    return _Object(keys, kinds, attrgetter(*keys), cls, head, optional, shared)
 
 
 def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
@@ -207,6 +254,7 @@ def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
     return tuple(obj.items())
 
 
+_quote = json.encoder.encode_basestring_ascii
 _INT = _Scalar("an integer", (int,))
 _BOOL = _Scalar("a boolean", (bool,))
 _STR = _Scalar("a string", (str,))
@@ -217,12 +265,14 @@ _DIVISOR = _Codec(divisor_to_json, divisor_from_json)
 _COEFFS = _Array(_Codec(None, _rational_parts), RANK)  # read only, as (p, q) pairs
 
 # The format, one declaration per JSON object.
-_ROW = _stores(Table1Row, _INT, _INT, _INT, _INT)
+_ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
 _PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
                   _DIVISOR, _DIVISOR)
 _ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Codec(dict, _detail_from_json))
-_REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS)
-_HPRIME = _Object(("f", "e1", "xi"), (_INT, _INT, _INT), tuple, lambda *coords: coords)
+_REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS,
+                  shared=True)
+_HPRIME = _Object(("f", "e1", "xi"), (_INT, _INT, _INT), tuple, lambda *coords: coords,
+                  shared=True)
 _CERTIFICATE = _stores(SolutionCertificate, _ROW, _INT, _INT, _INT, _INT_OR_NULL, _DIVISOR, _PARAMS,
                        _HPRIME, _REPORT, _STRS,
                        head={"version": FORMAT_VERSION, "basis_convention": BASIS_CONVENTION})
@@ -230,31 +280,54 @@ _FILE = _Object(("certificates",), (_Array(_CERTIFICATE),), lambda certs: (certs
                 head={"version": FORMAT_VERSION})
 
 
-def bundle_params_to_json(params: BundleParams) -> dict:
-    return _PARAMS.dump(params)
-
-
-def bundle_params_from_json(obj: Any) -> BundleParams:
-    return _PARAMS.load(obj)
-
-
-def certificate_to_dict(cert: SolutionCertificate) -> dict:
-    return _CERTIFICATE.dump(cert)
-
-
-def certificate_from_dict(obj: Any) -> SolutionCertificate:
-    return _CERTIFICATE.load(obj)
-
-
-def dumps_certificates(certs: Sequence[SolutionCertificate]) -> str:
-    payload = certificate_to_dict(certs[0]) if len(certs) == 1 else _FILE.dump(certs)
+def _dumps(kind: Any, value: Any, end: str = "") -> str:
+    """``json.dumps(..., indent=2)`` of a value that kind declares, then end."""
     out: list[str] = []
-    _emit(payload, "\n", out)
-    out.append("\n")
+    kind.write(value, "\n", {}, out)
+    out.append(end)
     return "".join(out)
 
 
-_quote = json.encoder.encode_basestring_ascii
+def _write(kind: Any, value: Any, newline: str, memo: dict, out: list[str]) -> None:
+    """Append the text of a non-scalar value that kind declares, at the
+    indentation that newline ends with.  An array is written in place, around
+    its items; an object or a spelled value is rendered once per (codec,
+    object, indentation) in the call, the memo holding the object so that its
+    id is not reused."""
+    if kind.__class__ is _Array:
+        kind.write(value, newline, memo, out)
+        return
+    key = (id(kind), id(value), newline)
+    hit = memo.get(key)
+    if hit is None:
+        text: list[str] = []
+        kind.write(value, newline, memo, text)
+        hit = memo[key] = (value, "".join(text))
+    out.append(hit[1])
+
+
+def bundle_params_to_json(params: BundleParams) -> dict:
+    return json.loads(_dumps(_PARAMS, params))
+
+
+def bundle_params_from_json(obj: Any) -> BundleParams:
+    return _PARAMS.load(obj, {})
+
+
+def certificate_to_dict(cert: SolutionCertificate) -> dict:
+    return json.loads(_dumps(_CERTIFICATE, cert))
+
+
+def certificate_from_dict(obj: Any) -> SolutionCertificate:
+    return _CERTIFICATE.load(obj, {})
+
+
+def dumps_certificates(certs: Sequence[SolutionCertificate]) -> str:
+    if len(certs) == 1:
+        return _dumps(_CERTIFICATE, certs[0], "\n")
+    return _dumps(_FILE, certs, "\n")
+
+
 # json.dumps spellings of the scalar types a payload holds, keyed by exact type
 _SPELL = {
     str: _quote,
@@ -356,7 +429,7 @@ def loads_json(text: str) -> Any:
 def loads_certificates(text: str) -> list[SolutionCertificate]:
     payload = loads_json(text)
     if isinstance(payload, dict) and "certificates" in payload:
-        return _FILE.load(payload)
+        return _FILE.load(payload, {})
     return [certificate_from_dict(payload)]
 
 

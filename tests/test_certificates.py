@@ -15,8 +15,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import ellspec
+from ellspec import certificates
 from ellspec.assembly import BundleParams, ConstraintEntry, ConstraintReport
 from ellspec.certificates import (
+    BASIS_CONVENTION,
     certificate_from_dict,
     certificate_to_dict,
     divisor_from_json,
@@ -222,12 +224,38 @@ def test_null_z_round_trips(certs):
 GOLDEN = Path(ellspec.__file__).with_name("data") / "golden_certificate.json"
 
 
+def _oracle_value(value, key=None):
+    """The JSON value of a certificate field, read off the dataclasses
+    directly rather than through the codec's table."""
+    if key == "hprime":
+        return dict(zip(("f", "e1", "xi"), value))
+    if key == "detail":
+        return dict(value)
+    if isinstance(value, DivisorClass):
+        return {"surface": value.surface.value, "coeffs": [str(c) for c in value.coeffs]}
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _oracle_value(getattr(value, f.name), f.name)
+            for f in dataclasses.fields(value)
+            if not (f.default is None and getattr(value, f.name) is None)
+        }
+    if isinstance(value, (tuple, list)):
+        return [_oracle_value(v) for v in value]
+    return value
+
+
+def _oracle_payload(cert):
+    return {"version": "1", "basis_convention": BASIS_CONVENTION, **_oracle_value(cert)}
+
+
 def _oracle_dumps(certs):
     """The reference spelling: the json module's indent-2 encoder."""
     if len(certs) == 1:
-        payload = certificate_to_dict(certs[0])
+        payload = _oracle_payload(certs[0])
     else:
-        payload = {"version": "1", "certificates": [certificate_to_dict(c) for c in certs]}
+        payload = {"version": "1", "certificates": [_oracle_payload(c) for c in certs]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -287,6 +315,162 @@ def test_dumps_matches_json_indent2(certs):
         text = dumps_certificates(case)
         assert text == _oracle_dumps(case)
         assert loads_certificates(text) == case
+
+
+def test_certificate_to_dict_is_the_oracle_payload(certs):
+    for cert in [*certs[:3], _fractional(certs[0]), _noted(certs[1])]:
+        assert certificate_to_dict(cert) == _oracle_payload(cert)
+
+
+# === objects shared within one file ===
+
+
+def _round_trips(case):
+    """The written text is the oracle's, loads back to case and saves back
+    byte for byte."""
+    text = dumps_certificates(case)
+    assert text == _oracle_dumps(case)
+    loaded = loads_certificates(text)
+    assert loaded == list(case)
+    assert dumps_certificates(loaded) == text
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def pool(certs):
+    """Certificates whose reports, rows, classes and notes recur by identity."""
+    return [
+        *certs[:3],
+        *certs[-2:],
+        _fractional(certs[0]),
+        _noted(certs[1]),
+        _noted(_fractional(certs[2])),
+        dataclasses.replace(certs[3], z=None),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dumps_with_repeats_matches_json_indent2(pool, data):
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    _round_trips([pool[i] for i in picks])
+
+
+def test_one_class_at_three_indentations(certs):
+    cert = certs[0]
+    shared = cert.params.l2
+    entries = tuple(
+        dataclasses.replace(e, residual=shared) if e.name == "C1" else e
+        for e in cert.report.entries
+    )
+    odd = dataclasses.replace(
+        cert,
+        m_class=shared,
+        params=dataclasses.replace(cert.params, l2=shared),
+        report=dataclasses.replace(cert.report, entries=entries),
+    )
+    assert odd.m_class is odd.params.l2 is odd.report.entry("C1").residual
+    for case in ([odd], [odd, cert, odd], [cert, odd]):
+        _round_trips(case)
+
+
+def test_hprime_lists_render_their_own_values(certs):
+    """tuple() of a list hprime is a temporary, so its id recurs between
+    certificates; each must still be written with its own values."""
+    case = [dataclasses.replace(c, hprime=[i, 2 * i + 1, -i]) for i, c in enumerate(certs[:8])]
+    text = dumps_certificates(case)
+    assert text == _oracle_dumps(case)
+    loaded = loads_certificates(text)
+    assert [c.hprime for c in loaded] == [tuple(c.hprime) for c in case]
+    assert dumps_certificates(loaded) == text
+
+
+def test_render_memo_holds_what_it_keys():
+    """A declaration whose read builds a fresh class per value: each class
+    is freed after its text is keyed unless the memo holds it, and a later
+    class could then reuse its id and its text."""
+    fresh = certificates._Object(
+        ("d",), (certificates._DIVISOR,), lambda n: (DivisorClass(Surface.B, [n] * 10),), None
+    )
+    values = list(range(40))
+    text = certificates._dumps(certificates._Array(fresh), values)
+    expected = [{"d": divisor_to_json(DivisorClass(Surface.B, [n] * 10))} for n in values]
+    assert text == json.dumps(expected, indent=2)
+
+
+def test_render_memo_lives_for_one_call(certs):
+    report = dataclasses.replace(certs[0].report)
+    case = [dataclasses.replace(c, report=report) for c in certs[:3]]
+    before = dumps_certificates(case)
+    object.__setattr__(report, "c3", report.c3 + 1)
+    after = dumps_certificates(case)
+    assert after != before
+    assert after == _oracle_dumps(case)
+    assert dumps_certificates(case[:1]) == _oracle_dumps(case[:1])
+
+
+def _same_report_pair(certs):
+    first = certs[0]
+    second = next(c for c in certs[1:] if c.report is first.report)
+    return [first, second]
+
+
+def test_loaded_file_shares_what_solve_shares(certs):
+    loaded = loads_certificates(dumps_certificates(certs))
+    for attr in ("report", "row", "hprime"):
+        canonical = {}
+        for cert in loaded:
+            value = getattr(cert, attr)
+            assert value is canonical.setdefault(value, value)
+        assert len(canonical) == len({getattr(c, attr) for c in certs})
+
+
+def test_a_report_differing_in_one_entry_is_its_own_object(certs):
+    first, second = _same_report_pair(certs)
+    entries = tuple(
+        dataclasses.replace(e, value=e.value + 1) if e.name == "S_s" else e
+        for e in second.report.entries
+    )
+    doctored = dataclasses.replace(second, report=dataclasses.replace(second.report, entries=entries))
+    loaded = _round_trips([first, doctored, first])
+    assert loaded[0].report is loaded[2].report
+    assert loaded[1].report is not loaded[0].report
+    assert verify_certificate(loaded[0]).all_pass
+    with pytest.raises(TamperError):
+        verify_certificate(loaded[1])
+
+
+def _second_report_extra_key(text, where):
+    obj = json.loads(text)
+    target = obj["certificates"][1]["report"]
+    for step in where:
+        target = target[step]
+    target["extra"] = True
+    return json.dumps(obj, indent=2)
+
+
+def _second_report_repeated_c3(text):
+    lines = text.split("\n")
+    second = [i for i, line in enumerate(lines) if line.lstrip().startswith('"c3": ')][1]
+    lines.insert(second, lines[second])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (lambda t: _second_report_extra_key(t, ()),
+         r"^certificates\[1\]\.report: unknown field 'extra'$"),
+        (lambda t: _second_report_extra_key(t, ("entries", 0)),
+         r"^certificates\[1\]\.report\.entries\[0\]: unknown field 'extra'$"),
+        (_second_report_repeated_c3, r"^certificates\[1\]\.report: duplicate key 'c3'$"),
+    ],
+    ids=["unknown", "unknown-in-entry", "duplicate"],
+)
+def test_second_copy_of_a_shared_report_is_checked(certs, doctor, message):
+    text = dumps_certificates(_same_report_pair(certs))
+    with pytest.raises(SchemaError, match=message):
+        loads_certificates(doctor(text))
 
 
 def test_dumps_rejects_what_json_cannot_encode(certs):
