@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PolarizationError
-from .hecke import HeckeMultiplicities
+from .hecke import multiplicities
 from .lattice import (
     COMPONENT_SUM,
     DivisorClass,
@@ -60,8 +60,8 @@ class BundleParams:
     l3: DivisorClass
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a2", HeckeMultiplicities(2, self.a2).a)
-        object.__setattr__(self, "a3", HeckeMultiplicities(3, self.a3).a)
+        object.__setattr__(self, "a2", multiplicities(2, self.a2))
+        object.__setattr__(self, "a3", multiplicities(3, self.a3))
         for lcls in (self.l2, self.l3):
             if lcls.surface is not Surface.BPRIME:
                 raise ValueError("twist classes must live on B'")

@@ -25,10 +25,14 @@ one certificate object or {"version": "1", "certificates": [...]}.
 Each call handles a recurring object once, as ``solve`` shares one report,
 row, hprime and twist class among many certificates.  The writer renders a
 value once per codec and indentation it occurs at (keyed by ``id``, the
-object held for the call); the loader builds one row, hprime and report per
-distinct tuple of loaded values, after every check has run on each copy.
-Neither memo outlives its call, and the bytes written and the errors raised
-are those of rendering and loading every copy on its own.
+object held for the call).  The loader keys a row, hprime or report on its
+JSON text (``json.dumps`` of the parsed copy) and a divisor class on its
+surface and coefficient strings, and checks and builds only the first copy
+of each; a copy that fails is never kept, so every later copy with other
+text is checked on its own.  A loaded file thus shares what ``solve``
+shares, classes included.  Neither memo outlives its call, and the bytes
+written and the errors raised are those of rendering and loading every copy
+on its own.
 """
 
 from __future__ import annotations
@@ -126,15 +130,24 @@ class _Scalar(namedtuple("_Scalar", "what types")):
         raise SchemaError(f"expected {self.what}")
 
 
-class _Codec(namedtuple("_Codec", "spell parse")):
+class _Codec(namedtuple("_Codec", "spell parse key", defaults=[None])):
     """A value with its own JSON spelling: spell gives the JSON value, parse
-    takes it back."""
+    takes it back.  A codec with a key parses once per call the JSON values
+    that key maps to one hashable; key gives None for a value it cannot
+    vouch for, which is parsed on its own."""
 
     def write(self, value: Any, newline: str, memo: dict, out: list[str]) -> None:
         _emit(self.spell(value), newline, out)
 
     def load(self, value: Any, memo: dict) -> Any:
-        return self.parse(value)
+        key = self.key and self.key(value)
+        if key is None:
+            return self.parse(value)
+        memo_key = (self, key)
+        parsed = memo.get(memo_key)
+        if parsed is None:
+            parsed = memo[memo_key] = self.parse(value)
+        return parsed
 
 
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
@@ -169,7 +182,7 @@ class _Object:
     """One JSON object: the fixed head, then one key and one codec per value
     that ``read`` takes off a Python value and ``build`` takes back, in that
     order.  A key in ``optional`` is left out while its value is None.  A
-    ``shared`` object is built once per distinct tuple of loaded values."""
+    ``shared`` object is checked and built once per distinct JSON text."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
@@ -201,6 +214,22 @@ class _Object:
         out.append(newline + "}" if sep is comma else "{}")
 
     def load(self, obj: Any, memo: dict) -> Any:
+        if not self.shared:
+            return self._check_and_build(obj, memo)
+        # json.dumps is one-to-one on parsed JSON, exact types and key order
+        # included (1, true and 1.0 differ), so a copy with the same text
+        # passes the same checks and builds an equal object.  Only a built
+        # object is kept: a failing copy raises wherever it occurs.
+        try:
+            memo_key = (self, json.dumps(obj))
+        except RecursionError:  # nested too deep for any declared value: the checks reject it
+            return self._check_and_build(obj, memo)
+        built = memo.get(memo_key)
+        if built is None:
+            built = memo[memo_key] = self._check_and_build(obj, memo)
+        return built
+
+    def _check_and_build(self, obj: Any, memo: dict) -> Any:
         if obj.__class__ is not dict:
             raise SchemaError("expected an object")
         if not self.required <= obj.keys() <= self.allowed:
@@ -219,21 +248,10 @@ class _Object:
                 raise SchemaError(f"field {key!r} must be {kind.what}") from None
             exc.path = (key, *exc.path)
             raise
-        if self.shared:
-            # Equal values here mean equal text: each position loads one exact
-            # type (a _BOOL is never an int, a _Q always a Fraction), so the
-            # shared object saves back as every copy was spelled.
-            memo_key = (self, *values)
-            built = memo.get(memo_key)
-            if built is not None:
-                return built
         try:
-            built = self.build(*values)
+            return self.build(*values)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed: {exc}") from exc
-        if self.shared:
-            memo[memo_key] = built
-        return built
 
 
 def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
@@ -243,6 +261,19 @@ def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
     keys = tuple(f.name for f in fields(cls))
     optional = frozenset(f.name for f in fields(cls) if f.default is None)
     return _Object(keys, kinds, attrgetter(*keys), cls, head, optional, shared)
+
+
+def _class_key(obj: Any) -> tuple[str, ...] | None:
+    """(surface, *coeffs) of a two-key object whose surface is a string and
+    whose coeffs are an array of strings, else None.  As a string equals
+    only a string, equal keys mean the same strings, which parse alike; only
+    the key order, which the loader ignores, can differ."""
+    if obj.__class__ is dict and len(obj) == 2:
+        surface, coeffs = obj.get("surface"), obj.get("coeffs")
+        if (surface.__class__ is str and coeffs.__class__ is list
+                and all(c.__class__ is str for c in coeffs)):
+            return (surface, *coeffs)
+    return None
 
 
 def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
@@ -261,7 +292,7 @@ _STR = _Scalar("a string", (str,))
 _INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
 _STRS = _Array(_STR)
 _Q = _Codec(rational_to_str, rational_from_str)
-_DIVISOR = _Codec(divisor_to_json, divisor_from_json)
+_DIVISOR = _Codec(divisor_to_json, divisor_from_json, _class_key)
 _COEFFS = _Array(_Codec(None, _rational_parts), RANK)  # read only, as (p, q) pairs
 
 # The format, one declaration per JSON object.
@@ -433,8 +464,16 @@ def loads_certificates(text: str) -> list[SolutionCertificate]:
     return [certificate_from_dict(payload)]
 
 
+_WRITE_SLICE = 1 << 20  # characters
+
+
 def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) -> None:
-    Path(path).write_text(dumps_certificates(certs))
+    text = dumps_certificates(certs)
+    # written a slice at a time: encoding the whole text at once would hold a
+    # second copy of it (118 MB for the default-bounds search)
+    with open(path, "w") as out:
+        for start in range(0, len(text), _WRITE_SLICE):
+            out.write(text[start:start + _WRITE_SLICE])
 
 
 def load_certificates(path: str | Path) -> list[SolutionCertificate]:

@@ -14,6 +14,7 @@ deformation space the characters cut out.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -83,7 +84,7 @@ def _validate(chi: Sequence[int]) -> tuple[int, ...]:
 def component_image(chi: Sequence[int]) -> tuple[int, ...]:
     """Image of the character under the component map, over COMPONENTS."""
     chi = _validate(chi)
-    return tuple(int(v) for v in linalg.mat_vec(_COMPONENT_MATRIX, chi))
+    return tuple(sum(map(mul, row, chi)) for row in _COMPONENT_MATRIX)
 
 
 def chi_in_lattice(chi: Sequence[int]) -> bool:

@@ -23,15 +23,29 @@ _COMPONENTS = ("n1", "o2")
 
 
 def _multiplicities(a: Sequence) -> tuple[int, ...]:
-    """The list as ints; a non-integral or negative entry is a ValueError."""
-    try:
-        ints = tuple(int(x) for x in a)
-        if ints != tuple(a):
-            raise ValueError
-    except (OverflowError, ValueError):  # also inf and nan, which int() refuses
-        raise ValueError("multiplicities must be integers") from None
+    """The list as ints, a tuple of exact ints kept as it is; a non-integral
+    or negative entry is a ValueError."""
+    if a.__class__ is tuple and all(x.__class__ is int for x in a):
+        ints = a
+    else:
+        try:
+            ints = tuple(int(x) for x in a)
+            if ints != tuple(a):
+                raise ValueError
+        except (OverflowError, ValueError):  # also inf and nan, which int() refuses
+            raise ValueError("multiplicities must be integers") from None
     if any(x < 0 for x in ints):
         raise ValueError("multiplicities must be nonnegative")
+    return ints
+
+
+def multiplicities(i: int, a: Sequence) -> tuple[int, ...]:
+    """The checked multiplicities of a rank-i component: i integers >= 0."""
+    ints = _multiplicities(a)
+    if i not in (2, 3):
+        raise ValueError("component rank i must be 2 or 3")
+    if len(ints) != i:
+        raise ValueError(f"expected {i} multiplicities, got {len(ints)}")
     return ints
 
 
@@ -47,11 +61,7 @@ class HeckeMultiplicities:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _multiplicities(self.a))
-        if self.i not in (2, 3):
-            raise ValueError("component rank i must be 2 or 3")
-        if len(self.a) != self.i:
-            raise ValueError(f"expected {self.i} multiplicities, got {len(self.a)}")
+        object.__setattr__(self, "a", multiplicities(self.i, self.a))
 
 
 def newton_sum(a: Sequence[int], alpha: int) -> Fraction:

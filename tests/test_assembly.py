@@ -214,6 +214,39 @@ def test_bundle_params_reject_non_integral_multiplicities(a2, a3):
         BundleParams(3, 6, 10, 10, a2, a3, golden.l2, golden.l3)
 
 
+def test_bundle_params_keep_a_tuple_of_exact_ints():
+    golden = golden_params()
+    a2, a3 = (1, 2), (0, 3, 0)
+    params = BundleParams(3, 6, 10, 10, a2, a3, golden.l2, golden.l3)
+    assert params.a2 is a2 and params.a3 is a3
+
+
+@pytest.mark.parametrize("a2, a3", [
+    ((True, 1), (0, 0, 0)), ((2.0, 0), (0, 0, 0)), ([1, 1], (0, 0, 0)),
+    ((0, 0), (Fraction(3), False, 1.0)), ((0, 0), [0, 0, 0]),
+], ids=["bool", "float", "list", "fraction-bool-float", "list-of-three"])
+def test_bundle_params_normalize_integral_multiplicities(a2, a3):
+    golden = golden_params()
+    params = BundleParams(3, 6, 10, 10, a2, a3, golden.l2, golden.l3)
+    assert (params.a2, params.a3) == (tuple(a2), tuple(a3))
+    assert all(type(x) is int for x in params.a2 + params.a3)
+
+
+@pytest.mark.parametrize("a2, a3, message", [
+    ((-1, 1), (0, 0, 0), "multiplicities must be nonnegative"),
+    ((0, 0), (0, -2.0, 0), "multiplicities must be nonnegative"),
+    ((0, 0, 0), (0, 0, 0), "expected 2 multiplicities, got 3"),
+    ((0, 0), (0, 0), "expected 3 multiplicities, got 2"),
+    ((), (0, 0, 0), "expected 2 multiplicities, got 0"),
+    ((0, 0.5), (0, 0, 0), "multiplicities must be integers"),
+    ((0, 0), (0, 0, float("nan")), "multiplicities must be integers"),
+], ids=["negative", "negative-float", "a2-too-long", "a3-too-short", "empty", "half", "nan"])
+def test_bundle_params_reject_bad_multiplicities(a2, a3, message):
+    golden = golden_params()
+    with pytest.raises(ValueError, match=message):
+        BundleParams(3, 6, 10, 10, a2, a3, golden.l2, golden.l3)
+
+
 def test_small_ample_polarization_fails_slope():
     # (1, 1, 1) is ample but the slope check fails: 12*1 - (1+1) = +10
     hprime = named_combination(BP, {"f": 1, "e1": 1, "xi": 1})

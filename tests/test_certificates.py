@@ -8,6 +8,7 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from ellspec.certificates import (
 )
 from ellspec.cli import run
 from ellspec.errors import SchemaError, TamperError
-from ellspec.lattice import DivisorClass, Surface, named_class
+from ellspec.lattice import RANK, DivisorClass, Surface, named_class
 from ellspec.solver import (
     SearchBounds,
     SolutionCertificate,
@@ -137,6 +138,13 @@ def test_file_round_trip(tmp_path, certs):
     path = tmp_path / "certs.json"
     save_certificates(path, certs)
     assert load_certificates(path) == list(certs)
+
+
+def test_saved_file_is_the_dumped_text_across_write_slices(tmp_path, certs, monkeypatch):
+    monkeypatch.setattr(certificates, "_WRITE_SLICE", 7)
+    path = tmp_path / "certs.json"
+    save_certificates(path, certs)
+    assert path.read_bytes() == dumps_certificates(certs).encode()
 
 
 def test_loaded_certificate_verifies(certs):
@@ -417,12 +425,15 @@ def _same_report_pair(certs):
 
 def test_loaded_file_shares_what_solve_shares(certs):
     loaded = loads_certificates(dumps_certificates(certs))
-    for attr in ("report", "row", "hprime"):
+    # a class is one object wherever it occurs, so its three places share one table
+    for attrs in (["report"], ["row"], ["hprime"], ["m_class", "params.l2", "params.l3"]):
+        getters = [attrgetter(a) for a in attrs]
         canonical = {}
         for cert in loaded:
-            value = getattr(cert, attr)
-            assert value is canonical.setdefault(value, value)
-        assert len(canonical) == len({getattr(c, attr) for c in certs})
+            for get in getters:
+                value = get(cert)
+                assert value is canonical.setdefault(value, value)
+        assert len(canonical) == len({get(c) for c in certs for get in getters})
 
 
 def test_a_report_differing_in_one_entry_is_its_own_object(certs):
@@ -471,6 +482,111 @@ def test_second_copy_of_a_shared_report_is_checked(certs, doctor, message):
     text = dumps_certificates(_same_report_pair(certs))
     with pytest.raises(SchemaError, match=message):
         loads_certificates(doctor(text))
+
+
+def _second_copy_changed(text, where, value):
+    """The two-certificate text with the second certificate's value at the
+    key path where replaced."""
+    obj = json.loads(text)
+    target = obj["certificates"][1]
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = value(target[where[-1]])
+    return json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("report", "nonsplit"), int,
+         r"^certificates\[1\]\.report: field 'nonsplit' must be a boolean$"),
+        (("hprime", "f"), float, r"^certificates\[1\]\.hprime: field 'f' must be an integer$"),
+        (("row", "k2"), float, r"^certificates\[1\]\.row: field 'k2' must be an integer$"),
+    ],
+    ids=["report-bool-as-int", "hprime-int-as-float", "row-int-as-float"],
+)
+def test_copies_differing_only_in_json_type_stay_apart(certs, where, value, message):
+    """json.loads gives 1 == True == 1.0: the copies' texts must still differ."""
+    pair = _same_report_pair(certs)
+    text = _second_copy_changed(dumps_certificates(pair), where, value)
+    assert json.loads(text) == json.loads(dumps_certificates(pair))
+    with pytest.raises(SchemaError, match=message):
+        loads_certificates(text)
+
+
+def _keys_reversed(value):
+    """Every object's keys in reverse order, but a detail's, whose order is its value."""
+    if isinstance(value, dict):
+        return {k: value[k] if k == "detail" else _keys_reversed(value[k]) for k in reversed(value)}
+    if isinstance(value, list):
+        return [_keys_reversed(item) for item in value]
+    return value
+
+
+def test_a_copy_with_its_keys_in_another_order_loads_equal(certs):
+    pair = _same_report_pair(certs)
+    obj = json.loads(dumps_certificates(pair))
+    obj["certificates"][1] = _keys_reversed(obj["certificates"][1])
+    assert list(obj["certificates"][1]["report"]) == list(reversed(obj["certificates"][0]["report"]))
+    loaded = loads_certificates(json.dumps(obj, indent=2))
+    assert loaded == pair
+    assert loaded[0].report is not loaded[1].report
+    assert loaded[0].m_class is loaded[1].m_class
+    # a detail's order is its value: reversed, it is another report
+    entry = next(e for e in obj["certificates"][1]["report"]["entries"] if len(e.get("detail", ())) > 1)
+    entry["detail"] = dict(reversed(entry["detail"].items()))
+    loaded = loads_certificates(json.dumps(obj, indent=2))
+    assert loaded[1].report.entry(entry["name"]).detail == tuple(reversed(
+        pair[1].report.entry(entry["name"]).detail))
+
+
+def test_class_copies_share_one_object_only_when_exactly_equal():
+    memo = {}
+    digits = [str(n % 10) for n in range(1, RANK + 1)]
+    first = certificates._DIVISOR.load({"surface": "B", "coeffs": digits}, memo)
+    reordered = certificates._DIVISOR.load({"coeffs": list(digits), "surface": "B"}, memo)
+    assert reordered is first
+    other_surface = certificates._DIVISOR.load({"surface": "Bprime", "coeffs": digits}, memo)
+    assert other_surface is not first and other_surface.surface is Surface.BPRIME
+    for alias in (
+        {"surface": "B", "coeffs": "".join(digits)},  # its characters are the same strings
+        {"surface": "B", "coeffs": [int(c) for c in digits]},
+        {"surface": "B", "coeffs": [*digits[:-1], [digits[-1]]]},
+        {"surface": "B", "coeffs": digits, "extra": True},
+        {"surface": ["B"], "coeffs": digits},
+    ):
+        with pytest.raises(SchemaError):
+            certificates._DIVISOR.load(alias, memo)
+
+
+def _deepest_parsed(make):
+    """The largest n for which loads_json accepts make(n)."""
+    lo, hi = 1, 1 << 20
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            loads_json(make(mid))
+            lo = mid
+        except SchemaError:
+            hi = mid
+    return lo
+
+
+def test_a_copy_nested_to_the_parse_limit_is_a_one_line_schema_error(certs):
+    """Keying a copy on its text encodes it again, which can overflow the
+    stack where parsing it did not."""
+    text = _second_copy_changed(dumps_certificates(_same_report_pair(certs)),
+                                ("report", "nonsplit"), lambda _: "@")
+
+    def nested(n):
+        return text.replace('"@"', "[" * n + "]" * n)
+
+    deepest = _deepest_parsed(nested)
+    assert deepest > 50
+    for n in range(deepest, deepest - 8, -1):
+        with pytest.raises(SchemaError) as exc:
+            loads_certificates(nested(n))
+        assert str(exc.value) == "certificates[1].report: field 'nonsplit' must be a boolean"
 
 
 def test_dumps_rejects_what_json_cannot_encode(certs):

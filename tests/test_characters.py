@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ellspec import characters, linalg
 from ellspec.characters import (
     LAMBDA_COLUMNS,
     SPANNING_CHARACTERS,
@@ -29,6 +32,13 @@ def test_all_spanning_characters_in_lattice():
     assert len(SPANNING_CHARACTERS) == 7
     for chi in SPANNING_CHARACTERS:
         assert chi_in_lattice(chi)
+
+
+@given(st.lists(st.integers() | st.integers(-(10**200), 10**200), min_size=12, max_size=12))
+def test_component_image_matches_the_rational_product(chi):
+    image = component_image(chi)
+    assert image == tuple(linalg.mat_vec(characters._COMPONENT_MATRIX, chi))
+    assert all(type(v) is int for v in image)
 
 
 def test_single_point_not_in_lattice():
