@@ -29,6 +29,16 @@ integral and the step keeps d2 mod 2 and d3 mod 3, so the integrality
 detail is unchanged too.  One process emits each point, in the order of
 the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
+
+verify_certificate reads the fresh report once per shape by the same
+invariance: a bounded memo keyed on (k2, k3, u, x, m, d2 mod 2, d3 mod 3,
+a2, a3, h') evaluates it at the representative (d2 mod 2, d3 mod 3) of the
+key's d-grid coset.  The key keeps the residues, not just the shape, since
+the integrality detail reads d2 mod 2 and d3 mod 3 and a genuine
+certificate off its congruences stores that failing detail.  The
+invariance covers the stored twists only once they are tied to the
+parametrization, so each certificate's twist check runs before the lookup;
+that also keeps a tampered twist reported as such whatever the polarization.
 """
 
 from __future__ import annotations
@@ -358,21 +368,23 @@ def solve(
 def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """Recompute a certificate from its raw parameters and compare.
 
-    Returns the fresh report; raises TamperError if the stored twist
-    classes, any stored report entry or the stored notes disagree with
-    recomputation.
+    Returns the fresh report, one object shared by every certificate of the
+    shape and d-residues (see the module docstring); raises TamperError if
+    the stored twist classes, any stored report entry or the stored notes
+    disagree with recomputation.
     """
-    if not m_space_check(cert.m_class):
-        raise TamperError("stored m-space class fails the m-space check")
-    if cert.z is not None and cert.m_class != cert.z * _M1:
-        raise TamperError("stored m-space class disagrees with z")
+    error = _m_class_error(cert.z, cert.m_class)
+    if error is not None:
+        raise TamperError(error)
+    p = cert.params
     l2, l3 = build_l_classes_m(
-        cert.row.k2, cert.row.k3, cert.u, cert.x, cert.m_class,
-        cert.params.d2, cert.params.d3, sum(cert.params.a2), sum(cert.params.a3),
+        cert.row.k2, cert.row.k3, cert.u, cert.x, cert.m_class, p.d2, p.d3, sum(p.a2), sum(p.a3),
     )
-    if l2 != cert.params.l2 or l3 != cert.params.l3:
+    if l2 != p.l2 or l3 != p.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
-    fresh = evaluate_constraints(cert.params, _stored_polarization(tuple(cert.hprime)))
+    fresh = _shape_report(
+        p.k2, p.k3, cert.u, cert.x, cert.m_class, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
+    )
     if cert.report != fresh:
         difference = _report_difference(cert.report, fresh)
         raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
@@ -380,6 +392,25 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
         shown = f"stored {_shown(cert.notes)}, recomputed {_shown(fresh.notes)}"
         raise TamperError(f"stored notes disagree with recomputation: {shown}")
     return fresh
+
+
+@lru_cache(maxsize=128)  # bounded: the classes come from files
+def _m_class_error(z: int | None, m_class: DivisorClass) -> str | None:
+    """Why a stored m-space class fails, or None: the m-space check, then z."""
+    if not m_space_check(m_class):
+        return "stored m-space class fails the m-space check"
+    if z is not None and m_class != z * _M1:
+        return "stored m-space class disagrees with z"
+    return None
+
+
+@lru_cache(maxsize=128)  # bounded: the shapes come from files
+def _shape_report(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime) -> ConstraintReport:
+    """The report of every certificate on the d-grid coset of the key, read
+    at its representative (d2, d3) = (d2 mod 2, d3 mod 3)."""
+    l2, l3 = build_l_classes_m(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, sum(a2), sum(a3))
+    params = BundleParams(k2, k3, d2_mod_2, d3_mod_3, a2, a3, l2, l3)
+    return evaluate_constraints(params, _stored_polarization(hprime))
 
 
 # one class per stored triple; bounded, since the triples come from files

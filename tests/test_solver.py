@@ -26,7 +26,7 @@ from ellspec.assembly import (
     polarization_class,
 )
 from ellspec.certificates import dumps_certificates
-from ellspec.errors import SurfaceMismatchError, TamperError
+from ellspec.errors import PolarizationError, SurfaceMismatchError, TamperError
 from ellspec.hecke import means_gap
 from ellspec.lattice import Surface, intersect, m_space_check, named_class, named_combination
 from ellspec.solver import (
@@ -467,16 +467,22 @@ def test_verify_detects_a_forged_report_note():
     )
 
 
+def _genuine(row, u, x, m_class, d2, d3, a2, a3, hprime=DEFAULT_HPRIME, z=None):
+    """A certificate whose stored twists and report are those of its point,
+    whatever the report says."""
+    l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, m_class, d2, d3, sum(a2), sum(a3))
+    params = BundleParams(row.k2, row.k3, d2, d3, a2, a3, l2, l3)
+    report = evaluate_constraints(params, polarization_class(hprime))
+    return solver_module.SolutionCertificate(
+        row=row, k=row.k, u=u, x=x, z=z, m_class=m_class, params=params,
+        hprime=hprime, report=report, notes=report.notes,
+    )
+
+
 def _certificate_on(row):
     """A certificate at one fixed point of a row, whatever its report says;
     on the k = 1 row, (3, 5), solve finds none."""
-    l2, l3 = build_l_classes_m(row.k2, row.k3, -3, 5, M1, 0, 1, 0, 0)
-    params = BundleParams(row.k2, row.k3, 0, 1, (0, 0), (0, 0, 0), l2, l3)
-    report = evaluate_constraints(params, default_polarization())
-    return solver_module.SolutionCertificate(
-        row=row, k=row.k, u=-3, x=5, z=1, m_class=M1, params=params,
-        hprime=DEFAULT_HPRIME, report=report, notes=report.notes,
-    )
+    return _genuine(row, -3, 5, M1, 0, 1, (0, 0), (0, 0, 0), z=1)
 
 
 @pytest.mark.parametrize("row", enumerate_table1(), ids=lambda r: f"{r.k2},{r.k3}")
@@ -578,9 +584,11 @@ def test_stored_polarization_cache_stays_bounded():
         hprime = (25, 144 + j, 168 + j)
         report = evaluate_constraints(cert.params, polarization_class(hprime))
         verify_certificate(dataclasses.replace(cert, hprime=hprime, report=report))
-    info = solver_module._stored_polarization.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize < 200
+    for memo in (solver_module._stored_polarization, solver_module._shape_report,
+                 solver_module._m_class_error):
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 200
 
 
 def test_verify_detects_mismatched_m_class():
@@ -866,6 +874,179 @@ def test_solve_candidate_pins_the_nonconstant_box():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "beba872487bd9b10872d743a2d5d258f9a4828d8c26eb4f0e09999c540cceaa1"
     )
+
+
+# === verify reads one report per shape and d-residues ===
+
+
+def _stepped(cert, i, j):
+    """The genuine certificate i steps along d2 and j along d3 from cert."""
+    p = cert.params
+    return _genuine(
+        cert.row, cert.u, cert.x, cert.m_class, p.d2 + 2 * i, p.d3 + 3 * j, p.a2, p.a3,
+        cert.hprime, cert.z,
+    )
+
+
+def _clear_verify_memos():
+    solver_module._shape_report.cache_clear()
+    solver_module._m_class_error.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(enumerate_table1()),
+    st.fractions(min_value=-8, max_value=8, max_denominator=6),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    st.tuples(_thirds(2), _thirds(2), _thirds(2)),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 2),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([-1, 1]),
+    st.sampled_from([-1, 1]),
+    st.sampled_from([(25, 144, 168), (3, 21, 21), (7, 2, 3)]),
+)
+def test_verify_memo_equals_direct_evaluation(row, u, x, m, a2, a3, d2, d3, i, j, hprime):
+    """The report verify returns is the report evaluated at the certificate
+    itself: from a cleared memo, and from the entry a sibling one step away
+    in d2 (+-2) and in d3 (+-3) left behind.  Every row, rational u and x,
+    m-classes in thirds, non-constant lists, d on and off its congruences."""
+    m_class = named_combination(BP, dict(zip(("m1", "m2", "m3"), m)))
+    cert = _genuine(row, u, x, m_class, d2, d3, a2, a3, hprime)
+    direct = evaluate_constraints(cert.params, polarization_class(hprime))
+    _clear_verify_memos()
+    assert verify_certificate(cert) == direct
+    _clear_verify_memos()
+    verify_certificate(_stepped(cert, i, j))
+    hits = solver_module._shape_report.cache_info().hits
+    assert verify_certificate(cert) == direct
+    assert solver_module._shape_report.cache_info().hits == hits + 1
+
+
+def _bump_entry(report, name):
+    entries = tuple(
+        dataclasses.replace(e, value=e.value + 1) if e.name == name else e for e in report.entries
+    )
+    return dataclasses.replace(report, entries=entries)
+
+
+_TWIST_MESSAGE = "stored twist classes disagree with the parametrization"
+_REPORT_MESSAGE = "stored constraint report disagrees with recomputation at "
+# field -> (doctoring, the start of the TamperError message it must raise)
+_DOCTORS = {
+    "u": (lambda c: dataclasses.replace(c, u=c.u + 1), _TWIST_MESSAGE),
+    "x": (lambda c: dataclasses.replace(c, x=c.x + 1), _TWIST_MESSAGE),
+    "z": (lambda c: dataclasses.replace(c, z=c.z + 1), "stored m-space class disagrees with z"),
+    "m_class": (
+        lambda c: dataclasses.replace(c, m_class=E4), "stored m-space class fails the m-space check"
+    ),
+    "params.d2": (
+        lambda c: dataclasses.replace(c, params=dataclasses.replace(c.params, d2=c.params.d2 + 2)),
+        _TWIST_MESSAGE,
+    ),
+    "params.l2": (
+        lambda c: dataclasses.replace(
+            c, params=dataclasses.replace(c.params, l2=c.params.l2 + named_class(BP, "l"))
+        ),
+        _TWIST_MESSAGE,
+    ),
+    "report.c3": (
+        lambda c: dataclasses.replace(c, report=dataclasses.replace(c.report, c3=c.report.c3 + 1)),
+        _REPORT_MESSAGE + "c3:",
+    ),
+    "report.S_s": (
+        lambda c: dataclasses.replace(c, report=_bump_entry(c.report, "S_s")),
+        _REPORT_MESSAGE + "S_s.value:",
+    ),
+    "report.notes": (
+        lambda c: dataclasses.replace(c, report=dataclasses.replace(c.report, notes=("forged",))),
+        _REPORT_MESSAGE + "notes:",
+    ),
+    "notes": (
+        lambda c: dataclasses.replace(c, notes=("forged",)),
+        "stored notes disagree with recomputation:",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_DOCTORS))
+def test_verify_tamper_message_does_not_depend_on_the_memo(field):
+    """A doctored certificate raises the same TamperError from cleared memos
+    and after its genuine self and a d-grid sibling filled them."""
+    cert = _quick_cert()
+    doctor, start = _DOCTORS[field]
+    doctored = doctor(cert)
+    messages = []
+    for genuine in ((), (cert, _stepped(cert, 1, -1))):
+        _clear_verify_memos()
+        for sibling in genuine:
+            verify_certificate(sibling)
+        with pytest.raises(TamperError) as exc:
+            verify_certificate(doctored)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(start)
+
+
+_QUICK_POINT = (Table1Row(3, 6, 6, -4), -3, 5, M1)
+# pairs of genuine certificates that differ only where the memo key does:
+# d2 mod 2, d3 mod 3, the polarization and the lists (same sums, so the
+# same twists); the first of each pair is all-pass
+_KEPT_APART = {
+    "d2-odd": ((0, 1, (0, 0), (0, 0, 0)), (1, 1, (0, 0), (0, 0, 0))),
+    "d3-mod-3-is-0": ((0, 1, (0, 0), (0, 0, 0)), (0, 0, (0, 0), (0, 0, 0))),
+    "d3-mod-3-is-2": ((0, 1, (0, 0), (0, 0, 0)), (0, -1, (0, 0), (0, 0, 0))),
+    "polarization": ((0, 1, (0, 0), (0, 0, 0), DEFAULT_HPRIME), (0, 1, (0, 0), (0, 0, 0), (3, 21, 21))),
+    "lists": ((0, 1, (1, 1), (0, 0, 0)), (0, 1, (0, 2), (0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEPT_APART))
+def test_verify_keeps_apart_what_the_memo_key_separates(name):
+    """Each certificate verifies with its own report before and after its
+    partner, in either order; an off-congruence d stores its honest, failing
+    integrality entry."""
+    first, second = (_genuine(*_QUICK_POINT, *point) for point in _KEPT_APART[name])
+    assert first.report.all_pass and first.report != second.report
+    if name.startswith("d"):
+        assert not second.report.entry("integrality").passes
+    for order in ((first, second, first), (second, first, second)):
+        _clear_verify_memos()
+        for cert in order:
+            assert verify_certificate(cert) == cert.report
+
+
+def test_verify_reports_a_tampered_twist_before_a_non_ample_polarization():
+    """The twist check runs before the report is looked up, and a
+    PolarizationError from the lookup is raised again, not remembered."""
+    cert = dataclasses.replace(_quick_cert(), hprime=(0, 1, 1))
+    for _ in range(2):
+        with pytest.raises(PolarizationError):
+            verify_certificate(cert)
+    tampered = _DOCTORS["params.l2"][0](cert)
+    with pytest.raises(TamperError) as exc:
+        verify_certificate(tampered)
+    assert str(exc.value) == _TWIST_MESSAGE
+
+
+def test_verify_evaluates_each_quick_box_shape_once(monkeypatch):
+    """The 416 quick-box certificates come from 4 (u, x, z, m, a2, a3)
+    shapes on one d-residue, and verify evaluates one report for each."""
+    certs = solve(3, 6, SMALL_BOUNDS)
+    shapes = {(c.u, c.x, c.z, c.m_class, c.params.a2, c.params.a3) for c in certs}
+    assert (len(certs), len(shapes)) == (416, 4)
+    calls = []
+
+    def counted(params, hprime):
+        calls.append(params)
+        return evaluate_constraints(params, hprime)
+
+    monkeypatch.setattr(solver_module, "evaluate_constraints", counted)
+    _clear_verify_memos()
+    for cert in certs:
+        assert verify_certificate(cert).all_pass
+    assert len(calls) == 4
 
 
 # === search inputs are checked before any work starts ===
