@@ -23,16 +23,16 @@ one certificate object or {"version": "1", "certificates": [...]}.
 ``certificate_to_dict`` is the written text parsed back.
 
 Each call handles a recurring object once, as ``solve`` shares one report,
-row, hprime and twist class among many certificates.  The writer renders a
-value once per codec and indentation it occurs at (keyed by ``id``, the
-object held for the call).  The loader keys a row, hprime or report on its
-JSON text (``json.dumps`` of the parsed copy) and a divisor class on its
-surface and coefficient strings, and checks and builds only the first copy
-of each; a copy that fails is never kept, so every later copy with other
-text is checked on its own.  A loaded file thus shares what ``solve``
-shares, classes included.  Neither memo outlives its call, and the bytes
-written and the errors raised are those of rendering and loading every copy
-on its own.
+row, hprime and twist class among many certificates.  The writer renders an
+object once per declaration and indentation it occurs at (keyed by ``id``,
+the object held for the call).  The loader has one rule for a shared object
+(a row, hprime, report or divisor class): a copy with exactly its keys is
+keyed on the ``repr`` of its values in declaration order, and only the first
+copy of each key is checked and built; a copy with any other keys, or one
+that fails, is never kept, so it is checked on its own.  A loaded file thus
+shares what ``solve`` shares, classes included.  Neither memo outlives its
+call, and the bytes written and the errors raised are those of rendering and
+loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ BASIS_CONVENTION = (
 )
 
 # The canonical spelling; "0/q" and "p/1" match and are rejected by
-# _rational_parts.  Each run of digits is capped at CPython's default
+# rational_from_str.  Each run of digits is capped at CPython's default
 # int-string limit, so no text costs more than one bounded int conversion.
 _RATIONAL = re.compile(r"(0|-?[1-9][0-9]{0,4299})(?:/([1-9][0-9]{0,4299}))?")
 _INTEGER = r"(?:0|-?[1-9][0-9]{0,4299})"
@@ -71,8 +71,7 @@ def rational_to_str(value: Fraction) -> str:
     return str(value)
 
 
-def _rational_parts(text: Any) -> tuple[int, int]:
-    """Numerator and denominator of a canonical rational string."""
+def rational_from_str(text: Any) -> Fraction:
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {text!r}")
     match = _RATIONAL.fullmatch(text)
@@ -81,44 +80,13 @@ def _rational_parts(text: Any) -> tuple[int, int]:
     p, q = match.groups()
     try:
         if q is None:
-            return int(p), 1
+            return Fraction(int(p))
         p, q = int(p), int(q)
     except ValueError as exc:  # a lowered sys.set_int_max_str_digits
         raise SchemaError(f"rational too long: {text[:40]!r}...") from exc
     if q == 1 or gcd(p, q) != 1:
         raise SchemaError(f"non-canonical rational spelling: {text[:40]!r}")
-    return p, q
-
-
-def rational_from_str(text: Any) -> Fraction:
-    return Fraction(*_rational_parts(text))
-
-
-def divisor_to_json(d: DivisorClass) -> dict:
-    coeffs = d.num if d.den == 1 else d.coeffs
-    return {"surface": d.surface.value, "coeffs": list(map(str, coeffs))}
-
-
-def divisor_from_json(obj: Any) -> DivisorClass:
-    if not isinstance(obj, dict) or set(obj) != {"surface", "coeffs"}:
-        raise SchemaError("divisor classes need exactly 'surface' and 'coeffs'")
-    try:
-        surface = Surface(obj["surface"])
-    except ValueError as exc:
-        raise SchemaError(f"unknown surface tag {obj['surface']!r}", ("surface",)) from exc
-    coeffs = obj["coeffs"]
-    try:  # the common case, integer coefficients, in one match
-        if coeffs.__class__ is list and _INTEGRAL.fullmatch(",".join(coeffs)):
-            return _from_ints(surface, tuple(map(int, coeffs)), 1)
-    except (TypeError, ValueError):  # not all strings, or past a lowered digit limit
-        pass
-    try:
-        nums, dens = zip(*_COEFFS.load(coeffs, None))
-    except SchemaError as exc:
-        exc.path = ("coeffs", *exc.path)
-        raise
-    den = lcm(*dens)
-    return _from_ints(surface, tuple(p * (den // q) for p, q in zip(nums, dens)), den)
+    return Fraction(p, q)
 
 
 class _Scalar(namedtuple("_Scalar", "what types")):
@@ -130,24 +98,15 @@ class _Scalar(namedtuple("_Scalar", "what types")):
         raise SchemaError(f"expected {self.what}")
 
 
-class _Codec(namedtuple("_Codec", "spell parse key", defaults=[None])):
+class _Codec(namedtuple("_Codec", "spell parse")):
     """A value with its own JSON spelling: spell gives the JSON value, parse
-    takes it back.  A codec with a key parses once per call the JSON values
-    that key maps to one hashable; key gives None for a value it cannot
-    vouch for, which is parsed on its own."""
+    takes it back."""
 
     def write(self, value: Any, newline: str, memo: dict, out: list[str]) -> None:
         _emit(self.spell(value), newline, out)
 
     def load(self, value: Any, memo: dict) -> Any:
-        key = self.key and self.key(value)
-        if key is None:
-            return self.parse(value)
-        memo_key = (self, key)
-        parsed = memo.get(memo_key)
-        if parsed is None:
-            parsed = memo[memo_key] = self.parse(value)
-        return parsed
+        return self.parse(value)
 
 
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
@@ -182,7 +141,7 @@ class _Object:
     """One JSON object: the fixed head, then one key and one codec per value
     that ``read`` takes off a Python value and ``build`` takes back, in that
     order.  A key in ``optional`` is left out while its value is None.  A
-    ``shared`` object is checked and built once per distinct JSON text."""
+    ``shared`` object is checked and built once per distinct copy."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
@@ -190,7 +149,8 @@ class _Object:
         self.read, self.build, self.shared = read, build, shared
         self.plan = tuple(zip(keys, kinds, strict=True))
         self.head = head or {}
-        self.allowed = frozenset(self.head) | frozenset(keys)
+        self.keys = (*self.head, *keys)
+        self.allowed = frozenset(self.keys)
         self.required = self.allowed - optional
         # each key as written, '"key": '; the head's values are written in place
         self.head_lines = tuple(_quote(k) + ": " + _quote(v) for k, v in self.head.items())
@@ -214,14 +174,15 @@ class _Object:
         out.append(newline + "}" if sep is comma else "{}")
 
     def load(self, obj: Any, memo: dict) -> Any:
-        if not self.shared:
+        # repr is one-to-one on parsed JSON, exact types included (1, True
+        # and 1.0 differ), so two copies with exactly the allowed keys and
+        # the same values in declaration order pass the same checks and build
+        # equal objects.  Only a built object is kept: a failing copy raises
+        # wherever it occurs.
+        if not self.shared or obj.__class__ is not dict or obj.keys() != self.allowed:
             return self._check_and_build(obj, memo)
-        # json.dumps is one-to-one on parsed JSON, exact types and key order
-        # included (1, true and 1.0 differ), so a copy with the same text
-        # passes the same checks and builds an equal object.  Only a built
-        # object is kept: a failing copy raises wherever it occurs.
         try:
-            memo_key = (self, json.dumps(obj))
+            memo_key = (self, repr([obj[key] for key in self.keys]))
         except RecursionError:  # nested too deep for any declared value: the checks reject it
             return self._check_and_build(obj, memo)
         built = memo.get(memo_key)
@@ -263,17 +224,27 @@ def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
     return _Object(keys, kinds, attrgetter(*keys), cls, head, optional, shared)
 
 
-def _class_key(obj: Any) -> tuple[str, ...] | None:
-    """(surface, *coeffs) of a two-key object whose surface is a string and
-    whose coeffs are an array of strings, else None.  As a string equals
-    only a string, equal keys mean the same strings, which parse alike; only
-    the key order, which the loader ignores, can differ."""
-    if obj.__class__ is dict and len(obj) == 2:
-        surface, coeffs = obj.get("surface"), obj.get("coeffs")
-        if (surface.__class__ is str and coeffs.__class__ is list
-                and all(c.__class__ is str for c in coeffs)):
-            return (surface, *coeffs)
-    return None
+def _surface_from_json(tag: Any) -> Surface:
+    try:
+        return Surface(tag)
+    except ValueError:
+        raise SchemaError(f"unknown surface tag {tag!r}") from None
+
+
+def _coeffs_to_json(d: DivisorClass) -> list[str]:
+    return list(map(str, d.num if d.den == 1 else d.coeffs))
+
+
+def _coeffs_from_json(coeffs: Any) -> tuple[tuple[int, ...], int]:
+    """A class's coefficients as int numerators over their lcm denominator."""
+    try:  # the common case, integer coefficients, in one match
+        if coeffs.__class__ is list and _INTEGRAL.fullmatch(",".join(coeffs)):
+            return tuple(map(int, coeffs)), 1
+    except (TypeError, ValueError):  # not all strings, or past a lowered digit limit
+        pass
+    rationals = _Array(_Q, RANK).load(coeffs, None)  # each checked at its index
+    den = lcm(*(q.denominator for q in rationals))
+    return tuple(q.numerator * (den // q.denominator) for q in rationals), den
 
 
 def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
@@ -292,10 +263,12 @@ _STR = _Scalar("a string", (str,))
 _INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
 _STRS = _Array(_STR)
 _Q = _Codec(rational_to_str, rational_from_str)
-_DIVISOR = _Codec(divisor_to_json, divisor_from_json, _class_key)
-_COEFFS = _Array(_Codec(None, _rational_parts), RANK)  # read only, as (p, q) pairs
+_SURFACE = _Codec(attrgetter("value"), _surface_from_json)
+_COEFFS = _Codec(_coeffs_to_json, _coeffs_from_json)
 
 # The format, one declaration per JSON object.
+_DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _COEFFS), lambda d: (d.surface, d),
+                   lambda surface, coeffs: _from_ints(surface, *coeffs), shared=True)
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
 _PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
                   _DIVISOR, _DIVISOR)
@@ -321,11 +294,10 @@ def _dumps(kind: Any, value: Any, end: str = "") -> str:
 
 def _write(kind: Any, value: Any, newline: str, memo: dict, out: list[str]) -> None:
     """Append the text of a non-scalar value that kind declares, at the
-    indentation that newline ends with.  An array is written in place, around
-    its items; an object or a spelled value is rendered once per (codec,
-    object, indentation) in the call, the memo holding the object so that its
-    id is not reused."""
-    if kind.__class__ is _Array:
+    indentation that newline ends with.  An object is rendered once per
+    (declaration, object, indentation) in the call, the memo holding the
+    object so that its id is not reused; anything else is written in place."""
+    if kind.__class__ is not _Object:
         kind.write(value, newline, memo, out)
         return
     key = (id(kind), id(value), newline)
@@ -335,6 +307,14 @@ def _write(kind: Any, value: Any, newline: str, memo: dict, out: list[str]) -> N
         kind.write(value, newline, memo, text)
         hit = memo[key] = (value, "".join(text))
     out.append(hit[1])
+
+
+def divisor_to_json(d: DivisorClass) -> dict:
+    return json.loads(_dumps(_DIVISOR, d))
+
+
+def divisor_from_json(obj: Any) -> DivisorClass:
+    return _DIVISOR.load(obj, {})
 
 
 def bundle_params_to_json(params: BundleParams) -> dict:
@@ -368,48 +348,31 @@ _SPELL = {
 }
 
 
+def _spell(value: Any) -> str:
+    """``json.dumps(value)`` of a str, int, bool or None (exact types;
+    anything else is a TypeError)."""
+    spell = _SPELL.get(value.__class__)
+    if spell is None:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return spell(value)
+
+
 def _emit(value: Any, newline: str, out: list[str]) -> None:
-    """Append ``json.dumps(value, indent=2)`` to out, for a value built from
-    dict, list, str, int, bool and None (exact types; anything else is a
-    TypeError); newline is a line break followed by the indentation of
-    value's own line."""
+    """Append ``json.dumps(value, indent=2)`` to out, for a scalar or a dict
+    or list of scalars (a non-str key or a nested value is a TypeError);
+    newline is a line break followed by the indentation of value's own line."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key, item in value.items():  # _quote raises TypeError on a non-str key
-            spell = _SPELL.get(item.__class__)
-            if spell is None:
-                out.append(sep + _quote(key) + ": ")
-                _emit(item, inner, out)
-            else:  # a scalar, spelled in place
-                out.append(sep + _quote(key) + ": " + spell(item))
-            sep = comma
-        out.append(newline + "}")
+        items, brackets = (_quote(k) + ": " + _spell(v) for k, v in value.items()), "{}"
     elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        if value[0].__class__ is str:
-            try:  # the common case, an array of strings, in one join
-                out.append(sep + comma.join(map(_quote, value)) + newline + "]")
-                return
-            except TypeError:
-                pass
-        for item in value:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = comma
-        out.append(newline + "]")
+        items, brackets = map(_spell, value), "[]"
     else:
-        spell = _SPELL.get(value.__class__)
-        if spell is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-        out.append(spell(value))
+        out.append(_spell(value))
+        return
+    if not value:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    out.append(brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1])
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -502,14 +502,20 @@ def _second_copy_changed(text, where, value):
          r"^certificates\[1\]\.report: field 'nonsplit' must be a boolean$"),
         (("hprime", "f"), float, r"^certificates\[1\]\.hprime: field 'f' must be an integer$"),
         (("row", "k2"), float, r"^certificates\[1\]\.row: field 'k2' must be an integer$"),
+        (("m_class", "coeffs", 4), int,
+         r"^certificates\[1\]\.m_class\.coeffs\[4\]: expected a rational string, got 1$"),
     ],
-    ids=["report-bool-as-int", "hprime-int-as-float", "row-int-as-float"],
+    ids=["report-bool-as-int", "hprime-int-as-float", "row-int-as-float", "class-str-as-int"],
 )
 def test_copies_differing_only_in_json_type_stay_apart(certs, where, value, message):
-    """json.loads gives 1 == True == 1.0: the copies' texts must still differ."""
+    """json.loads gives 1 == True == 1.0, and str(1) is "1": a copy equal to
+    the first under either must still be checked on its own."""
     pair = _same_report_pair(certs)
+    assert pair[0].m_class is pair[1].m_class
     text = _second_copy_changed(dumps_certificates(pair), where, value)
-    assert json.loads(text) == json.loads(dumps_certificates(pair))
+    first = _node(json.loads(text)["certificates"][0], where)
+    changed = _node(json.loads(text)["certificates"][1], where)
+    assert changed == first or str(changed) == first
     with pytest.raises(SchemaError, match=message):
         loads_certificates(text)
 
@@ -525,17 +531,29 @@ def _keys_reversed(value):
 
 def test_a_copy_with_its_keys_in_another_order_loads_equal(certs):
     pair = _same_report_pair(certs)
+    shared = ("row", "hprime", "report", "m_class")
+    obj = json.loads(dumps_certificates(pair))
+    second = obj["certificates"][1]
+    for key in shared:  # a shared object's own keys reversed: the first copy's object
+        second[key] = dict(reversed(second[key].items()))
+    assert list(second["report"]) == list(reversed(obj["certificates"][0]["report"]))
+    loaded = loads_certificates(json.dumps(obj, indent=2))
+    assert loaded == pair
+    for key in shared:
+        assert getattr(loaded[1], key) is getattr(loaded[0], key)
+    # every object's keys reversed: equal, but the report's entries are other values
     obj = json.loads(dumps_certificates(pair))
     obj["certificates"][1] = _keys_reversed(obj["certificates"][1])
-    assert list(obj["certificates"][1]["report"]) == list(reversed(obj["certificates"][0]["report"]))
     loaded = loads_certificates(json.dumps(obj, indent=2))
     assert loaded == pair
     assert loaded[0].report is not loaded[1].report
-    assert loaded[0].m_class is loaded[1].m_class
-    # a detail's order is its value: reversed, it is another report
+    assert loaded[0].row is loaded[1].row and loaded[0].m_class is loaded[1].m_class
+    # a detail's order is its value: reversed in one entry, it is another report
+    obj = json.loads(dumps_certificates(pair))
     entry = next(e for e in obj["certificates"][1]["report"]["entries"] if len(e.get("detail", ())) > 1)
     entry["detail"] = dict(reversed(entry["detail"].items()))
     loaded = loads_certificates(json.dumps(obj, indent=2))
+    assert loaded[1].report is not loaded[0].report
     assert loaded[1].report.entry(entry["name"]).detail == tuple(reversed(
         pair[1].report.entry(entry["name"]).detail))
 
@@ -590,11 +608,24 @@ def test_a_copy_nested_to_the_parse_limit_is_a_one_line_schema_error(certs):
 
 
 def test_dumps_rejects_what_json_cannot_encode(certs):
+    """No JSON value, or a nested value where the loader takes a scalar: a
+    detail maps names to booleans, and json.dumps would nest a list or an
+    object there, in a file the loader refuses."""
     bad = dataclasses.replace(certs[0], notes=(object(),))
     with pytest.raises(TypeError):
         _oracle_dumps([bad])
     with pytest.raises(TypeError):
         dumps_certificates([bad])
+    for value in (["x"], {"x": True}):
+        entries = tuple(
+            dataclasses.replace(e, detail=((e.detail[0][0], value), *e.detail[1:])) if e.detail else e
+            for e in certs[0].report.entries
+        )
+        bad = dataclasses.replace(certs[0], report=dataclasses.replace(certs[0].report, entries=entries))
+        with pytest.raises(SchemaError, match=r"\.detail: field '.*' must be a boolean$"):
+            loads_certificates(_oracle_dumps([bad]))
+        with pytest.raises(TypeError):
+            dumps_certificates([bad])
 
 
 @given(st.lists(st.fractions(max_denominator=10**6), min_size=10, max_size=10))
@@ -883,15 +914,24 @@ def test_verify_error_names_the_key_path(tmp_path, path):
 
 
 def test_loader_errors_name_the_key_path():
-    obj = json.loads(GOLDEN.read_text())
-    obj["report"]["c2_deficit"][1] = "x"
-    with pytest.raises(SchemaError) as caught:
-        certificate_from_dict(obj)
-    assert str(caught.value) == "report.c2_deficit[1]: not a canonical rational: 'x'"
+    cases = [
+        (lambda obj: obj["report"]["c2_deficit"].__setitem__(1, "x"),
+         "report.c2_deficit[1]: not a canonical rational: 'x'"),
+        (lambda obj: obj["params"]["l2"]["coeffs"].__setitem__(3, "2/4"),
+         "params.l2.coeffs[3]: non-canonical rational spelling: '2/4'"),
+        # a divisor class is an object of the table like any other
+        (lambda obj: obj["params"]["l2"].pop("coeffs"), "params.l2: missing field 'coeffs'"),
+        (lambda obj: obj["m_class"].update(extra=1), "m_class: unknown field 'extra'"),
+        (lambda obj: obj["params"]["l3"].update(surface="A"),
+         "params.l3.surface: unknown surface tag 'A'"),
+        (lambda obj: obj["params"].update(l2=[]), "params.l2: expected an object"),
+    ]
+    for doctor, message in cases:
+        obj = json.loads(GOLDEN.read_text())
+        doctor(obj)
+        with pytest.raises(SchemaError) as caught:
+            certificate_from_dict(obj)
+        assert str(caught.value) == message
     text = json.dumps({"version": "1", "certificates": [_GOLDEN_OBJ, 3]})
     with pytest.raises(SchemaError, match=r"^certificates\[1\]: expected an object$"):
         loads_certificates(text)
-    obj = json.loads(GOLDEN.read_text())
-    obj["params"]["l2"]["coeffs"][3] = "2/4"
-    with pytest.raises(SchemaError, match=r"^params\.l2\.coeffs\[3\]: non-canonical"):
-        certificate_from_dict(obj)
