@@ -16,29 +16,29 @@ multiplicity lists.  One scan serves both kinds of m-class:
                   keeps (u, m) when lo <= hi, since gaps <= 0 only raise lo
     feasibility   the integer point (u, x, m) lies in the window
 
-Each surviving (u, x, m, a2, a3) shape is crossed with its d-grid.  A grid
-step maps (d_i, l_i) to (d_i + i, l_i - f'), so the twists are built once
-per shape and stepped, and the report is evaluated once: with
-c_i = binom(i+1, 2) - i, it reads l_i only through
+Each surviving (u, x, m, a2, a3) shape is crossed with its d-grid by one
+coset rule, shared by solve and verify_certificate.  A grid step maps
+(d_i, l_i) to (d_i + i, l_i - f'), so `_coset` builds the twists and
+evaluates the report once, at the representative (d2 mod 2, d3 mod 3), and
+the twist at d is the representative's minus (d2 // 2) f' for l2 and
+(d3 // 3) f' for l3.  With c_i = binom(i+1, 2) - i, the report reads l_i
+only through
 
     c1(V_i) = i l_i + (d_i - i k_i + c_i) f' - S^1 (n1'+o2'),    l_i.f',
     i l_i.l_i + 2 (d_i - i k_i + c_i) l_i.f' - 2 S^1 l_i.(n1'+o2'),
 
 each unchanged by the step since f'.f' = 0 and f'.(n1'+o2') = 0; f' is
-integral and the step keeps d2 mod 2 and d3 mod 3, so the integrality
-detail is unchanged too.  One process emits each point, in the order of
-the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
+integral and the step keeps d2 mod 2 and d3 mod 3, which the integrality
+detail reads, so that is unchanged too.  solve emits each point, in the
+order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
-
-verify_certificate reads the fresh report once per shape by the same
-invariance: a bounded memo keyed on (k2, k3, u, x, m, d2 mod 2, d3 mod 3,
-a2, a3, h') evaluates it at the representative (d2 mod 2, d3 mod 3) of the
-key's d-grid coset.  The key keeps the residues, not just the shape, since
-the integrality detail reads d2 mod 2 and d3 mod 3 and a genuine
-certificate off its congruences stores that failing detail.  The
+verify_certificate reads the coset from a bounded memo keyed on (k2, k3, u,
+x, m, d2 mod 2, d3 mod 3, a2, a3, h'); the key keeps the residues, since a
+genuine certificate off its congruences stores that failing detail.  The
 invariance covers the stored twists only once they are tied to the
-parametrization, so each certificate's twist check runs before the lookup;
-that also keeps a tampered twist reported as such whatever the polarization.
+parametrization, so each certificate's stepped twists are compared before
+its report; that also keeps a tampered twist reported as such whatever the
+polarization.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .assembly import (
     DEFAULT_HPRIME,
     BundleParams,
     ConstraintReport,
+    _certified_ample,
     _require_ample,
     congruence_check,
     evaluate_constraints,
@@ -228,8 +229,9 @@ class SearchBounds:
 class SolutionCertificate:
     """A parameter point together with its all-pass constraint report.
 
-    The certificate is re-verifiable: the twist classes and the report are
-    recomputed from the raw parameters and compared against the stored ones.
+    The certificate is re-verifiable by the one coset rule `solve` emits it
+    with: the twist classes and the report are recomputed from the raw
+    parameters at its d-grid coset and compared against the stored ones.
     """
 
     row: Table1Row
@@ -271,13 +273,23 @@ def _congruent(bound: int, congruence) -> range:
     return range(-bound + (residue + bound) % modulus, bound + 1, modulus)
 
 
-def _twists_along(start: DivisorClass, count: int) -> list[DivisorClass]:
-    """A twist at count successive grid steps of its d-axis: each step
-    (d2 + 2 for l2, d3 + 3 for l3) subtracts f'."""
-    twists = [start]
-    for _ in range(count - 1):
-        twists.append(twists[-1] - _FP)
-    return twists
+def _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime):
+    """(l2, l3, report) of a shape's d-grid coset at its representative
+    (d2 mod 2, d3 mod 3); the report is None if h' is not certified ample."""
+    l2, l3 = build_l_classes_m(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, sum(a2), sum(a3))
+    hp_class = polarization_class(hprime)
+    if not _certified_ample(hp_class):
+        return l2, l3, None
+    return l2, l3, evaluate_constraints(BundleParams(k2, k3, d2_mod_2, d3_mod_3, a2, a3, l2, l3), hp_class)
+
+
+_coset_memo = lru_cache(maxsize=128)(_coset)  # verify's; bounded, since the shapes come from files
+
+
+def _step(twist: DivisorClass, steps: int) -> DivisorClass:
+    """A representative's twist moved `steps` grid steps along its d-axis
+    (d2 + 2 for l2, d3 + 3 for l3): each step subtracts f'."""
+    return combination(Surface.BPRIME, ((1, twist), (-steps, _FP)))
 
 
 def solve(
@@ -299,16 +311,20 @@ def solve(
     It runs in one process and emits in order of (u, x, z, m coefficients,
     d2, d3, a2, a3): the loops nest that way, and explicit candidates are
     scanned sorted by their coefficients, so no global sort is needed.  A
-    candidate listed twice is a ValueError.  `workers` must be 1; it remains
-    only because the benchmark's workloads pass it.
+    candidate listed twice, or an hprime that is not three ints, is a
+    ValueError; a list hprime is stored as a tuple.  `workers` must be 1; it
+    remains only because the benchmark's workloads pass it.
     """
     row = _row_for(k2, k3)
     k = row.k
     b = bounds if bounds is not None else SearchBounds()
     if workers != 1:
         raise ValueError("workers must be 1: solve runs in one process")
-    hp_class = polarization_class(hprime)
-    _require_ample(hp_class)
+    if not (isinstance(hprime, (tuple, list)) and len(hprime) == 3
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in hprime)):
+        raise ValueError(f"polarization hprime must be three ints, got {hprime!r}")
+    hprime = tuple(hprime)
+    _require_ample(polarization_class(hprime))
 
     if m_candidates is None:
         m_grid = [(z, z * _M1) for z in range(b.z_min, b.z_max + 1)]
@@ -327,7 +343,6 @@ def solve(
     d2s, d3s = _congruent(b.d_abs, d2c), _congruent(b.d_abs, d3c)
     if 3 % k != 0 or not (d2s and d3s):  # 9/k fractional (no integral twist) or no d-grid
         return []
-    start = (d2s[0], d3s[0])  # the grid point each shape is built and evaluated at
 
     lists = [
         (a2, a3, means_gap(2, a2) + means_gap(3, a3))
@@ -345,12 +360,10 @@ def solve(
                     feas = feasibility_check_m(k, u, x, m_class, gaps)
                     if not (feas.c2_ok and feas.ss_ok):
                         continue
-                    # one report for the shape's whole d-grid: see the module docstring
-                    l2, l3 = build_l_classes_m(k2, k3, u, x, m_class, *start, sum(a2), sum(a3))
-                    params = BundleParams(k2, k3, *start, a2, a3, l2, l3)
-                    report = evaluate_constraints(params, hp_class)
+                    # one coset per shape, uncached: see the module docstring
+                    l2, l3, report = _coset(k2, k3, u, x, m_class, d2c[2], d3c[2], a2, a3, hprime)
                     if report.all_pass:
-                        l2s, l3s = _twists_along(l2, len(d2s)), _twists_along(l3, len(d3s))
+                        l2s, l3s = [_step(l2, d2 // 2) for d2 in d2s], [_step(l3, d3 // 3) for d3 in d3s]
                         shapes.append((a2, a3, l2s, l3s, report))
                 certificates.extend(
                     SolutionCertificate(
@@ -366,7 +379,8 @@ def solve(
 
 
 def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
-    """Recompute a certificate from its raw parameters and compare.
+    """Recompute a certificate from its raw parameters by the one coset rule
+    `solve` emits it with, and compare.
 
     Returns the fresh report, one object shared by every certificate of the
     shape and d-residues (see the module docstring); raises TamperError if
@@ -377,14 +391,13 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     if error is not None:
         raise TamperError(error)
     p = cert.params
-    l2, l3 = build_l_classes_m(
-        cert.row.k2, cert.row.k3, cert.u, cert.x, cert.m_class, p.d2, p.d3, sum(p.a2), sum(p.a3),
-    )
-    if l2 != p.l2 or l3 != p.l3:
-        raise TamperError("stored twist classes disagree with the parametrization")
-    fresh = _shape_report(
+    l2, l3, fresh = _coset_memo(
         p.k2, p.k3, cert.u, cert.x, cert.m_class, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
     )
+    if _step(l2, p.d2 // 2) != p.l2 or _step(l3, p.d3 // 3) != p.l3:
+        raise TamperError("stored twist classes disagree with the parametrization")
+    if fresh is None:
+        _require_ample(polarization_class(cert.hprime))
     if cert.report != fresh:
         difference = _report_difference(cert.report, fresh)
         raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
@@ -402,19 +415,6 @@ def _m_class_error(z: int | None, m_class: DivisorClass) -> str | None:
     if z is not None and m_class != z * _M1:
         return "stored m-space class disagrees with z"
     return None
-
-
-@lru_cache(maxsize=128)  # bounded: the shapes come from files
-def _shape_report(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime) -> ConstraintReport:
-    """The report of every certificate on the d-grid coset of the key, read
-    at its representative (d2, d3) = (d2 mod 2, d3 mod 3)."""
-    l2, l3 = build_l_classes_m(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, sum(a2), sum(a3))
-    params = BundleParams(k2, k3, d2_mod_2, d3_mod_3, a2, a3, l2, l3)
-    return evaluate_constraints(params, _stored_polarization(hprime))
-
-
-# one class per stored triple; bounded, since the triples come from files
-_stored_polarization = lru_cache(maxsize=128)(polarization_class)
 
 
 def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str:

@@ -25,7 +25,7 @@ from ellspec.assembly import (
     evaluate_constraints,
     polarization_class,
 )
-from ellspec.certificates import dumps_certificates
+from ellspec.certificates import dumps_certificates, loads_certificates
 from ellspec.errors import PolarizationError, SurfaceMismatchError, TamperError
 from ellspec.hecke import means_gap
 from ellspec.lattice import Surface, intersect, m_space_check, named_class, named_combination
@@ -429,8 +429,20 @@ def test_solve_deterministic_and_parallel_agrees():
     assert serial == again
 
 
+def _assert_twists_built_at_their_own_d(certs):
+    """An oracle apart from the coset rule: each certificate's twists are
+    build_l_classes_m at its own (d2, d3)."""
+    for c in certs:
+        p = c.params
+        built = build_l_classes_m(c.row.k2, c.row.k3, c.u, c.x, c.m_class, p.d2, p.d3, sum(p.a2), sum(p.a3))
+        assert (p.l2, p.l3) == built
+
+
 def test_every_certificate_passes_verification():
-    for cert in solve(3, 6, SMALL_BOUNDS):
+    certs = solve(3, 6, SMALL_BOUNDS)
+    assert len(certs) == 416
+    _assert_twists_built_at_their_own_d(certs)
+    for cert in certs:
         fresh = verify_certificate(cert)
         assert fresh.all_pass
 
@@ -584,8 +596,7 @@ def test_stored_polarization_cache_stays_bounded():
         hprime = (25, 144 + j, 168 + j)
         report = evaluate_constraints(cert.params, polarization_class(hprime))
         verify_certificate(dataclasses.replace(cert, hprime=hprime, report=report))
-    for memo in (solver_module._stored_polarization, solver_module._shape_report,
-                 solver_module._m_class_error):
+    for memo in (solver_module._coset_memo, solver_module._m_class_error):
         info = memo.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize < 200
@@ -870,6 +881,7 @@ def test_solve_candidate_pins_the_nonconstant_box():
     bounds = SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=6, a_max=1)
     certs = solve(3, 6, bounds, m_candidates=[named_class(BP, "m1")], allow_nonconstant_lists=True)
     assert len(certs) == 112
+    _assert_twists_built_at_their_own_d(certs)
     text = dumps_certificates(certs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "beba872487bd9b10872d743a2d5d258f9a4828d8c26eb4f0e09999c540cceaa1"
@@ -889,7 +901,7 @@ def _stepped(cert, i, j):
 
 
 def _clear_verify_memos():
-    solver_module._shape_report.cache_clear()
+    solver_module._coset_memo.cache_clear()
     solver_module._m_class_error.cache_clear()
 
 
@@ -919,9 +931,9 @@ def test_verify_memo_equals_direct_evaluation(row, u, x, m, a2, a3, d2, d3, i, j
     assert verify_certificate(cert) == direct
     _clear_verify_memos()
     verify_certificate(_stepped(cert, i, j))
-    hits = solver_module._shape_report.cache_info().hits
+    hits = solver_module._coset_memo.cache_info().hits
     assert verify_certificate(cert) == direct
-    assert solver_module._shape_report.cache_info().hits == hits + 1
+    assert solver_module._coset_memo.cache_info().hits == hits + 1
 
 
 def _bump_entry(report, name):
@@ -931,9 +943,20 @@ def _bump_entry(report, name):
     return dataclasses.replace(report, entries=entries)
 
 
+def _with_d(c, d2=None, d3=None):
+    """c with its stored d2 or d3 replaced and its twists kept."""
+    p = c.params
+    return dataclasses.replace(c, params=dataclasses.replace(
+        p, d2=p.d2 if d2 is None else d2, d3=p.d3 if d3 is None else d3,
+    ))
+
+
 _TWIST_MESSAGE = "stored twist classes disagree with the parametrization"
 _REPORT_MESSAGE = "stored constraint report disagrees with recomputation at "
-# field -> (doctoring, the start of the TamperError message it must raise)
+# field -> (doctoring, the start of the TamperError message it must raise);
+# the quick certificate sits at (d2, d3) = (-12, -11), so every d doctor
+# lands at a negative d, and all but d2 + 2 move it off its residue (and
+# off its memo key): the steps are floor divisions, d // 2 and d // 3
 _DOCTORS = {
     "u": (lambda c: dataclasses.replace(c, u=c.u + 1), _TWIST_MESSAGE),
     "x": (lambda c: dataclasses.replace(c, x=c.x + 1), _TWIST_MESSAGE),
@@ -941,10 +964,11 @@ _DOCTORS = {
     "m_class": (
         lambda c: dataclasses.replace(c, m_class=E4), "stored m-space class fails the m-space check"
     ),
-    "params.d2": (
-        lambda c: dataclasses.replace(c, params=dataclasses.replace(c.params, d2=c.params.d2 + 2)),
-        _TWIST_MESSAGE,
-    ),
+    "params.d2": (lambda c: _with_d(c, d2=c.params.d2 + 2), _TWIST_MESSAGE),
+    "params.d2+1": (lambda c: _with_d(c, d2=c.params.d2 + 1), _TWIST_MESSAGE),
+    "params.d2=-7": (lambda c: _with_d(c, d2=-7), _TWIST_MESSAGE),
+    "params.d3+1": (lambda c: _with_d(c, d3=c.params.d3 + 1), _TWIST_MESSAGE),
+    "params.d3+2": (lambda c: _with_d(c, d3=c.params.d3 + 2), _TWIST_MESSAGE),
     "params.l2": (
         lambda c: dataclasses.replace(
             c, params=dataclasses.replace(c.params, l2=c.params.l2 + named_class(BP, "l"))
@@ -1049,6 +1073,15 @@ def test_verify_evaluates_each_quick_box_shape_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_solve_leaves_the_verify_memo_alone():
+    """solve runs the coset rule uncached: it neither reads nor fills the
+    memo verify reads, so a report patched in for one solve cannot reach a
+    later verify."""
+    before = solver_module._coset_memo.cache_info()
+    assert solve(3, 6, SMALL_BOUNDS)
+    assert solver_module._coset_memo.cache_info() == before
+
+
 # === search inputs are checked before any work starts ===
 
 
@@ -1056,6 +1089,25 @@ def test_verify_evaluates_each_quick_box_shape_once(monkeypatch):
 def test_solve_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers"):
         solve(3, 6, SCAN_BOUNDS, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "hprime",
+    [(25.5, 144, 168), (25.0, 144, 168), (Fraction(25), 144, 168), (True, 144, 168),
+     [25, 144.0, 168], (25, 144), (25, 144, 168, 0), "abc", None],
+)
+def test_solve_rejects_a_polarization_that_is_not_three_ints(hprime):
+    with pytest.raises(ValueError, match="hprime must be three ints"):
+        solve(3, 6, SMALL_BOUNDS, hprime=hprime)
+
+
+def test_solve_stores_a_list_polarization_as_a_tuple():
+    """A list of three ints is taken, and stored as the tuple a loaded
+    certificate holds, so each certificate equals its own loaded copy."""
+    certs = solve(3, 6, SMALL_BOUNDS, hprime=list(DEFAULT_HPRIME))
+    assert {type(c.hprime) for c in certs} == {tuple}
+    assert certs == solve(3, 6, SMALL_BOUNDS)
+    assert loads_certificates(dumps_certificates(certs)) == certs
 
 
 @pytest.mark.parametrize("field", ["u_abs", "x_abs", "d_abs", "a_max"])
