@@ -22,22 +22,23 @@ the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file holds
 one certificate object or {"version": "1", "certificates": [...]}.
 ``certificate_to_dict`` is the written text parsed back.
 
-Each call handles a recurring object once, as ``solve`` shares one report,
-row, hprime and twist class among many certificates.  The writer renders an
-object once per declaration and indentation it occurs at (keyed by ``id``,
-the object held for the call).  The loader has one rule for a shared object
-(a row, hprime, report or divisor class): a copy with exactly its keys is
-keyed on the ``repr`` of its values in declaration order, and only the first
-copy of each key is checked and built; a copy with any other keys, or one
-that fails, is never kept, so it is checked on its own.  A loaded file thus
-shares what ``solve`` shares, classes included.  Neither memo outlives its
-call, and the bytes written and the errors raised are those of rendering and
-loading every copy on its own.
+Each call handles a shared object (a row, hprime, report or divisor class,
+as ``solve`` shares each among many certificates) once.  The writer renders
+one once per indentation it occurs at (keyed by ``id``, the object held for
+the call) and puts everything else straight into its sink, a piece at a
+time, so ``save_certificates`` streams the text into the file.  The loader
+keys a copy with exactly its keys on the ``repr`` of its values in
+declaration order, and only the first copy of each key is checked and built;
+a copy with any other keys, or one that fails, is never kept, so it is
+checked on its own.  A loaded file thus shares what ``solve`` shares, classes
+included.  Neither memo outlives its call, and the bytes written and the
+errors raised are those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter, namedtuple
 from dataclasses import fields
@@ -97,13 +98,16 @@ class _Scalar(namedtuple("_Scalar", "what types")):
             return value
         raise SchemaError(f"expected {self.what}")
 
+    def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
+        put(_spell(value))
+
 
 class _Codec(namedtuple("_Codec", "spell parse")):
     """A value with its own JSON spelling: spell gives the JSON value, parse
     takes it back."""
 
-    def write(self, value: Any, newline: str, memo: dict, out: list[str]) -> None:
-        _emit(self.spell(value), newline, out)
+    def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
+        _emit(self.spell(value), newline, put)
 
     def load(self, value: Any, memo: dict) -> Any:
         return self.parse(value)
@@ -112,17 +116,14 @@ class _Codec(namedtuple("_Codec", "spell parse")):
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
     """A JSON array of one codec's values, loaded as a tuple."""
 
-    def write(self, values: Sequence, newline: str, memo: dict, out: list[str]) -> None:
-        if self.item.__class__ is _Scalar:
-            _emit(list(values), newline, out)
-            return
+    def write(self, values: Sequence, newline: str, memo: dict, put: Callable) -> None:
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
         for value in values:
-            out.append(sep)
-            _write(self.item, value, inner, memo, out)
+            put(sep)
+            self.item.write(value, inner, memo, put)
             sep = comma
-        out.append(newline + "]" if sep is comma else "[]")
+        put(newline + "]" if sep is comma else "[]")
 
     def load(self, items: Any, memo: dict) -> tuple:
         if items.__class__ is not list or self.length not in (None, len(items)):
@@ -155,23 +156,32 @@ class _Object:
         # each key as written, '"key": '; the head's values are written in place
         self.head_lines = tuple(_quote(k) + ": " + _quote(v) for k, v in self.head.items())
         self.labels = tuple((_quote(k) + ": ", kind, k in optional) for k, kind in self.plan)
+        self.write = self._write_shared if shared else self._render
 
-    def write(self, value: Any, newline: str, memo: dict, out: list[str]) -> None:
+    def _write_shared(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
+        """Put value's text, rendered once per indentation in the call, the
+        memo holding the object so that its id is not reused."""
+        key = (id(self), id(value), newline)
+        if key not in memo:
+            text: list[str] = []
+            self._render(value, newline, memo, text.append)
+            memo[key] = value, "".join(text)
+        put(memo[key][1])
+
+    def _render(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
+        """Put value's text, at the indentation that newline ends with."""
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for line in self.head_lines:
-            out.append(sep + line)
+            put(sep + line)
             sep = comma
         for (label, kind, optional), item in zip(self.labels, self.read(value)):
             if item is None and optional:
                 continue
-            out.append(sep + label)
-            if kind.__class__ is _Scalar:
-                _emit(item, inner, out)
-            else:
-                _write(kind, item, inner, memo, out)
+            put(sep + label)
+            kind.write(item, inner, memo, put)
             sep = comma
-        out.append(newline + "}" if sep is comma else "{}")
+        put(newline + "}" if sep is comma else "{}")
 
     def load(self, obj: Any, memo: dict) -> Any:
         # repr is one-to-one on parsed JSON, exact types included (1, True
@@ -284,29 +294,11 @@ _FILE = _Object(("certificates",), (_Array(_CERTIFICATE),), lambda certs: (certs
                 head={"version": FORMAT_VERSION})
 
 
-def _dumps(kind: Any, value: Any, end: str = "") -> str:
-    """``json.dumps(..., indent=2)`` of a value that kind declares, then end."""
-    out: list[str] = []
-    kind.write(value, "\n", {}, out)
-    out.append(end)
-    return "".join(out)
-
-
-def _write(kind: Any, value: Any, newline: str, memo: dict, out: list[str]) -> None:
-    """Append the text of a non-scalar value that kind declares, at the
-    indentation that newline ends with.  An object is rendered once per
-    (declaration, object, indentation) in the call, the memo holding the
-    object so that its id is not reused; anything else is written in place."""
-    if kind.__class__ is not _Object:
-        kind.write(value, newline, memo, out)
-        return
-    key = (id(kind), id(value), newline)
-    hit = memo.get(key)
-    if hit is None:
-        text: list[str] = []
-        kind.write(value, newline, memo, text)
-        hit = memo[key] = (value, "".join(text))
-    out.append(hit[1])
+def _dumps(kind: Any, value: Any) -> str:
+    """``json.dumps(..., indent=2)`` of a value that kind declares."""
+    pieces: list[str] = []
+    kind.write(value, "\n", {}, pieces.append)
+    return "".join(pieces)
 
 
 def divisor_to_json(d: DivisorClass) -> dict:
@@ -333,10 +325,17 @@ def certificate_from_dict(obj: Any) -> SolutionCertificate:
     return _CERTIFICATE.load(obj, {})
 
 
+def _write_certificates(certs: Sequence[SolutionCertificate], put: Callable) -> None:
+    """Put the text of dumps_certificates(certs), a piece at a time."""
+    kind, value = (_CERTIFICATE, certs[0]) if len(certs) == 1 else (_FILE, certs)
+    kind.write(value, "\n", {}, put)
+    put("\n")
+
+
 def dumps_certificates(certs: Sequence[SolutionCertificate]) -> str:
-    if len(certs) == 1:
-        return _dumps(_CERTIFICATE, certs[0], "\n")
-    return _dumps(_FILE, certs, "\n")
+    pieces: list[str] = []
+    _write_certificates(certs, pieces.append)
+    return "".join(pieces)
 
 
 # json.dumps spellings of the scalar types a payload holds, keyed by exact type
@@ -357,8 +356,8 @@ def _spell(value: Any) -> str:
     return spell(value)
 
 
-def _emit(value: Any, newline: str, out: list[str]) -> None:
-    """Append ``json.dumps(value, indent=2)`` to out, for a scalar or a dict
+def _emit(value: Any, newline: str, put: Callable) -> None:
+    """Put ``json.dumps(value, indent=2)``, for a scalar or a dict
     or list of scalars (a non-str key or a nested value is a TypeError);
     newline is a line break followed by the indentation of value's own line."""
     if isinstance(value, dict):
@@ -366,13 +365,13 @@ def _emit(value: Any, newline: str, out: list[str]) -> None:
     elif isinstance(value, list):
         items, brackets = map(_spell, value), "[]"
     else:
-        out.append(_spell(value))
+        put(_spell(value))
         return
     if not value:
-        out.append(brackets)
+        put(brackets)
         return
     inner = newline + "  "
-    out.append(brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1])
+    put(brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1])
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -427,16 +426,16 @@ def loads_certificates(text: str) -> list[SolutionCertificate]:
     return [certificate_from_dict(payload)]
 
 
-_WRITE_SLICE = 1 << 20  # characters
-
-
 def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) -> None:
-    text = dumps_certificates(certs)
-    # written a slice at a time: encoding the whole text at once would hold a
-    # second copy of it (118 MB for the default-bounds search)
-    with open(path, "w") as out:
-        for start in range(0, len(text), _WRITE_SLICE):
-            out.write(text[start:start + _WRITE_SLICE])
+    """Stream dumps_certificates(certs) into a sibling file that replaces path
+    once complete; on any error path keeps its bytes and the sibling goes."""
+    partial = Path(f"{path}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w") as out:
+            _write_certificates(certs, out.write)
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)  # gone once it replaced path
 
 
 def load_certificates(path: str | Path) -> list[SolutionCertificate]:

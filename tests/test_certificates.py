@@ -4,8 +4,10 @@ import copy
 import dataclasses
 import io
 import json
+import stat
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from operator import attrgetter
@@ -140,11 +142,53 @@ def test_file_round_trip(tmp_path, certs):
     assert load_certificates(path) == list(certs)
 
 
-def test_saved_file_is_the_dumped_text_across_write_slices(tmp_path, certs, monkeypatch):
-    monkeypatch.setattr(certificates, "_WRITE_SLICE", 7)
+def test_saved_file_is_the_dumped_text(tmp_path, certs):
+    """The file form, the single-object form, and a loaded copy whose
+    objects are shared: each saved file holds the dumped text."""
+    loaded = loads_certificates(dumps_certificates(certs))
     path = tmp_path / "certs.json"
-    save_certificates(path, certs)
-    assert path.read_bytes() == dumps_certificates(certs).encode()
+    for case in (certs, certs[:1], loaded):
+        save_certificates(path, case)
+        assert path.read_bytes() == dumps_certificates(case).encode()
+
+
+def test_save_streams_the_text(tmp_path, certs):
+    """save_certificates writes the text a piece at a time: it never holds
+    the whole text, nor a rendered copy of each certificate."""
+    size = len(dumps_certificates(certs))
+    tracemalloc.start()
+    try:
+        save_certificates(tmp_path / "certs.json", certs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2
+
+
+def _nested_detail(cert, value):
+    """cert with value where each first detail takes a boolean: json.dumps
+    would nest a list or dict there, so the writer raises TypeError."""
+    entries = tuple(
+        dataclasses.replace(e, detail=((e.detail[0][0], value), *e.detail[1:])) if e.detail else e
+        for e in cert.report.entries
+    )
+    return dataclasses.replace(cert, report=dataclasses.replace(cert.report, entries=entries))
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path, certs):
+    """A render error part way through leaves the old file as it was and no
+    sibling file; a save that completes gives a plain open's file mode."""
+    path = tmp_path / "certs.json"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(TypeError):
+        save_certificates(path, [*certs, _nested_detail(certs[-1], ["x"])])
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
+    plain, saved = tmp_path / "plain.json", tmp_path / "saved.json"
+    with open(plain, "w"):
+        pass
+    save_certificates(saved, certs)
+    assert stat.S_IMODE(saved.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_loaded_certificate_verifies(certs):
@@ -617,12 +661,15 @@ def test_dumps_rejects_what_json_cannot_encode(certs):
     with pytest.raises(TypeError):
         dumps_certificates([bad])
     for value in (["x"], {"x": True}):
-        entries = tuple(
-            dataclasses.replace(e, detail=((e.detail[0][0], value), *e.detail[1:])) if e.detail else e
-            for e in certs[0].report.entries
-        )
-        bad = dataclasses.replace(certs[0], report=dataclasses.replace(certs[0].report, entries=entries))
+        bad = _nested_detail(certs[0], value)
         with pytest.raises(SchemaError, match=r"\.detail: field '.*' must be a boolean$"):
+            loads_certificates(_oracle_dumps([bad]))
+        with pytest.raises(TypeError):
+            dumps_certificates([bad])
+    listed_u = copy.copy(certs[0])
+    object.__setattr__(listed_u, "u", [certs[0].u])
+    for bad in (listed_u, dataclasses.replace(certs[0], notes=(["x"],))):
+        with pytest.raises(SchemaError, match=r"field '(u|notes)' must be|notes\[0\]"):
             loads_certificates(_oracle_dumps([bad]))
         with pytest.raises(TypeError):
             dumps_certificates([bad])
