@@ -14,7 +14,9 @@ The format is one table, a declaration per JSON object with one codec per
 key, walked by both the writer and the strict loader.  A dataclass's keys
 are its field names in field order (one that defaults to None is left out
 while None); the only others are the ``version``/``basis_convention`` head
-and ``hprime``'s ``f``/``e1``/``xi``.  The writer emits the bytes of
+and ``hprime``'s ``f``/``e1``/``xi``.  A spelled value (a rational, surface
+tag, class's coefficients or entry's ``detail``) is written by the table's
+string, string-array or one flat-object kind.  The writer emits the bytes of
 ``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
 strict checks (the written keys, each once, each value of its exact JSON
 type), so a loaded file saves back byte for byte, and its SchemaError names
@@ -102,12 +104,12 @@ class _Scalar(namedtuple("_Scalar", "what types")):
         put(_spell(value))
 
 
-class _Codec(namedtuple("_Codec", "spell parse")):
-    """A value with its own JSON spelling: spell gives the JSON value, parse
-    takes it back."""
+class _Codec(namedtuple("_Codec", "spell parse kind")):
+    """A value with its own JSON spelling: spell gives the JSON value, which
+    kind writes, and parse takes it back."""
 
     def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
-        _emit(self.spell(value), newline, put)
+        self.kind.write(self.spell(value), newline, memo, put)
 
     def load(self, value: Any, memo: dict) -> Any:
         return self.parse(value)
@@ -117,11 +119,11 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
     """A JSON array of one codec's values, loaded as a tuple."""
 
     def write(self, values: Sequence, newline: str, memo: dict, put: Callable) -> None:
-        inner = newline + "  "
+        inner, write = newline + "  ", self.item.write
         sep, comma = "[" + inner, "," + inner
         for value in values:
             put(sep)
-            self.item.write(value, inner, memo, put)
+            write(value, inner, memo, put)
             sep = comma
         put(newline + "]" if sep is comma else "[]")
 
@@ -136,6 +138,16 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
             exc.path = (len(out), *exc.path)
             raise
         return tuple(out)
+
+
+class _FlatObject:
+    """An entry's detail, the one dict the table spells: str keys, scalar values."""
+
+    @staticmethod
+    def write(value: dict, newline: str, memo: dict, put: Callable) -> None:
+        inner = newline + "  "
+        members = [_quote(k) + ": " + _spell(v) for k, v in value.items()]
+        put("{" + inner + ("," + inner).join(members) + newline + "}" if members else "{}")
 
 
 class _Object:
@@ -272,9 +284,9 @@ _BOOL = _Scalar("a boolean", (bool,))
 _STR = _Scalar("a string", (str,))
 _INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
 _STRS = _Array(_STR)
-_Q = _Codec(rational_to_str, rational_from_str)
-_SURFACE = _Codec(attrgetter("value"), _surface_from_json)
-_COEFFS = _Codec(_coeffs_to_json, _coeffs_from_json)
+_Q = _Codec(rational_to_str, rational_from_str, _STR)
+_SURFACE = _Codec(attrgetter("value"), _surface_from_json, _STR)
+_COEFFS = _Codec(_coeffs_to_json, _coeffs_from_json, _STRS)
 
 # The format, one declaration per JSON object.
 _DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _COEFFS), lambda d: (d.surface, d),
@@ -282,7 +294,7 @@ _DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _COEFFS), lambda d: (d.surf
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
 _PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
                   _DIVISOR, _DIVISOR)
-_ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Codec(dict, _detail_from_json))
+_ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Codec(dict, _detail_from_json, _FlatObject))
 _REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS,
                   shared=True)
 _HPRIME = _Object(("f", "e1", "xi"), (_INT, _INT, _INT), tuple, lambda *coords: coords,
@@ -354,24 +366,6 @@ def _spell(value: Any) -> str:
     if spell is None:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
     return spell(value)
-
-
-def _emit(value: Any, newline: str, put: Callable) -> None:
-    """Put ``json.dumps(value, indent=2)``, for a scalar or a dict
-    or list of scalars (a non-str key or a nested value is a TypeError);
-    newline is a line break followed by the indentation of value's own line."""
-    if isinstance(value, dict):
-        items, brackets = (_quote(k) + ": " + _spell(v) for k, v in value.items()), "{}"
-    elif isinstance(value, list):
-        items, brackets = map(_spell, value), "[]"
-    else:
-        put(_spell(value))
-        return
-    if not value:
-        put(brackets)
-        return
-    inner = newline + "  "
-    put(brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1])
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -32,13 +32,14 @@ integral and the step keeps d2 mod 2 and d3 mod 3, which the integrality
 detail reads, so that is unchanged too.  solve emits each point, in the
 order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
-verify_certificate reads the coset from a bounded memo keyed on (k2, k3, u,
-x, m, d2 mod 2, d3 mod 3, a2, a3, h'); the key keeps the residues, since a
-genuine certificate off its congruences stores that failing detail.  The
-invariance covers the stored twists only once they are tied to the
-parametrization, so each certificate's stepped twists are compared before
-its report; that also keeps a tampered twist reported as such whatever the
-polarization.
+verify_certificate has one bounded memo, keyed on (z, m, k2, k3, u, x,
+d2 mod 2, d3 mod 3, a2, a3, h'), that stores the m-class verdict (the
+m-space check, then z) and, once it passes, the coset; the key keeps the
+residues, since a genuine certificate off its congruences stores that
+failing detail.  The invariance covers the stored twists only once they are
+tied to the parametrization, so each certificate's stepped twists are
+compared before its report; that also keeps a tampered twist reported as
+such whatever the polarization.
 """
 
 from __future__ import annotations
@@ -283,7 +284,14 @@ def _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime):
     return l2, l3, evaluate_constraints(BundleParams(k2, k3, d2_mod_2, d3_mod_3, a2, a3, l2, l3), hp_class)
 
 
-_coset_memo = lru_cache(maxsize=128)(_coset)  # verify's; bounded, since the shapes come from files
+@lru_cache(maxsize=128)  # verify's; bounded, since the shapes come from files
+def _verified_coset(z, m_class, k2, k3, u, x, d2_mod_2, d3_mod_3, a2, a3, hprime):
+    """The stored m-class's verdict, m-space check then z: (why it fails, None) or (None, the _coset)."""
+    if not m_space_check(m_class):
+        return "stored m-space class fails the m-space check", None
+    if z is not None and m_class != z * _M1:
+        return "stored m-space class disagrees with z", None
+    return None, _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime)
 
 
 def _step(twist: DivisorClass, steps: int) -> DivisorClass:
@@ -382,18 +390,18 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """Recompute a certificate from its raw parameters by the one coset rule
     `solve` emits it with, and compare.
 
-    Returns the fresh report, one object shared by every certificate of the
-    shape and d-residues (see the module docstring); raises TamperError if
-    the stored twist classes, any stored report entry or the stored notes
-    disagree with recomputation.
+    Reads one memo, keyed on z too, holding the m-class verdict and the
+    coset (see the module docstring).  Returns the fresh report, one object
+    shared by every certificate of the shape and d-residues; raises TamperError
+    if the verdict fails, or the stored twists, report or notes disagree.
     """
-    error = _m_class_error(cert.z, cert.m_class)
+    p = cert.params
+    error, coset = _verified_coset(
+        cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
+    )
     if error is not None:
         raise TamperError(error)
-    p = cert.params
-    l2, l3, fresh = _coset_memo(
-        p.k2, p.k3, cert.u, cert.x, cert.m_class, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
-    )
+    l2, l3, fresh = coset
     if _step(l2, p.d2 // 2) != p.l2 or _step(l3, p.d3 // 3) != p.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     if fresh is None:
@@ -405,16 +413,6 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
         shown = f"stored {_shown(cert.notes)}, recomputed {_shown(fresh.notes)}"
         raise TamperError(f"stored notes disagree with recomputation: {shown}")
     return fresh
-
-
-@lru_cache(maxsize=128)  # bounded: the classes come from files
-def _m_class_error(z: int | None, m_class: DivisorClass) -> str | None:
-    """Why a stored m-space class fails, or None: the m-space check, then z."""
-    if not m_space_check(m_class):
-        return "stored m-space class fails the m-space check"
-    if z is not None and m_class != z * _M1:
-        return "stored m-space class disagrees with z"
-    return None
 
 
 def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str:

@@ -21,6 +21,7 @@ from ellspec.assembly import (
     BundleParams,
     ConstraintEntry,
     ConstraintReport,
+    congruence_check,
     default_polarization,
     evaluate_constraints,
     polarization_class,
@@ -596,10 +597,9 @@ def test_stored_polarization_cache_stays_bounded():
         hprime = (25, 144 + j, 168 + j)
         report = evaluate_constraints(cert.params, polarization_class(hprime))
         verify_certificate(dataclasses.replace(cert, hprime=hprime, report=report))
-    for memo in (solver_module._coset_memo, solver_module._m_class_error):
-        info = memo.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize < 200
+    info = solver_module._verified_coset.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 200
 
 
 def test_verify_detects_mismatched_m_class():
@@ -868,6 +868,74 @@ def test_consistency_m_requires_positive_k():
             feasibility_check_m(k, 0, 5, named_class(BP, "m1"), 0)
 
 
+# === the gates against the report they stand in for ===
+
+_POLARIZATIONS = [(25, 144, 168), (3, 21, 21), (7, 2, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(enumerate_table1()),
+    st.fractions(min_value=-8, max_value=8, max_denominator=6),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    st.tuples(_thirds(2), _thirds(2), _thirds(2)),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 2),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from(_POLARIZATIONS),
+)
+def test_report_c2_slack_is_the_distance_past_the_window_plus_the_gaps(
+    row, u, x, m, a2, a3, d2, d3, hprime
+):
+    """The report's C2_fprime value is (30/k)(x - lo) plus the lists'
+    means_gap sum, lo the x-window's c2 end, so the feasibility gate's c2_ok
+    is that entry's pass.  Every row, rational u and x, m-classes in thirds,
+    non-constant lists, d off its congruences, three polarizations."""
+    m_class = named_combination(BP, dict(zip(("m1", "m2", "m3"), m)))
+    report = _genuine(row, u, x, m_class, d2, d3, a2, a3, hprime).report
+    lo, _ = _x_window(row.k, u, m_class)
+    gaps = means_gap(2, a2) + means_gap(3, a3)
+    assert report.entry("C2_fprime").value == Fraction(30, row.k) * (x - lo) + gaps
+
+
+def test_no_report_passes_where_the_feasibility_gate_rejects():
+    """Brute force over a box of the k | 3 rows (3, 5) and (3, 6): u in
+    [-6, 6], x in [-1, 7], the z grid and CANDIDATES, lists up to 2 and the
+    three polarizations.  Every all-pass report lies in the feasibility
+    window of its point and lists, so the gate solve runs first drops no
+    certificate.  The report's integrality entry fails unless both twists
+    are integral and the list sums meet CONGRUENCES, so only those points
+    are evaluated, at the d on the congruences nearest 0."""
+    _, _, s21c, s31c = CONGRUENCES
+    lists = [
+        (a2, a3) for a2, a3 in product(product(range(3), repeat=2), product(range(3), repeat=3))
+        if congruence_check(s21c, sum(a2))[1] and congruence_check(s31c, sum(a3))[1]
+    ]
+    rows = [row for row in enumerate_table1() if (row.k2, row.k3) in ((3, 5), (3, 6))]
+    m_classes = {m.coeffs: m for m in [*(z * M1 for z in range(3)), *CANDIDATES]}.values()
+    passed = []
+    for row, m_class, u, x in product(rows, m_classes, range(-6, 7), range(-1, 8)):
+        twists = {}
+        for a2, a3 in lists:
+            sums = sum(a2), sum(a3)
+            if sums not in twists:
+                twists[sums] = build_l_classes_m(row.k2, row.k3, u, x, m_class, 0, 1, *sums)
+            l2, l3 = twists[sums]
+            if not (l2.is_integral and l3.is_integral):
+                continue
+            params = BundleParams(row.k2, row.k3, 0, 1, a2, a3, l2, l3)
+            feas = feasibility_check_m(row.k, u, x, m_class, means_gap(2, a2) + means_gap(3, a3))
+            for hprime in _POLARIZATIONS:
+                if evaluate_constraints(params, polarization_class(hprime)).all_pass:
+                    passed.append((row.k, u, x, m_class.coeffs, a2, a3, hprime))
+                    assert feas.c2_ok and feas.ss_ok, passed[-1]
+    # the nine pairs of constant lists pass at (-3, 5, m1) on (3, 6), at the
+    # first two polarizations; every non-constant pair there fails C2_fprime
+    assert len(passed) == 18
+    assert {point[:4] for point in passed} == {(3, -3, 5, M1.coeffs)}
+
+
 def test_solve_rejects_non_integral_candidates():
     n = lambda name: named_class(BP, name)
     half = Fraction(1, 2)
@@ -901,8 +969,7 @@ def _stepped(cert, i, j):
 
 
 def _clear_verify_memos():
-    solver_module._coset_memo.cache_clear()
-    solver_module._m_class_error.cache_clear()
+    solver_module._verified_coset.cache_clear()
 
 
 @settings(max_examples=100, deadline=None)
@@ -931,9 +998,9 @@ def test_verify_memo_equals_direct_evaluation(row, u, x, m, a2, a3, d2, d3, i, j
     assert verify_certificate(cert) == direct
     _clear_verify_memos()
     verify_certificate(_stepped(cert, i, j))
-    hits = solver_module._coset_memo.cache_info().hits
+    hits = solver_module._verified_coset.cache_info().hits
     assert verify_certificate(cert) == direct
-    assert solver_module._coset_memo.cache_info().hits == hits + 1
+    assert solver_module._verified_coset.cache_info().hits == hits + 1
 
 
 def _bump_entry(report, name):
@@ -1077,9 +1144,9 @@ def test_solve_leaves_the_verify_memo_alone():
     """solve runs the coset rule uncached: it neither reads nor fills the
     memo verify reads, so a report patched in for one solve cannot reach a
     later verify."""
-    before = solver_module._coset_memo.cache_info()
+    before = solver_module._verified_coset.cache_info()
     assert solve(3, 6, SMALL_BOUNDS)
-    assert solver_module._coset_memo.cache_info() == before
+    assert solver_module._verified_coset.cache_info() == before
 
 
 # === search inputs are checked before any work starts ===
