@@ -45,14 +45,14 @@ import re
 from collections import Counter, namedtuple
 from dataclasses import fields
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .assembly import BundleParams, ConstraintEntry, ConstraintReport
 from .errors import SchemaError
-from .lattice import RANK, DivisorClass, Surface, _from_ints
+from .lattice import RANK, DivisorClass, Surface
 from .solver import SolutionCertificate, Table1Row
 
 FORMAT_VERSION = "1"
@@ -65,9 +65,6 @@ BASIS_CONVENTION = (
 # rational_from_str.  Each run of digits is capped at CPython's default
 # int-string limit, so no text costs more than one bounded int conversion.
 _RATIONAL = re.compile(r"(0|-?[1-9][0-9]{0,4299})(?:/([1-9][0-9]{0,4299}))?")
-_INTEGER = r"(?:0|-?[1-9][0-9]{0,4299})"
-# RANK canonical integers joined by commas: the coefficients of an integral class
-_INTEGRAL = re.compile(r"(?:%s,){%d}%s" % (_INTEGER, RANK - 1, _INTEGER))
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -257,16 +254,8 @@ def _coeffs_to_json(d: DivisorClass) -> list[str]:
     return list(map(str, d.num if d.den == 1 else d.coeffs))
 
 
-def _coeffs_from_json(coeffs: Any) -> tuple[tuple[int, ...], int]:
-    """A class's coefficients as int numerators over their lcm denominator."""
-    try:  # the common case, integer coefficients, in one match
-        if coeffs.__class__ is list and _INTEGRAL.fullmatch(",".join(coeffs)):
-            return tuple(map(int, coeffs)), 1
-    except (TypeError, ValueError):  # not all strings, or past a lowered digit limit
-        pass
-    rationals = _Array(_Q, RANK).load(coeffs, None)  # each checked at its index
-    den = lcm(*(q.denominator for q in rationals))
-    return tuple(q.numerator * (den // q.denominator) for q in rationals), den
+def _coeffs_from_json(coeffs: Any) -> tuple[Fraction, ...]:
+    return _Array(_Q, RANK).load(coeffs, None)  # each checked at its index
 
 
 def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
@@ -290,7 +279,7 @@ _COEFFS = _Codec(_coeffs_to_json, _coeffs_from_json, _STRS)
 
 # The format, one declaration per JSON object.
 _DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _COEFFS), lambda d: (d.surface, d),
-                   lambda surface, coeffs: _from_ints(surface, *coeffs), shared=True)
+                   DivisorClass, shared=True)
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
 _PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
                   _DIVISOR, _DIVISOR)

@@ -38,10 +38,11 @@ class DivisorClass:
     The class is stored as integer numerators ``num`` over one positive
     common denominator ``den``, in lowest terms, so arithmetic, comparison
     and the pairing run on ints.  ``coeffs`` gives the coefficients as
-    Fractions.  Instances are immutable.
+    Fractions, computed on each read.  An instance never changes once it is
+    built.
     """
 
-    __slots__ = ("surface", "num", "den", "_coeffs")
+    __slots__ = ("surface", "num", "den")
 
     surface: Surface
     num: tuple[int, ...]
@@ -57,9 +58,7 @@ class DivisorClass:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            _set(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.num))
-        return self._coeffs
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -126,7 +125,6 @@ def _fill(obj: DivisorClass, surface: Surface, num: tuple[int, ...], den: int) -
     _set(obj, "surface", surface)
     _set(obj, "num", num)
     _set(obj, "den", den)
-    _set(obj, "_coeffs", None)
 
 
 def _from_ints(surface: Surface, num: tuple[int, ...], den: int) -> DivisorClass:

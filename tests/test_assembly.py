@@ -190,6 +190,12 @@ def test_golden_report_passes_everything():
     assert report.nonsplit and report.slope_negative
 
 
+def test_report_entry_of_an_unknown_name_is_a_key_error():
+    report = evaluate_constraints(golden_params(), default_polarization())
+    with pytest.raises(KeyError):
+        report.entry("nope")
+
+
 def test_slope_value_matches_obstruction_pairing():
     # the slope class for the worked assembly is 6 e1' + 6 xi' - f', and its
     # pairing against a f' + b e1' + c xi' is 12 a - (b + c)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import stat
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -982,3 +983,44 @@ def test_loader_errors_name_the_key_path():
     text = json.dumps({"version": "1", "certificates": [_GOLDEN_OBJ, 3]})
     with pytest.raises(SchemaError, match=r"^certificates\[1\]: expected an object$"):
         loads_certificates(text)
+
+
+def _second_of_two(doctor):
+    """The text of a file whose second certificate is the golden one, doctored."""
+    obj = json.loads(GOLDEN.read_text())
+    doctor(obj)
+    return json.dumps({"version": "1", "certificates": [_GOLDEN_OBJ, obj]})
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (lambda obj: obj["report"]["entries"][6].update(detail=[]),
+     "certificates[1].report.entries[6].detail: expected an object"),
+    (lambda obj: obj["m_class"].update(surface="B"),
+     "certificates[1]: malformed: m-space class must live on B'"),
+], ids=["detail-list", "m-class-on-B"])
+def test_loader_rejects_a_wrong_shape_in_a_later_certificate(doctor, message):
+    with pytest.raises(SchemaError) as caught:
+        loads_certificates(_second_of_two(doctor))
+    assert str(caught.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-string digit limit before Python 3.11")
+@pytest.mark.parametrize("path", [
+    ("report", "entries", 0, "value"), ("params", "l2", "coeffs", 3),
+], ids=["entry-value", "class-coefficient"])
+def test_a_rational_past_a_lowered_digit_limit_is_a_schema_error(path):
+    """Under a lowered int-string limit a canonical 700-digit rational is too
+    long to convert, wherever it stands; the error names its key path."""
+    *where, key = path
+    text = _second_of_two(lambda obj: _node(obj, where).__setitem__(key, "7" * 700))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(SchemaError) as caught:
+            loads_certificates(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == (
+        f"{_dotted(('certificates', 1, *path))}: rational too long: {'7' * 40!r}..."
+    )

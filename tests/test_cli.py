@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -13,8 +14,11 @@ import pytest
 
 import ellspec
 from ellspec import cli
-from ellspec.certificates import bundle_params_to_json, loads_certificates
+from ellspec.assembly import evaluate_constraints, polarization_class
+from ellspec.certificates import bundle_params_to_json, dumps_certificates, loads_certificates
 from ellspec.cli import run
+from ellspec.lattice import is_ample_fxi
+from ellspec.solver import SearchBounds, solve
 
 try:
     import tomllib
@@ -145,6 +149,32 @@ def test_chern_malformed_params(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_chern_missing_params_file(tmp_path, capsys):
+    assert run(["chern", "--params", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot read parameter file: ")
+    assert "missing.json" in line
+
+
+def test_verify_fails_a_genuine_certificate_whose_report_fails(tmp_path, capsys):
+    """A quick-box certificate re-stamped with another certified-ample
+    polarization and the report it gives there is no tamper: verify
+    recomputes the same report and names the constraint that fails."""
+    cert = solve(3, 6, SearchBounds(u_abs=4, x_abs=8, z_min=0, z_max=2, d_abs=12, a_max=1))[0]
+    hprime = (3, 1, 1)
+    assert is_ample_fxi(*hprime).ample
+    report = evaluate_constraints(cert.params, polarization_class(hprime))
+    path = tmp_path / "restamped.json"
+    path.write_text(dumps_certificates([replace(cert, hprime=hprime, report=report)]))
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL certificate 0 (k2=3, k3=6, u={cert.u}, x={cert.x}): constraints failed: S_s",
+        "0/1 certificate(s) verified",
+    ]
 
 
 def test_chars(capsys):
