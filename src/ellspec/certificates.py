@@ -15,8 +15,8 @@ key, walked by both the writer and the strict loader.  A dataclass's keys
 are its field names in field order (one that defaults to None is left out
 while None); the only others are the ``version``/``basis_convention`` head
 and ``hprime``'s ``f``/``e1``/``xi``.  A spelled value (a rational, surface
-tag, class's coefficients or entry's ``detail``) is written by the table's
-string, string-array or one flat-object kind.  The writer emits the bytes of
+tag or entry's ``detail``) is written by the table's string or one
+flat-object kind.  The writer emits the bytes of
 ``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
 strict checks (the written keys, each once, each value of its exact JSON
 type), so a loaded file saves back byte for byte, and its SchemaError names
@@ -250,14 +250,6 @@ def _surface_from_json(tag: Any) -> Surface:
         raise SchemaError(f"unknown surface tag {tag!r}") from None
 
 
-def _coeffs_to_json(d: DivisorClass) -> list[str]:
-    return list(map(str, d.num if d.den == 1 else d.coeffs))
-
-
-def _coeffs_from_json(coeffs: Any) -> tuple[Fraction, ...]:
-    return _Array(_Q, RANK).load(coeffs, None)  # each checked at its index
-
-
 def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
     if obj.__class__ is not dict:
         raise SchemaError("expected an object")
@@ -275,11 +267,11 @@ _INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
 _STRS = _Array(_STR)
 _Q = _Codec(rational_to_str, rational_from_str, _STR)
 _SURFACE = _Codec(attrgetter("value"), _surface_from_json, _STR)
-_COEFFS = _Codec(_coeffs_to_json, _coeffs_from_json, _STRS)
 
-# The format, one declaration per JSON object.
-_DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _COEFFS), lambda d: (d.surface, d),
-                   DivisorClass, shared=True)
+# The format, one declaration per JSON object.  str spells an int as its
+# Fraction, so an integral class's coefficients are written from its ints.
+_DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _Array(_Q, RANK)),
+                   lambda d: (d.surface, d.num if d.den == 1 else d.coeffs), DivisorClass, shared=True)
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
 _PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
                   _DIVISOR, _DIVISOR)

@@ -49,7 +49,7 @@ class DivisorClass:
     den: int
 
     def __init__(self, surface: Surface, coeffs: Iterable) -> None:
-        fracs = tuple(Fraction(c) for c in coeffs)
+        fracs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
         if len(fracs) != RANK:
             raise ValueError(f"expected {RANK} coefficients, got {len(fracs)}")
         # over the lcm of reduced denominators the numerators are coprime to it
@@ -460,8 +460,8 @@ def invariant_subspace_has_integral_point(
                 obstruction=tuple(w),
                 obstruction_value=value,
             )
-    if not annihilators:
-        point = t
+    if not annihilators:  # the span is everything: any integral class lies on it
+        point = zero_class(t.surface)
     else:
         target = [int(linalg.dot(w, t.coeffs)) for w in annihilators]
         solution = linalg.solve_integer(annihilators, target)

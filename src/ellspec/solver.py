@@ -33,8 +33,9 @@ detail reads, so that is unchanged too.  solve emits each point, in the
 order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
 verify_certificate has one bounded memo, keyed on (z, m, k2, k3, u, x,
-d2 mod 2, d3 mod 3, a2, a3, h'), that stores the m-class verdict (the
-m-space check, then z) and, once it passes, the coset; the key keeps the
+d2 mod 2, d3 mod 3, a2, a3, h'), that stores the coset of an m-class that
+passes the m-space check, then z; a failing m-class raises its TamperError,
+which is not cached, so it is checked again on each call.  The key keeps the
 residues, since a genuine certificate off its congruences stores that
 failing detail.  The invariance covers the stored twists only once they are
 tied to the parametrization, so each certificate's stepped twists are
@@ -286,12 +287,13 @@ def _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime):
 
 @lru_cache(maxsize=128)  # verify's; bounded, since the shapes come from files
 def _verified_coset(z, m_class, k2, k3, u, x, d2_mod_2, d3_mod_3, a2, a3, hprime):
-    """The stored m-class's verdict, m-space check then z: (why it fails, None) or (None, the _coset)."""
+    """The _coset of a stored m-class that passes the m-space check, then z;
+    a TamperError otherwise, which lru_cache does not keep."""
     if not m_space_check(m_class):
-        return "stored m-space class fails the m-space check", None
+        raise TamperError("stored m-space class fails the m-space check")
     if z is not None and m_class != z * _M1:
-        return "stored m-space class disagrees with z", None
-    return None, _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime)
+        raise TamperError("stored m-space class disagrees with z")
+    return _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime)
 
 
 def _step(twist: DivisorClass, steps: int) -> DivisorClass:
@@ -390,18 +392,15 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """Recompute a certificate from its raw parameters by the one coset rule
     `solve` emits it with, and compare.
 
-    Reads one memo, keyed on z too, holding the m-class verdict and the
-    coset (see the module docstring).  Returns the fresh report, one object
+    Reads one memo, keyed on z too, holding the coset of each m-class that
+    passes (see the module docstring).  Returns the fresh report, one object
     shared by every certificate of the shape and d-residues; raises TamperError
-    if the verdict fails, or the stored twists, report or notes disagree.
+    if the m-class fails, or the stored twists, report or notes disagree.
     """
     p = cert.params
-    error, coset = _verified_coset(
+    l2, l3, fresh = _verified_coset(
         cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
     )
-    if error is not None:
-        raise TamperError(error)
-    l2, l3, fresh = coset
     if _step(l2, p.d2 // 2) != p.l2 or _step(l3, p.d3 // 3) != p.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     if fresh is None:

@@ -37,12 +37,6 @@ class ChernB:
         if self.div.surface is not Surface.B:
             raise ValueError("ChernB divisor part must live on B")
 
-    def __add__(self, other: "ChernB") -> "ChernB":
-        return ChernB(self.rank + other.rank, self.div + other.div, self.pt + other.pt)
-
-    def __sub__(self, other: "ChernB") -> "ChernB":
-        return ChernB(self.rank - other.rank, self.div - other.div, self.pt - other.pt)
-
 
 @dataclass(frozen=True)
 class SpectralParams:

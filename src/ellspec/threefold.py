@@ -69,20 +69,8 @@ class ChernX:
             self.h6 + other.h6,
         )
 
-    def __sub__(self, other: "ChernX") -> "ChernX":
-        return self + (-1) * other
-
     def __mul__(self, other):
-        if isinstance(other, ChernX):
-            return _product(self, other)
-        s = Fraction(other)
-        return ChernX(
-            s * self.rank, s * self.c1_b, s * self.c1_bp,
-            s * self.h4_fpt, s * self.h4_ptf, s * self.h6,
-        )
-
-    def __rmul__(self, scalar) -> "ChernX":
-        return self * scalar
+        return _product(self, other) if isinstance(other, ChernX) else NotImplemented
 
 
 def pullback_from_b(c: ChernB) -> ChernX:

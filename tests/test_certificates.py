@@ -652,6 +652,19 @@ def test_a_copy_nested_to_the_parse_limit_is_a_one_line_schema_error(certs):
         assert str(exc.value) == "certificates[1].report: field 'nonsplit' must be a boolean"
 
 
+def test_a_shared_copy_too_deep_to_key_is_checked_on_its_own(certs):
+    """A report whose repr overflows the stack is not keyed: the checks
+    reject it, with its key path, and no RecursionError escapes."""
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    obj = certificate_to_dict(certs[0])
+    obj["report"]["notes"] = [deep]
+    with pytest.raises(SchemaError) as exc:
+        certificate_from_dict(obj)
+    assert str(exc.value) == "report.notes[0]: expected a string"
+
+
 def test_dumps_rejects_what_json_cannot_encode(certs):
     """No JSON value, or a nested value where the loader takes a scalar: a
     detail maps names to booleans, and json.dumps would nest a list or an

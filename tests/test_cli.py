@@ -194,6 +194,12 @@ def test_report_all_green(capsys):
     assert "FAIL" not in out
 
 
+def test_report_with_a_failing_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_golden_checks", lambda: [("a", True, "x"), ("b", False, "y")])
+    assert run(["report"]) == 1
+    assert capsys.readouterr().out == "ok   a: x\nFAIL b: y\n1 check(s) FAILED\n"
+
+
 def test_unknown_subcommand_is_input_error(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ellspec.errors import SpanError, SurfaceMismatchError
 from ellspec.lattice import (
+    BASIS,
     COMPONENT_SUM,
     EF_FRAME,
     FXI_FRAME,
@@ -296,6 +297,29 @@ def test_half_offset_with_tiny_span_fails():
     assert not result.exists
 
 
+def test_full_span_gives_an_integral_point():
+    """The span of all ten basis classes meets every offset at an integral class."""
+    offset = Fraction(-1, 2) * named_class(B, "e1")
+    result = invariant_subspace_has_integral_point(offset=offset, span=[n(name, B) for name in BASIS])
+    assert result.exists
+    assert result.point.is_integral
+    assert result.point.surface is B
+
+
+def test_empty_span_obstruction_is_the_fractional_coordinate():
+    offset = Fraction(-1, 2) * named_class(B, "e1")
+    result = invariant_subspace_has_integral_point(offset=offset, span=[])
+    assert not result.exists
+    assert result.obstruction == (0, 1) + (0,) * (RANK - 2)
+    assert result.obstruction_value == Fraction(-1, 2)
+
+
+def test_span_on_the_other_surface_rejected():
+    offset = Fraction(-1, 2) * named_class(B, "e1")
+    with pytest.raises(SurfaceMismatchError):
+        invariant_subspace_has_integral_point(offset=offset, span=[n("f")])
+
+
 # === the m-class subspace ===
 
 
@@ -331,6 +355,14 @@ def test_str_rendering():
     assert str(zero_class(B)) == "0"
     assert str(n("f")) == "3*l - e1 - e2 - e3 - e4 - e5 - e6 - e7 - e8 - e9"
     assert str(n("n1")) == "e8 - e9"
+
+
+def test_repr_lists_the_fraction_coefficients():
+    zero, one = "Fraction(0, 1)", "Fraction(1, 1)"
+    coeffs = [zero] * 4 + [one, "Fraction(-1, 1)"] + [zero] * 4
+    assert repr(n("m1")) == (
+        f"DivisorClass(surface=<Surface.BPRIME: 'Bprime'>, coeffs=({', '.join(coeffs)}))"
+    )
 
 
 # === the int core against a plain Fraction-tuple oracle ===
@@ -436,6 +468,15 @@ def test_divisor_class_is_immutable():
         del d.den
     with pytest.raises(ValueError):
         DivisorClass(BP, (1,) * (RANK - 1))
+
+
+def test_constructor_reads_any_rational_as_fraction_does():
+    """ints and Fractions are taken as they are, anything else through Fraction."""
+    coeffs = ("1/2", 0.5, True, 3, Fraction(2, 3), Fraction(4), -7, "5", 0.25, False)
+    d = DivisorClass(BP, coeffs)
+    oracle = DivisorClass(BP, [Fraction(c) for c in coeffs])
+    assert (d.num, d.den) == (oracle.num, oracle.den)
+    assert all(type(x) is int for x in (*d.num, d.den))
 
 
 def _solve_in_frame(names, d):

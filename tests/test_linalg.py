@@ -158,3 +158,15 @@ def test_solve_rational_roundtrip(a, data):
     x = linalg.solve_rational(a, b)
     assert x is not None
     assert linalg.mat_vec(a, x) == b
+
+
+def test_empty_matrices():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.solve_rational([], []) is None
+    assert linalg.column_echelon_integer([]) == ([], [], [])
+    assert linalg.kernel_integer([]) == []
+    assert linalg.solve_integer([], []) is None
+
+
+def test_solve_integer_inconsistent_rows():
+    assert linalg.solve_integer([[1], [1]], [1, 2]) is None

@@ -43,6 +43,18 @@ def test_transform_of_point():
     assert out.pt == 0
 
 
+def test_character_divisor_must_live_on_b():
+    with pytest.raises(ValueError, match="on B"):
+        ChernB(0, named_class(Surface.BPRIME, "f"), 0)
+
+
+def test_characters_on_b_do_not_add():
+    with pytest.raises(TypeError):
+        ChernB(0, E, 0) + ChernB(0, F, 0)
+    with pytest.raises(TypeError):
+        ChernB(0, E, 0) - ChernB(0, F, 0)
+
+
 def test_transform_rejects_nonzero_rank():
     with pytest.raises(ValueError):
         fourier_mukai_b(ChernB(1, 0 * F, 0))

@@ -67,6 +67,25 @@ def test_pullback_line_bundle():
     assert (c.h4_ptf, c.h6) == (0, 0)
 
 
+def test_c1_parts_must_live_on_their_surfaces():
+    with pytest.raises(ValueError, match="c1 parts"):
+        ChernX(1, zero_class(BP), zero_class(BP), 0, 0, 0)
+    with pytest.raises(ValueError, match="c1 parts"):
+        ChernX(1, zero_class(B), zero_class(B), 0, 0, 0)
+
+
+def test_line_bundle_pullback_needs_a_class_on_b_prime():
+    with pytest.raises(ValueError, match="on B'"):
+        pullback_line_bundle_ch(F)
+
+
+def test_only_the_product_multiplies():
+    c = vertical(rank=1, bp=FP)
+    for bad in (lambda: 2 * c, lambda: c * 2, lambda: c - c):
+        with pytest.raises(TypeError):
+            bad()
+
+
 # === product rules on the vertical fragment ===
 
 
@@ -140,6 +159,11 @@ def test_newton_sums():
     assert newton_sum([], 2) == 0
     assert newton_sum([1, 2, 3], 1) == 6
     assert newton_sum([1, 2, 3], 2) == 14
+
+
+def test_newton_sum_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        newton_sum([1], -1)
 
 
 def test_single_correction():
