@@ -60,6 +60,8 @@ class BundleParams:
     l3: DivisorClass
 
     def __post_init__(self) -> None:
+        if (self.k2.__class__, self.k3.__class__, self.d2.__class__, self.d3.__class__) != (int,) * 4:
+            raise ValueError("k2, k3, d2 and d3 must be ints")
         object.__setattr__(self, "a2", multiplicities(2, self.a2))
         object.__setattr__(self, "a3", multiplicities(3, self.a3))
         for lcls in (self.l2, self.l3):

@@ -163,13 +163,9 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
     return Fraction(int_pairing(a.num, b.num), a.den * b.den)
 
 
-def combination(
-    surface: Surface, terms: Iterable[tuple[object, DivisorClass]], den: int = 1
-) -> DivisorClass:
-    """(sum of coeff * cls over the (coeff, cls) terms) / den for rational
+def combination(surface: Surface, terms: Iterable[tuple[object, DivisorClass]]) -> DivisorClass:
+    """The sum of coeff * cls over the (coeff, cls) terms for rational
     coeffs, in one pass over the lcm of the denominators."""
-    if den <= 0:
-        raise ValueError("the denominator of a combination must be positive")
     scaled, common = [], 1
     for coeff, cls in terms:
         if cls.surface is not surface:
@@ -183,7 +179,7 @@ def combination(
         if p:
             s = p * (common // q)
             acc = [a + s * x for a, x in zip(acc, num)]
-    return _from_ints(surface, tuple(acc), common * den)
+    return _from_ints(surface, tuple(acc), common)
 
 
 def _build_named(surface: Surface) -> dict[str, DivisorClass]:
@@ -254,6 +250,7 @@ class Frame:
     """
 
     def __init__(self, names: tuple[str, ...]) -> None:
+        self._names = names
         basis = [named_class(Surface.B, n) for n in names]
         rows = [[g * c for g, c in zip(GRAM_DIAG, b.coeffs)] for b in basis]
         dual = []
@@ -280,6 +277,13 @@ class Frame:
                 return None
         den = d.den * self._den
         return tuple(Fraction(pj, den) for pj in p)
+
+    def require(self, d: DivisorClass) -> tuple[Fraction, ...]:
+        """Coordinates of d in the frame; SpanError if d is outside its span."""
+        coords = self.coordinates(d)
+        if coords is None:
+            raise SpanError(f"divisor {d} lies outside span{{{', '.join(self._names)}}}")
+        return coords
 
 
 FXI_FRAME = Frame(("f", "e1", "xi"))
@@ -368,9 +372,7 @@ def descent_not_effective(d: DivisorClass) -> DescentCertificate:
     negative the original class cannot have been effective.  Requires integer
     coordinates in the (e1, xi, f) span.
     """
-    coords = FXI_FRAME.coordinates(d)
-    if coords is None:
-        raise SpanError("class is outside span{e1, xi, f}")
+    coords = FXI_FRAME.require(d)
     if any(c.denominator != 1 for c in coords):
         raise ValueError("descent requires integer coordinates in the (e1, xi, f) span")
 

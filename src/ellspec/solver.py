@@ -129,16 +129,17 @@ def build_l_classes_m(
     if k <= 0:
         raise ValueError("parametrization requires k = 2*k3 - 3*k2 > 0")
     u, x, s21, s31 = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (u, x, s21, s31))
-    # 2k l2 = 18 (e'+zeta') + k (x - d2 + 2 k2 - 1) f' + (k u + 9 + k s21) (n1'+o2') + 6k m
+    nine_k = Fraction(9, k)
+    # l2 = 9/k (e'+zeta') + (x - d2 + 2 k2 - 1)/2 f' + (u + 9/k + s21)/2 (n1'+o2') + 3 m
     l2 = combination(Surface.BPRIME, (
-        (18, SECTION_SUM), (k * (x - d2 + 2 * k2 - 1), _FP),
-        (k * u + 9 + k * s21, COMPONENT_SUM), (6 * k, m_class),
-    ), 2 * k)
-    # 3k l3 = -18 (e'+zeta') + k (-x - d3 + 3 k3 - 3) f' + (-k u - 9 + k s31) (n1'+o2') - 6k m
+        (nine_k, SECTION_SUM), (Fraction(x - d2 + 2 * k2 - 1, 2), _FP),
+        (Fraction(u + nine_k + s21, 2), COMPONENT_SUM), (3, m_class),
+    ))
+    # l3 = -6/k (e'+zeta') + (-x - d3 + 3 k3 - 3)/3 f' + (-u - 9/k + s31)/3 (n1'+o2') - 2 m
     l3 = combination(Surface.BPRIME, (
-        (-18, SECTION_SUM), (k * (-x - d3 + 3 * k3 - 3), _FP),
-        (-k * u - 9 + k * s31, COMPONENT_SUM), (-6 * k, m_class),
-    ), 3 * k)
+        (Fraction(-6, k), SECTION_SUM), (Fraction(-x - d3 + 3 * k3 - 3, 3), _FP),
+        (Fraction(-u - nine_k + s31, 3), COMPONENT_SUM), (-2, m_class),
+    ))
     return l2, l3
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpanError
 from .lattice import EF_FRAME, DivisorClass, Surface, named_class
 
 
@@ -51,18 +50,11 @@ class SpectralParams:
             raise ValueError("spectral cover degree r must be at least 1")
 
 
-def _ef_coordinates(div: DivisorClass) -> tuple[Fraction, Fraction]:
-    sol = EF_FRAME.coordinates(div)
-    if sol is None:
-        raise SpanError(f"divisor {div} lies outside span{{e, f}}")
-    return sol
-
-
 def fourier_mukai_b(c: ChernB) -> ChernB:
     """Transform of a rank-zero character supported in the e, f directions."""
     if c.rank != 0:
         raise ValueError("only rank-zero characters (sheaves on curves) transform here")
-    s, t = _ef_coordinates(c.div)
+    s, t = EF_FRAME.require(c.div)
     f = named_class(Surface.B, "f")
     return ChernB(rank=s, div=(c.pt - s / 2) * f, pt=-t)
 

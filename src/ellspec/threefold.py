@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedProductError
-from .lattice import DivisorClass, Surface, intersect, named_class, zero_class
-from .spectral import ChernB, _ef_coordinates
+from .lattice import EF_FRAME, DivisorClass, Surface, intersect, named_class, zero_class
+from .spectral import ChernB
 
 _E = named_class(Surface.B, "e")
 _FP = named_class(Surface.BPRIME, "f")
@@ -51,10 +51,8 @@ class ChernX:
         if self.c1_b.surface is not Surface.B or self.c1_bp.surface is not Surface.BPRIME:
             raise ValueError("c1 parts must be (class on B, class on B')")
         # canonical form: move the f-multiple of the B part across the
-        # identification pi'*f = pi*f'; a zero B part is already canonical
-        if self.c1_b.is_zero:
-            return
-        s, t = _ef_coordinates(self.c1_b)
+        # identification pi'*f = pi*f'
+        s, t = EF_FRAME.require(self.c1_b)
         if t != 0:
             object.__setattr__(self, "c1_b", s * _E)
             object.__setattr__(self, "c1_bp", self.c1_bp + t * _FP)

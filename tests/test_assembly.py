@@ -253,6 +253,17 @@ def test_bundle_params_reject_bad_multiplicities(a2, a3, message):
         BundleParams(3, 6, 10, 10, a2, a3, golden.l2, golden.l3)
 
 
+@pytest.mark.parametrize("field", ["k2", "k3", "d2", "d3"])
+@pytest.mark.parametrize("value", [10.0, Fraction(10), True, "10"], ids=["float", "fraction", "bool", "str"])
+def test_bundle_params_reject_non_int_degrees(field, value):
+    """A float degree once built params whose report, verification and dump
+    each failed later with a bare TypeError."""
+    golden = golden_params()
+    fields = {"k2": 3, "k3": 6, "d2": 10, "d3": 10, field: value}
+    with pytest.raises(ValueError, match="^k2, k3, d2 and d3 must be ints$"):
+        BundleParams(**fields, a2=(0, 0), a3=(0, 0, 0), l2=golden.l2, l3=golden.l3)
+
+
 def test_small_ample_polarization_fails_slope():
     # (1, 1, 1) is ample but the slope check fails: 12*1 - (1+1) = +10
     hprime = named_combination(BP, {"f": 1, "e1": 1, "xi": 1})

@@ -335,6 +335,9 @@ _SURVIVING_CHECKS = ("k_divides_3", "m_coeff", "d2_even", "d3_mod_3_is_1", "s21_
 
 
 def _assert_integrality_matches_oracle(*args):
+    """integrality_check, and with nonnegative integral sums the report of
+    the twists built on each table row with the oracle's k, give the
+    oracle's verdict and congruence details."""
     passes, oracle_checks = _integrality_oracle(*args)
     report = integrality_check(*args)
     assert report.passes == passes, args
@@ -342,6 +345,18 @@ def _assert_integrality_matches_oracle(*args):
     for name in _SURVIVING_CHECKS:
         if name in oracle_checks:
             assert checks[name] == oracle_checks[name], (name, args)
+    k, u, x, z, d2, d3, s21, s31 = args
+    if not all(Fraction(s).denominator == 1 and s >= 0 for s in (s21, s31)):
+        return
+    s21, s31 = int(s21), int(s31)
+    for row in (r for r in enumerate_table1() if r.k == k):
+        l2, l3 = build_l_classes_m(row.k2, row.k3, u, x, z * M1, d2, d3, s21, s31)
+        params = BundleParams(row.k2, row.k3, d2, d3, (s21, 0), (s31, 0, 0), l2, l3)
+        entry = evaluate_constraints(params, default_polarization()).entry("integrality")
+        assert entry.passes == passes, (row, args)
+        detail = dict(entry.detail)
+        for name, _, _ in CONGRUENCES:
+            assert detail[name] == oracle_checks[name], (name, row, args)
 
 
 _INTEGRALITY_KS = (-3, 0, 1, 2, 3, 6, 9)
@@ -416,6 +431,8 @@ def test_solve_certificates_all_share_the_forced_shape():
 def test_solve_k2_row_is_empty():
     assert solve(2, 4, SMALL_BOUNDS) == []
     assert solve(2, 6, SMALL_BOUNDS) == []
+    assert solve(4, 7) == []
+    assert solve(4, 7, allow_nonconstant_lists=True) == []
 
 
 def test_solve_k1_row_is_empty_even_at_wide_bounds():

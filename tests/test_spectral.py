@@ -61,7 +61,7 @@ def test_transform_rejects_nonzero_rank():
 
 
 def test_transform_rejects_off_span_support():
-    with pytest.raises(SpanError):
+    with pytest.raises(SpanError, match=r"^divisor e2 lies outside span\{e, f\}$"):
         fourier_mukai_b(ChernB(0, named_class(Surface.B, "e2"), 0))
 
 

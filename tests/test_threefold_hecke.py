@@ -39,7 +39,7 @@ def test_canonical_form_moves_fiber_part():
 
 
 def test_canonical_form_rejects_off_span():
-    with pytest.raises(SpanError):
+    with pytest.raises(SpanError, match=r"^divisor e2 lies outside span\{e, f\}$"):
         ChernX(1, named_class(B, "e2"), zero_class(BP), 0, 0, 0)
 
 
