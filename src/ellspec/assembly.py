@@ -154,15 +154,16 @@ class ConstraintReport:
 
 
 @lru_cache(maxsize=128)  # bounded: polarizations come from files
-def _certified_ample(hprime: DivisorClass) -> bool:
+def certified_ample(hprime: DivisorClass) -> bool:
     """Whether hprime is certified ample in the (f', e1', xi') frame."""
     coords = fxi_coordinates(hprime)
     return coords is not None and is_ample_fxi(*coords).ample
 
 
-def _require_ample(hprime: DivisorClass) -> None:
-    """The report's polarization gate, which `solve` also runs up front."""
-    if not _certified_ample(hprime):
+def require_ample(hprime: DivisorClass) -> None:
+    """The report's polarization gate, which `solve` also runs up front:
+    PolarizationError unless `certified_ample`."""
+    if not certified_ample(hprime):
         raise PolarizationError(
             "polarization is not certified ample in the (f', e1', xi') frame"
         )
@@ -180,7 +181,7 @@ def evaluate_constraints(p: BundleParams, hprime: DivisorClass) -> ConstraintRep
     stored ones are Fractions.  On the k = 2 k3 - 3 k2 = 1 row the report
     notes that the search does not certify the geometric side conditions.
     """
-    _require_ample(hprime)
+    require_ample(hprime)
     c1_2, (h4n2, h4d2), _, (h6n2, h6d2) = _ch_closed_form(2, p)
     c1_3, (h4n3, h4d3), _, (h6n3, h6d3) = _ch_closed_form(3, p)
     n2, n3 = p.l2.den, p.l3.den

@@ -32,15 +32,20 @@ integral and the step keeps d2 mod 2 and d3 mod 3, which the integrality
 detail reads, so that is unchanged too.  solve emits each point, in the
 order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
-verify_certificate has one bounded memo, keyed on (z, m, k2, k3, u, x,
-d2 mod 2, d3 mod 3, a2, a3, h'), that stores the coset of an m-class that
-passes the m-space check, then z; a failing m-class raises its TamperError,
-which is not cached, so it is checked again on each call.  The key keeps the
-residues, since a genuine certificate off its congruences stores that
-failing detail.  The invariance covers the stored twists only once they are
-tied to the parametrization, so each certificate's stepped twists are
-compared before its report; that also keeps a tampered twist reported as
-such whatever the polarization.
+verify_certificate has three bounded memos, which solve neither reads nor
+fills.  The coset memo, keyed on (z, m, k2, k3, u, x, d2 mod 2, d3 mod 3,
+a2, a3, h'), stores the coset of an m-class that passes the m-space check,
+then z; a failing m-class raises its TamperError, which is not cached, so it
+is checked again on each call.  The key keeps the residues, since a genuine
+certificate off its congruences stores that failing detail.  The step memo
+holds the stepped twist of each (representative twist, steps).  The report
+memo remembers each pair of a stored and a fresh report object found equal,
+so certificates sharing one stored report (as loaded ones do) compare it
+field by field once per fresh report; it holds both objects, so no id is
+reused, and a mismatch is never remembered.  The invariance covers the
+stored twists only once they are tied to the parametrization, so each
+certificate's stepped twists are compared before its report; that also keeps
+a tampered twist reported as such whatever the polarization.
 """
 
 from __future__ import annotations
@@ -56,11 +61,11 @@ from .assembly import (
     DEFAULT_HPRIME,
     BundleParams,
     ConstraintReport,
-    _certified_ample,
-    _require_ample,
+    certified_ample,
     congruence_check,
     evaluate_constraints,
     polarization_class,
+    require_ample,
 )
 from .errors import TamperError
 from .hecke import means_gap
@@ -281,7 +286,7 @@ def _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime):
     (d2 mod 2, d3 mod 3); the report is None if h' is not certified ample."""
     l2, l3 = build_l_classes_m(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, sum(a2), sum(a3))
     hp_class = polarization_class(hprime)
-    if not _certified_ample(hp_class):
+    if not certified_ample(hp_class):
         return l2, l3, None
     return l2, l3, evaluate_constraints(BundleParams(k2, k3, d2_mod_2, d3_mod_3, a2, a3, l2, l3), hp_class)
 
@@ -301,6 +306,19 @@ def _step(twist: DivisorClass, steps: int) -> DivisorClass:
     """A representative's twist moved `steps` grid steps along its d-axis
     (d2 + 2 for l2, d3 + 3 for l3): each step subtracts f'."""
     return combination(Surface.BPRIME, ((1, twist), (-steps, _FP)))
+
+
+# verify's step and report memos (see the module docstring); bounded, since
+# the twists and reports come from files
+_stepped = lru_cache(maxsize=1024)(_step)
+_equal_reports: dict[tuple[int, int], tuple[ConstraintReport, ConstraintReport]] = {}
+
+
+def _clear_verify_memos() -> None:
+    """Empty verify's three memos together; solve reads none of them."""
+    _verified_coset.cache_clear()
+    _stepped.cache_clear()
+    _equal_reports.clear()
 
 
 def solve(
@@ -335,7 +353,7 @@ def solve(
             and all(isinstance(v, int) and not isinstance(v, bool) for v in hprime)):
         raise ValueError(f"polarization hprime must be three ints, got {hprime!r}")
     hprime = tuple(hprime)
-    _require_ample(polarization_class(hprime))
+    require_ample(polarization_class(hprime))
 
     if m_candidates is None:
         m_grid = [(z, z * _M1) for z in range(b.z_min, b.z_max + 1)]
@@ -393,22 +411,27 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """Recompute a certificate from its raw parameters by the one coset rule
     `solve` emits it with, and compare.
 
-    Reads one memo, keyed on z too, holding the coset of each m-class that
-    passes (see the module docstring).  Returns the fresh report, one object
-    shared by every certificate of the shape and d-residues; raises TamperError
-    if the m-class fails, or the stored twists, report or notes disagree.
+    Reads the coset, step and report memos (see the module docstring).
+    Returns the fresh report, one object shared by every certificate of the
+    shape and d-residues; raises TamperError if the m-class fails, or the
+    stored twists, report or notes disagree.
     """
     p = cert.params
     l2, l3, fresh = _verified_coset(
         cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
     )
-    if _step(l2, p.d2 // 2) != p.l2 or _step(l3, p.d3 // 3) != p.l3:
+    if _stepped(l2, p.d2 // 2) != p.l2 or _stepped(l3, p.d3 // 3) != p.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     if fresh is None:
-        _require_ample(polarization_class(cert.hprime))
-    if cert.report != fresh:
-        difference = _report_difference(cert.report, fresh)
-        raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
+        require_ample(polarization_class(cert.hprime))
+    pair = (id(cert.report), id(fresh))
+    if pair not in _equal_reports:
+        if cert.report != fresh:
+            difference = _report_difference(cert.report, fresh)
+            raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
+        if len(_equal_reports) >= 128:  # each entry keeps a stored report alive
+            del _equal_reports[next(iter(_equal_reports))]
+        _equal_reports[pair] = cert.report, fresh
     if cert.notes != fresh.notes:
         shown = f"stored {_shown(cert.notes)}, recomputed {_shown(fresh.notes)}"
         raise TamperError(f"stored notes disagree with recomputation: {shown}")

@@ -437,7 +437,7 @@ def test_memoized_gate_raises_on_every_call():
 
 
 def test_gate_cache_stays_bounded():
-    gate = assembly_module._certified_ample
+    gate = assembly_module.certified_ample
     for a in range(200):
         evaluate_constraints(golden_params(), polarization_class((300 + a, 1, 1)))
     info = gate.cache_info()

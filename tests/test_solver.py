@@ -29,10 +29,19 @@ from ellspec.assembly import (
 from ellspec.certificates import dumps_certificates, loads_certificates
 from ellspec.errors import PolarizationError, SurfaceMismatchError, TamperError
 from ellspec.hecke import means_gap
-from ellspec.lattice import Surface, intersect, m_space_check, named_class, named_combination
+from ellspec.lattice import (
+    DivisorClass,
+    Surface,
+    combination,
+    intersect,
+    m_space_check,
+    named_class,
+    named_combination,
+)
 from ellspec.solver import (
     SearchBounds,
     Table1Row,
+    _clear_verify_memos,
     _x_window,
     build_l_classes_m,
     consistency_check,
@@ -985,10 +994,6 @@ def _stepped(cert, i, j):
     )
 
 
-def _clear_verify_memos():
-    solver_module._verified_coset.cache_clear()
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(enumerate_table1()),
@@ -1157,13 +1162,82 @@ def test_verify_evaluates_each_quick_box_shape_once(monkeypatch):
     assert len(calls) == 4
 
 
+def _verify_memos():
+    """The coset and step memos' counters and the report memo's entries."""
+    return (
+        solver_module._verified_coset.cache_info(), solver_module._stepped.cache_info(),
+        dict(solver_module._equal_reports),
+    )
+
+
 def test_solve_leaves_the_verify_memo_alone():
-    """solve runs the coset rule uncached: it neither reads nor fills the
-    memo verify reads, so a report patched in for one solve cannot reach a
-    later verify."""
-    before = solver_module._verified_coset.cache_info()
+    """solve runs the coset rule and the step uncached: it neither reads nor
+    fills the memos verify reads, so a report patched in for one solve
+    cannot reach a later verify."""
+    verify_certificate(_quick_cert())
+    before = _verify_memos()
     assert solve(3, 6, SMALL_BOUNDS)
-    assert solver_module._verified_coset.cache_info() == before
+    assert _verify_memos() == before
+
+
+def test_clear_verify_memos_clears_every_verify_memo():
+    _clear_verify_memos()
+    verify_certificate(_quick_cert())
+    coset, step, reports = _verify_memos()
+    assert (coset.currsize, step.currsize, len(reports)) == (1, 2, 1)
+    _clear_verify_memos()
+    coset, step, reports = _verify_memos()
+    assert (coset.currsize, step.currsize, len(reports)) == (0, 0, 0)
+
+
+def test_step_and_report_memos_stay_bounded():
+    """1,100 genuine certificates, each one d2-step further along the grid
+    and each with its own copy of the report: one coset, but 1,101 stepped
+    twists and 1,100 pairs of report objects."""
+    cert = _quick_cert()
+    p = cert.params
+    _clear_verify_memos()
+    for i in range(1100):
+        params = dataclasses.replace(p, d2=p.d2 + 2 * i, l2=p.l2 - i * FP)
+        stepped = dataclasses.replace(cert, params=params, report=dataclasses.replace(cert.report))
+        assert verify_certificate(stepped) == cert.report
+    coset, step, reports = _verify_memos()
+    assert coset.currsize == 1
+    assert step.maxsize is not None
+    assert step.currsize <= step.maxsize < 1100
+    assert len(reports) < 1100
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=10, max_size=10),
+    st.integers(min_value=-10**12, max_value=10**12),
+)
+def test_memoized_step_is_the_combination(coeffs, steps):
+    """The step memo's twist is the representative's minus steps * f', for
+    rational twists, on a miss and on a hit by an equal twist."""
+    expected = combination(BP, ((1, DivisorClass(BP, coeffs)), (-steps, FP)))
+    assert list(expected.coeffs) == [c - steps * f for c, f in zip(coeffs, FP.coeffs)]
+    for _ in range(2):
+        assert solver_module._stepped(DivisorClass(BP, coeffs), steps) == expected
+
+
+def test_a_report_found_equal_is_compared_again_under_another_polarization():
+    """The report memo keys on the pair of stored and fresh report objects:
+    the quick certificate's report, already found equal under the default
+    polarization, kept by a copy with h' = (3, 21, 21) fails there, on every
+    call, and the genuine certificate still verifies."""
+    cert = _quick_cert()
+    _clear_verify_memos()
+    verify_certificate(cert)
+    assert len(solver_module._equal_reports) == 1
+    moved = dataclasses.replace(cert, hprime=(3, 21, 21))
+    assert moved.report is cert.report
+    for _ in range(2):
+        with pytest.raises(TamperError) as exc:
+            verify_certificate(moved)
+        assert str(exc.value) == _REPORT_MESSAGE + "S_s.value: stored -12, recomputed -6"
+    assert verify_certificate(cert) == cert.report
 
 
 # === search inputs are checked before any work starts ===
