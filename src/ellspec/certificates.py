@@ -17,38 +17,49 @@ while None); the only others are the ``version``/``basis_convention`` head
 and ``hprime``'s ``f``/``e1``/``xi``.  A spelled value (a rational, surface
 tag or entry's ``detail``) is written by the table's string or one
 flat-object kind.  The writer emits the bytes of
-``json.dumps(payload, indent=2) + "\n"``; the loader is ``json.loads`` plus
-strict checks (the written keys, each once, each value of its exact JSON
-type), so a loaded file saves back byte for byte, and its SchemaError names
-the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file holds
-one certificate object or {"version": "1", "certificates": [...]}.
-``certificate_to_dict`` is the written text parsed back.
+``json.dumps(payload, indent=2) + "\n"``; the loader parses what
+``json.loads`` parses, a repeated key refused, and checks strictly (the
+written keys, each once, each value of its exact JSON type), so a loaded
+file saves back byte for byte, and its SchemaError names the key path, e.g.
+``certificates[1].report.c2_deficit[1]``.  A file holds one certificate
+object or {"version": "1", "certificates": [...]}.  ``certificate_to_dict``
+is the written text parsed back.
+
+The loader walks the file object member by member and parses each element
+of its ``certificates`` array with ``json.JSONDecoder.raw_decode``, then
+checks and builds it before it parses the next; ``load_certificates`` feeds
+it the file a fixed number of characters at a time, so it holds neither the
+whole text nor the whole parse.  Its errors, and their order, are those of
+parsing the whole text first: what ``json.loads`` refuses (syntax, the digit
+and depth limits, a repeated key), then the file object's own keys and
+version, then the first failing certificate.
 
 Each call handles a shared object (a row, hprime, report or divisor class,
 as ``solve`` shares each among many certificates) once.  The writer renders
 one once per indentation it occurs at (keyed by ``id``, the object held for
 the call) and puts everything else straight into its sink, a piece at a
 time, so ``save_certificates`` streams the text into the file.  The loader
-keys a copy with exactly its keys on the ``repr`` of its values in
-declaration order, and only the first copy of each key is checked and built;
-a copy with any other keys, or one that fails, is never kept, so it is
-checked on its own.  A loaded file thus shares what ``solve`` shares, classes
-included.  Neither memo outlives its call, and the bytes written and the
-errors raised are those of rendering and loading every copy on its own.
+keys a copy with exactly its keys on ``marshal.dumps`` (format 2) of its
+values in declaration order, and only the first copy of each key is checked
+and built; a copy with any other keys, or one that fails, is never kept, so
+it is checked on its own.  A loaded file thus shares what ``solve`` shares,
+classes included.  Neither memo outlives its call, and the bytes written and
+the errors raised are those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import re
 from collections import Counter, namedtuple
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .assembly import BundleParams, ConstraintEntry, ConstraintReport
 from .errors import SchemaError
@@ -160,6 +171,7 @@ class _Object:
         self.plan = tuple(zip(keys, kinds, strict=True))
         self.head = head or {}
         self.keys = (*self.head, *keys)
+        self.values = itemgetter(*self.keys)
         self.allowed = frozenset(self.keys)
         self.required = self.allowed - optional
         # each key as written, '"key": '; the head's values are written in place
@@ -193,23 +205,25 @@ class _Object:
         put(newline + "}" if sep is comma else "{}")
 
     def load(self, obj: Any, memo: dict) -> Any:
-        # repr is one-to-one on parsed JSON, exact types included (1, True
-        # and 1.0 differ), so two copies with exactly the allowed keys and
-        # the same values in declaration order pass the same checks and build
-        # equal objects.  Only a built object is kept: a failing copy raises
-        # wherever it occurs.
+        # marshal format 2 writes each value's exact type (1, True and 1.0
+        # differ) and no reference or interning flag, so its bytes are a
+        # function of the parsed value alone: two copies with exactly the
+        # allowed keys and the same values in declaration order pass the same
+        # checks and build equal objects.  Only a built object is kept: a
+        # failing copy raises wherever it occurs.
         if not self.shared or obj.__class__ is not dict or obj.keys() != self.allowed:
             return self._check_and_build(obj, memo)
         try:
-            memo_key = (self, repr([obj[key] for key in self.keys]))
-        except RecursionError:  # nested too deep for any declared value: the checks reject it
+            memo_key = (self, marshal.dumps(self.values(obj), 2))
+        except ValueError:  # nested too deep to marshal, or no JSON value: the checks decide
             return self._check_and_build(obj, memo)
         built = memo.get(memo_key)
         if built is None:
             built = memo[memo_key] = self._check_and_build(obj, memo)
         return built
 
-    def _check_and_build(self, obj: Any, memo: dict) -> Any:
+    def check(self, obj: Any) -> None:
+        """The object's own checks: its keys, each once, and the head's values."""
         if obj.__class__ is not dict:
             raise SchemaError("expected an object")
         if not self.required <= obj.keys() <= self.allowed:
@@ -219,6 +233,9 @@ class _Object:
         for key, value in self.head.items():
             if obj[key] != value:
                 raise SchemaError(f"field {key!r} has unsupported value {obj[key]!r:.40}")
+
+    def _check_and_build(self, obj: Any, memo: dict) -> Any:
+        self.check(obj)
         values = []
         try:
             for key, kind in self.plan:
@@ -379,26 +396,226 @@ def _raise_duplicate(value: Any, path: tuple[str | int, ...] = ()) -> None:
             raise
 
 
-def loads_json(text: str) -> Any:
-    """json.loads, with a repeated key, a too-long int or too-deep nesting a SchemaError."""
-    try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except SchemaError:  # a repeated key: parse again, keeping every pair, to locate it
+_BUILD = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_PAIRS = json.JSONDecoder(object_pairs_hook=_Pairs)
+_SPACE = json.decoder.WHITESPACE.match
+# how far before the end of the text read so far json may report an error
+# that more text would mend: a cut literal such as -Infinity or a cut \uXXXX
+# escape; a cut string is reported where it starts
+_CUT_REACH = 16
+
+
+class _Document:
+    """A JSON document read from pieces of its text, a value at a time.
+
+    ``text[at:]`` is what is left of the pieces read so far.  Reading on
+    drops the text before ``mark``, the end of the last value or opening
+    bracket, and ``base``, ``lines`` and ``line_start`` (the offset of the
+    last dropped newline) place ``text`` in the document for json's error
+    messages.  A repeated key's error is kept in ``duplicate``, and with its
+    key path in ``located``; the rest of the document is then only checked
+    to be JSON, and the error names its path only if it is.
+    """
+
+    def __init__(self, pieces: Iterator[str]) -> None:
+        self.pieces = pieces
+        self.text = ""
+        self.at = self.mark = self.base = self.lines = 0
+        self.line_start = -1
+        self.done = False
+        self.duplicate: SchemaError | None = None
+        self.located: SchemaError | None = None
+        self._read_on()
+        if self.text.startswith("\ufeff"):  # as json.loads refuses it
+            raise self._invalid(json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", self.text, 0))
+
+    def _read_on(self) -> bool:
+        """Read pieces until the text kept from mark on has doubled; False
+        if the document had no more."""
+        kept = len(self.text) - self.mark
+        pieces, size = [], 0
+        for piece in self.pieces:
+            pieces.append(piece)
+            size += len(piece)
+            if size > kept:
+                break
+        else:
+            self.done = True
+        if not size:
+            return False
+        text, mark = self.text, self.mark
+        if newlines := text.count("\n", 0, mark):
+            self.lines += newlines
+            self.line_start = self.base + text.rfind("\n", 0, mark)
+        self.base += mark
+        self.at -= mark
+        self.mark = 0
+        self.text = "".join([text[mark:], *pieces] if mark < len(text) else pieces)
+        return True
+
+    def skip(self) -> str:
+        """Move past whitespace; the character there, "" at the end."""
+        while True:
+            self.at = _SPACE(self.text, self.at).end()
+            if self.at < len(self.text) or not self._read_on():
+                return self.text[self.at:self.at + 1]
+
+    def step(self) -> None:
+        """Move past the bracket at the read point."""
+        self.at = self.mark = self.at + 1
+
+    def next_item(self, close: str, opening: str) -> str:
+        """Move past the comma after an item or member; the character that
+        starts the next one, or close, which ends the container."""
+        char = self.skip()
+        if char == ",":
+            self.at += 1
+            if (char := self.skip()) != close:
+                return char
+        elif char == close:
+            return char
+        raise self.expected(opening)
+
+    def value(self, path: tuple[str | int, ...]) -> Any:
+        """The JSON value at the read point, which moves past it; path names
+        it in the document.  After a repeated key, values are parsed with
+        _Pairs objects, only to check the rest of the document."""
+        while True:
+            decoder = _BUILD if self.duplicate is None else _PAIRS
+            try:
+                value, end = decoder.raw_decode(self.text, self.at)
+            except SchemaError as exc:  # raised where the first object repeating a key closes
+                self.duplicate = exc
+                continue
+            except (ValueError, RecursionError) as exc:
+                if self.done or not self._may_be_cut(exc):
+                    raise self._invalid(exc) from exc
+            else:  # a number at the end of the text may go on in the next piece
+                if end < len(self.text) or self.done:
+                    break
+            self._read_on()
+        self.at = self.mark = end
+        if decoder is _PAIRS and self.located is None:
+            try:
+                _raise_duplicate(value, path)
+            except SchemaError as exc:
+                self.located = exc
+            # parsed deeper than Python recurses (C's own limit, from 3.12)
+            except RecursionError:
+                self.located = self.duplicate
+        return value
+
+    def _may_be_cut(self, exc: ValueError | RecursionError) -> bool:
+        """Whether exc may come from where the text read so far ends."""
+        if isinstance(exc, json.JSONDecodeError):
+            return exc.pos > len(self.text) - _CUT_REACH or exc.msg.startswith("Unterminated string")
+        # past the digit limit: a cut number may go on, as a float
+        return isinstance(exc, ValueError) and self.text[-1:] in "0123456789.eE+-"
+
+    def expected(self, opening: str) -> SchemaError:
+        """json's error for the text from mark on, which it reads in the
+        state that opening leaves its scanner in."""
         try:
-            _raise_duplicate(json.loads(text, object_pairs_hook=_Pairs))
-        except (ValueError, RecursionError):  # not JSON past the repeat, or nested too deep
-            pass
-        raise
-    # JSONDecodeError, an int past the digit limit, or nesting past the stack
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+            _PAIRS.raw_decode(opening + self.text[self.mark:])
+        except json.JSONDecodeError as exc:
+            exc.pos += self.mark - len(opening)
+            return self._invalid(exc)
+        raise AssertionError(f"json reads on past {opening!r}")
+
+    def whole(self) -> Any:
+        """The document's one value."""
+        self.skip()
+        value = self.value(())
+        self.end()
+        return value
+
+    def end(self) -> None:
+        """Check that nothing but whitespace is left; a repeated key met
+        before is then raised with its key path."""
+        if self.skip():
+            raise self._invalid(json.JSONDecodeError("Extra data", self.text, self.at))
+        if self.located is not None:
+            raise self.located
+
+    def _invalid(self, exc: ValueError | RecursionError) -> SchemaError:
+        """The error for exc, which json met at this point of the document (a
+        JSONDecodeError's position is in text): json's, placed in the whole
+        document, unless a repeated key came first."""
+        if self.duplicate is not None:  # not JSON past the repeat: the pathless error
+            return self.duplicate
+        if isinstance(exc, json.JSONDecodeError):
+            text, pos = self.text, exc.pos
+            newline = text.rfind("\n", 0, pos)
+            line = self.lines + text.count("\n", 0, pos) + 1
+            column = pos - newline if newline >= 0 else self.base + pos - self.line_start
+            exc = f"{exc.msg}: line {line} column {column} (char {self.base + pos})"
+        return SchemaError(f"not valid JSON: {exc}")
+
+
+def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
+    """The certificates of the document that pieces spell out.  A file's
+    certificates are parsed, checked and built one at a time, each shared
+    object once, and after the first failing one only parsed.  The errors
+    and their order are those of the whole text's checks: first what
+    json.loads rejects and a repeated key, then the file object's own keys
+    and version, then the first failing certificate."""
+    doc, memo = _Document(pieces), {}
+    if doc.skip() != "{":
+        return [_CERTIFICATE.load(doc.whole(), memo)]
+    (listed, array), = _FILE.plan
+    pairs: list[tuple[str, Any]] = []
+    built: list[SolutionCertificate] = []
+    failed: SchemaError | None = None
+    doc.step()
+    char = doc.skip()
+    while char != "}":
+        if char != '"':
+            raise doc.expected('{"":0' if pairs else "{")
+        key = doc.value(())
+        if doc.skip() != ":":
+            raise doc.expected('{""')
+        doc.at += 1
+        if doc.skip() != "[" or key != listed:
+            pairs.append((key, doc.value((key,))))
+        else:  # the file's array, an item at a time
+            pairs.append((key, built))
+            doc.step()
+            index, char = 0, doc.skip()
+            while char != "]":
+                obj = doc.value((key, index))
+                if failed is None and doc.duplicate is None:
+                    try:
+                        built.append(array.item.load(obj, memo))
+                    except SchemaError as exc:
+                        exc.path = (key, index, *exc.path)
+                        failed = exc
+                index += 1
+                char = doc.next_item("]", "[0")
+            doc.step()
+        char = doc.next_item("}", '{"":0')
+    doc.step()
+    # an object closes after its members: a repeat inside one comes first
+    members = _unique_keys(pairs) if doc.duplicate is None else {}
+    doc.end()
+    if listed not in members:
+        return [_CERTIFICATE.load(members, memo)]
+    if members[listed] is not built:  # not an array: the array's own error
+        return _FILE.load(members, memo)
+    _FILE.check(members)
+    if failed is not None:
+        raise failed
+    return _FILE.build(built)
+
+
+def loads_json(text: str) -> Any:
+    """json.loads, with a repeated key, a too-long int or too-deep nesting a
+    SchemaError; a repeated key's error names its key path."""
+    return _Document(iter((text,))).whole()
 
 
 def loads_certificates(text: str) -> list[SolutionCertificate]:
-    payload = loads_json(text)
-    if isinstance(payload, dict) and "certificates" in payload:
-        return _FILE.load(payload, {})
-    return [certificate_from_dict(payload)]
+    return _decode(iter((text,)))
 
 
 def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) -> None:
@@ -413,5 +630,22 @@ def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) ->
         partial.unlink(missing_ok=True)  # gone once it replaced path
 
 
+# characters per read of load_certificates; a certificate is about 3,000
+_CHUNK = 1 << 16
+
+
 def load_certificates(path: str | Path) -> list[SolutionCertificate]:
-    return loads_certificates(Path(path).read_text())
+    """loads_certificates of the file's text, read _CHUNK characters at a
+    time, so neither the whole text nor its whole parse is ever held."""
+    try:
+        with open(path) as file:
+            pieces = iter(lambda: file.read(_CHUNK), "")
+            try:
+                return _decode(pieces)
+            except SchemaError:
+                for _ in pieces:  # a byte the codec refuses anywhere comes first, as in a whole read
+                    pass
+                raise
+    except UnicodeDecodeError:
+        Path(path).read_text()  # raises it again, at the byte's offset in the whole file
+        raise

@@ -25,16 +25,16 @@ _COMPONENTS = ("n1", "o2")
 def _multiplicities(a: Sequence) -> tuple[int, ...]:
     """The list as ints, a tuple of exact ints kept as it is; a non-integral
     or negative entry is a ValueError."""
-    if a.__class__ is tuple and all(x.__class__ is int for x in a):
+    if a.__class__ is tuple and {*map(type, a)} <= {int}:
         ints = a
     else:
         try:
-            ints = tuple(int(x) for x in a)
+            ints = tuple(map(int, a))
             if ints != tuple(a):
                 raise ValueError
         except (OverflowError, ValueError):  # also inf and nan, which int() refuses
             raise ValueError("multiplicities must be integers") from None
-    if any(x < 0 for x in ints):
+    if ints and min(ints) < 0:
         raise ValueError("multiplicities must be nonnegative")
     return ints
 

@@ -39,10 +39,10 @@ class DivisorClass:
     common denominator ``den``, in lowest terms, so arithmetic, comparison
     and the pairing run on ints.  ``coeffs`` gives the coefficients as
     Fractions, computed on each read.  An instance never changes once it is
-    built.
+    built; its hash is computed on first use and kept.
     """
 
-    __slots__ = ("surface", "num", "den")
+    __slots__ = ("surface", "num", "den", "_hash")
 
     surface: Surface
     num: tuple[int, ...]
@@ -78,7 +78,11 @@ class DivisorClass:
         return self.surface is other.surface and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.surface, self.num, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((self.surface, self.num, self.den)))
+            return self._hash
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return combination(self.surface, ((1, self), (1, other)))

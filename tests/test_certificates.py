@@ -56,6 +56,27 @@ def certs():
     return found
 
 
+def _load_both(text):
+    """loads_certificates(text), once load_certificates of the text saved to
+    a file, read 7 characters at a time so that values and keys are cut
+    between reads, is found to give the same certificates or error."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "loaded.json"
+        path.write_text(text)
+        patch.setattr(certificates, "_CHUNK", 7)
+        try:
+            from_file = load_certificates(path)
+        except SchemaError as exc:
+            from_file = exc
+    try:
+        from_text = loads_certificates(text)
+    except SchemaError as exc:
+        assert isinstance(from_file, SchemaError) and str(from_file) == str(exc)
+        raise
+    assert from_file == from_text
+    return from_text
+
+
 # === scalars ===
 
 
@@ -190,6 +211,53 @@ def test_failed_save_leaves_no_partial_file(tmp_path, certs):
         pass
     save_certificates(saved, certs)
     assert stat.S_IMODE(saved.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def _sharing(certs, get):
+    """For each certificate, the index of the first one whose get(cert) is
+    the same object."""
+    first = {}
+    return [first.setdefault(id(get(cert)), i) for i, cert in enumerate(certs)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chunk):
+    text = dumps_certificates(certs)
+    path = tmp_path / "certs.json"
+    path.write_text(text)
+    monkeypatch.setattr(certificates, "_CHUNK", chunk)
+    loaded, expected = load_certificates(path), loads_certificates(text)
+    assert loaded == expected == certs
+    for get in (attrgetter("row"), attrgetter("report")):
+        assert _sharing(loaded, get) == _sharing(expected, get)
+
+
+def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, certs):
+    path = tmp_path / "certs.json"
+    save_certificates(path, certs)
+    monkeypatch.setattr(certificates, "_CHUNK", 4096)
+    tracemalloc.start()
+    try:
+        load_certificates(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
+def test_an_undecodable_byte_is_the_error_of_a_whole_read(tmp_path, monkeypatch, certs):
+    """A byte the text codec refuses comes before any error in the text, at
+    its offset in the whole file, although the load reads in pieces."""
+    text = "@" + dumps_certificates(certs[:3])
+    path = tmp_path / "certs.json"
+    path.write_bytes(text.encode()[:-8] + b"\xff" + text.encode()[-8:])
+    monkeypatch.setattr(certificates, "_CHUNK", 64)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text()
+    assert whole.value.start > 8192  # past one read of the file's buffer
+    with pytest.raises(UnicodeDecodeError) as caught:
+        load_certificates(path)
+    assert str(caught.value) == str(whole.value)
 
 
 def test_loaded_certificate_verifies(certs):
@@ -526,7 +594,7 @@ def _second_report_repeated_c3(text):
 def test_second_copy_of_a_shared_report_is_checked(certs, doctor, message):
     text = dumps_certificates(_same_report_pair(certs))
     with pytest.raises(SchemaError, match=message):
-        loads_certificates(doctor(text))
+        _load_both(doctor(text))
 
 
 def _second_copy_changed(text, where, value):
@@ -562,7 +630,7 @@ def test_copies_differing_only_in_json_type_stay_apart(certs, where, value, mess
     changed = _node(json.loads(text)["certificates"][1], where)
     assert changed == first or str(changed) == first
     with pytest.raises(SchemaError, match=message):
-        loads_certificates(text)
+        _load_both(text)
 
 
 def _keys_reversed(value):
@@ -622,6 +690,20 @@ def test_class_copies_share_one_object_only_when_exactly_equal():
             certificates._DIVISOR.load(alias, memo)
 
 
+def test_copies_share_one_object_only_when_their_values_and_types_are_equal():
+    """1, True and 1.0 compare equal but are other JSON values; a copy
+    holding one list object twice is equal to one holding two equal lists."""
+    any_list = certificates._Scalar("an array", (list,))
+    pair = certificates._Object(("a", "b"), (any_list, any_list), None,
+                                lambda a, b: (a, b), shared=True)
+    memo = {}
+    built = [pair.load({"a": value, "b": []}, memo) for value in ([1], [True], [1.0])]
+    assert [type(a[0]) for a, _ in built] == [int, bool, float]
+    assert len({id(b) for b in built}) == 3
+    twice = [1]
+    assert pair.load({"a": twice, "b": twice}, memo) is pair.load({"a": [1], "b": [1]}, memo)
+
+
 def _deepest_parsed(make):
     """The largest n for which loads_json accepts make(n)."""
     lo, hi = 1, 1 << 20
@@ -648,7 +730,7 @@ def test_a_copy_nested_to_the_parse_limit_is_a_one_line_schema_error(certs):
     assert deepest > 50
     for n in range(deepest, deepest - 8, -1):
         with pytest.raises(SchemaError) as exc:
-            loads_certificates(nested(n))
+            _load_both(nested(n))
         assert str(exc.value) == "certificates[1].report: field 'nonsplit' must be a boolean"
 
 
@@ -766,7 +848,7 @@ def test_verify_exits_2_on_a_duplicate_key(tmp_path):
     text = GOLDEN.read_text().replace('  "u": -3,', '  "u": 7,\n  "u": -3,', 1)
     assert text.count('"u": ') == 2
     with pytest.raises(SchemaError, match="duplicate key 'u'"):
-        loads_certificates(text)
+        _load_both(text)
     path = tmp_path / "duplicate.json"
     path.write_text(text)
     with redirect_stderr(io.StringIO()) as err:
@@ -779,8 +861,12 @@ def test_duplicate_key_error_names_its_object(certs):
     second = text.index('"c2_deficit_effective"', text.index('"c2_deficit_effective"') + 1)
     doctored = text[:second] + '"c3": "0",\n' + text[second:]
     with pytest.raises(SchemaError) as exc:
-        loads_certificates(doctored)
+        _load_both(doctored)
     assert str(exc.value) == "certificates[1].report: duplicate key 'c3'"
+    # text that is not JSON past the repeat, anywhere in the file, keeps the pathless error
+    with pytest.raises(SchemaError) as exc:
+        _load_both(doctored + "x")
+    assert str(exc.value) == "duplicate key 'c3'"
     # the innermost object repeating a key is named, as json.loads meets them
     with pytest.raises(SchemaError) as exc:
         loads_json('{"a": [1, {"b": 1, "c": {"d": 1, "d": 2}, "b": 2}], "a": 3}')
@@ -791,12 +877,128 @@ def test_duplicate_key_error_names_its_object(certs):
     assert str(exc.value) == "duplicate key 'u'"
 
 
+def test_a_repeat_too_deep_to_locate_keeps_the_pathless_error(monkeypatch):
+    """From Python 3.12 json nests deeper than the Python walk that locates
+    a repeat can recurse; the error then names no path."""
+    def too_deep(value, path=()):
+        raise RecursionError
+
+    monkeypatch.setattr(certificates, "_raise_duplicate", too_deep)
+    with pytest.raises(SchemaError) as caught:
+        _load_both('{"version": "1", "certificates": [{"u": 1, "u": 2}]}')
+    assert str(caught.value) == "duplicate key 'u'"
+
+
+def _first_failing(certs):
+    """The text of a file of certs whose first certificate's u is a string."""
+    obj = json.loads(dumps_certificates(certs))
+    obj["certificates"][0]["u"] = "x"
+    return json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (lambda text: text, r"^certificates\[0\]: field 'u' must be an integer$"),
+    # what json rejects comes first, wherever it is
+    (lambda text: text[:text.rindex('"c3": ')] + '"c3": "0",\n' + text[text.rindex('"c3": '):],
+     r"^certificates\[1\]\.report: duplicate key 'c3'$"),
+    (lambda text: text + "}", r"^not valid JSON: Extra data: line \d+ column \d+ \(char \d+\)$"),
+    # then the file object's own keys and version, wherever they are
+    (lambda text: json.dumps({"certificates": json.loads(text)["certificates"], "version": "2"}),
+     r"^field 'version' has unsupported value '2'$"),
+    (lambda text: text.replace('"version": "1",', '"version": "1", "count": 2,', 1),
+     r"^unknown field 'count'$"),
+], ids=["certificate", "repeat-in-a-later-one", "trailing-text", "version-after-the-array",
+        "unknown-file-key"])
+def test_load_errors_come_in_the_whole_texts_order(certs, doctor, message):
+    """A file whose first certificate fails: an error of the text or of the
+    file object comes before it, as if the whole text were parsed first."""
+    text = _first_failing(certs[:2])
+    with pytest.raises(SchemaError, match=message):
+        _load_both(doctor(text))
+
+
+@pytest.mark.parametrize("number", ["12345678901234", "1" * 20_000 + ".5"], ids=["int", "long-float"])
+def test_a_number_cut_between_reads_is_read_whole(number):
+    with pytest.raises(SchemaError, match=r"^certificates: expected an array$"):
+        _load_both('{"version": "1", "certificates": ' + number + "}")
+
+
+def _padded(text, at, char):
+    """text with char inserted at at, after a run of spaces longer than
+    what a load holds, so that the error's line starts in text dropped."""
+    return text[:at] + " " * 20_000 + char + text[at:]
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda t: _padded(t, t.index("\n", len(t) // 100), "@"),  # at a line's end: outside a string
+    lambda t: _padded(t, t.index("\n", len(t) // 2), "@"),
+    lambda t: _padded(t, 1, "@"),
+    lambda t: _padded(t, t.index('"version"') + len('"version"'), "@"),
+    lambda t: _padded(t, t.index("[") + 1, "@"),
+    lambda t: _padded(t, t.index("\n    },") + len("\n    }"), "@"),
+    lambda t: _padded(t, t.rindex("}", 0, t.rindex("]")) + 1, ","),
+    lambda t: _padded(t, t.rindex("]") + 1, "@"),
+], ids=["first-certificate", "middle-certificate", "file-object-start", "after-a-key",
+        "first-item", "between-items", "trailing-comma", "after-the-array"])
+def test_a_syntax_error_is_placed_as_json_places_it(certs, doctor):
+    bad = doctor(dumps_certificates(certs[:3]))
+    with pytest.raises(json.JSONDecodeError) as parsed:
+        json.loads(bad)
+    with pytest.raises(SchemaError) as caught:
+        _load_both(bad)
+    assert str(caught.value) == f"not valid JSON: {parsed.value}"
+
+
+def _whole_text_load(text):
+    """The reference loader: the whole text parsed first, a repeated key
+    located by a second parse with _Pairs objects, then the checks."""
+    try:
+        payload = json.loads(text, object_pairs_hook=certificates._unique_keys)
+    except SchemaError:
+        try:
+            certificates._raise_duplicate(json.loads(text, object_pairs_hook=certificates._Pairs))
+        except (ValueError, RecursionError):
+            pass
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    if isinstance(payload, dict) and "certificates" in payload:
+        return certificates._FILE.load(payload, {})
+    return [certificate_from_dict(payload)]
+
+
+_TWO_GOLDEN = json.dumps({"version": "1", "certificates": [json.loads(GOLDEN.read_text())] * 2},
+                         indent=2)
+_EDITS = ["", "{", "}", "[", "]", ",", ":", '"', "\\", " ", "\n", "0", "-", ".", "e", "t", "@",
+          '"u": 1, ', '"version": "1", ', '"certificates": [], ', "\ufeff", "\\u00e9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_TWO_GOLDEN)), st.integers(0, 3), st.sampled_from(_EDITS))
+def test_load_matches_the_whole_text_load(at, cut, edit):
+    """Any edit of a two-certificate file loads to the same certificates, or
+    fails with the same message, as parsing its whole text first would."""
+    text = _TWO_GOLDEN[:at] + edit + _TWO_GOLDEN[at + cut:]
+    try:
+        expected = _whole_text_load(text)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as caught:
+            _load_both(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert _load_both(text) == expected
+
+
 @pytest.mark.parametrize(
-    "text", ["[" * 100000, "[" + "1" * 5000 + "]"], ids=["deep-nesting", "5000-digit-int"]
+    "text", ["[" * 100000, "[" + "1" * 5000 + "]", "\ufeff{}"],
+    ids=["deep-nesting", "5000-digit-int", "byte-order-mark"],
 )
 def test_loads_rejects_pathological_json(text):
-    with pytest.raises(SchemaError):
-        loads_certificates(text)
+    with pytest.raises((ValueError, RecursionError)) as parsed:
+        json.loads(text)
+    with pytest.raises(SchemaError) as caught:
+        _load_both(text)
+    assert str(caught.value) == f"not valid JSON: {parsed.value}"
 
 
 @pytest.mark.parametrize(
@@ -995,7 +1197,7 @@ def test_loader_errors_name_the_key_path():
         assert str(caught.value) == message
     text = json.dumps({"version": "1", "certificates": [_GOLDEN_OBJ, 3]})
     with pytest.raises(SchemaError, match=r"^certificates\[1\]: expected an object$"):
-        loads_certificates(text)
+        _load_both(text)
 
 
 def _second_of_two(doctor):
@@ -1013,7 +1215,7 @@ def _second_of_two(doctor):
 ], ids=["detail-list", "m-class-on-B"])
 def test_loader_rejects_a_wrong_shape_in_a_later_certificate(doctor, message):
     with pytest.raises(SchemaError) as caught:
-        loads_certificates(_second_of_two(doctor))
+        _load_both(_second_of_two(doctor))
     assert str(caught.value) == message
 
 
@@ -1031,7 +1233,7 @@ def test_a_rational_past_a_lowered_digit_limit_is_a_schema_error(path):
     sys.set_int_max_str_digits(640)
     try:
         with pytest.raises(SchemaError) as caught:
-            loads_certificates(text)
+            _load_both(text)
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(caught.value) == (

@@ -461,6 +461,10 @@ def test_divisor_class_is_immutable():
         d.num = (0,) * RANK
     with pytest.raises(FrozenInstanceError):
         del d.den
+    hash(d)  # the hash, kept once computed, is frozen too
+    with pytest.raises(FrozenInstanceError):
+        d._hash = 0
+    assert hash(d) == hash(DivisorClass(d.surface, d.coeffs))
     with pytest.raises(ValueError):
         DivisorClass(BP, (1,) * (RANK - 1))
 
