@@ -25,26 +25,40 @@ file saves back byte for byte, and its SchemaError names the key path, e.g.
 object or {"version": "1", "certificates": [...]}.  ``certificate_to_dict``
 is the written text parsed back.
 
-The loader walks the file object member by member and parses each element
-of its ``certificates`` array with ``json.JSONDecoder.raw_decode``, then
-checks and builds it before it parses the next; ``load_certificates`` feeds
-it the file a fixed number of characters at a time, so it holds neither the
-whole text nor the whole parse.  Its errors, and their order, are those of
-parsing the whole text first: what ``json.loads`` refuses (syntax, the digit
-and depth limits, a repeated key), then the file object's own keys and
-version, then the first failing certificate.
+The loader walks the file object member by member, and each element of
+its ``certificates`` array too: one regex match per key or separator and
+json's ``scan_once`` per value, over the text read so far.  It checks and
+builds each certificate before it reads the next; ``load_certificates``
+feeds it the file a fixed number of characters at a time, so it holds
+neither the whole text nor the whole parse.  An element the walk cannot
+finish (its text runs past what is read, a key is not a plain string or
+repeats, json raises anything), and every element after a failing one or
+a repeated key, is parsed whole by ``json.JSONDecoder.raw_decode``, which
+then decides.  The errors, and their order, are those of parsing the whole
+text first: what ``json.loads`` refuses (syntax, the digit and depth
+limits, a repeated key), then the file object's own keys and version, then
+the first failing certificate.
 
 Each call handles a shared object (a row, hprime, report or divisor class,
 as ``solve`` shares each among many certificates) once.  The writer renders
 one once per indentation it occurs at (keyed by ``id``, the object held for
 the call) and puts everything else straight into its sink, a piece at a
 time, so ``save_certificates`` streams the text into the file.  The loader
-keys a copy with exactly its keys on ``marshal.dumps`` (format 2) of its
-values in declaration order, and only the first copy of each key is checked
-and built; a copy with any other keys, or one that fails, is never kept, so
-it is checked on its own.  A loaded file thus shares what ``solve`` shares,
-classes included.  Neither memo outlives its call, and the bytes written and
-the errors raised are those of rendering and loading every copy on its own.
+has two memos.  The text memo holds, for each shared member of a
+certificate (``row``, ``m_class``, ``hprime``, ``report``), the text of its
+key's last copy that built, a closed JSON object: a copy whose text starts
+with it parses to an equal value, so the walk hands on that copy's object
+with no parse, no object hook and no key.  Any other copy is parsed, and
+the marshal memo keys it, when it has exactly its keys, on
+``marshal.dumps`` (format 2) of its values in declaration order; only the
+first copy of each key is checked and built, and a copy with any other
+keys, or one that fails, is never kept, so it is checked on its own.  The
+marshal memo thus still answers a copy equal in value but not in text, and
+the classes within ``params``, which the walk parses like every member
+that is not shared.  A loaded file shares what ``solve`` shares, classes
+included, whichever memo answered.  No memo outlives its call, and the
+bytes written and the errors raised are those of rendering and loading
+every copy on its own.
 """
 
 from __future__ import annotations
@@ -121,6 +135,14 @@ class _Codec(namedtuple("_Codec", "spell parse kind")):
 
     def load(self, value: Any, memo: dict) -> Any:
         return self.parse(value)
+
+
+class _Built:
+    """In a plan, a value the loader built already: loaded as it is."""
+
+    @staticmethod
+    def load(value: Any, memo: dict) -> Any:
+        return value
 
 
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
@@ -234,11 +256,13 @@ class _Object:
             if obj[key] != value:
                 raise SchemaError(f"field {key!r} has unsupported value {obj[key]!r:.40}")
 
-    def _check_and_build(self, obj: Any, memo: dict) -> Any:
+    def _check_and_build(self, obj: Any, memo: dict, plan: tuple | None = None) -> Any:
+        """load(obj) without the memo; plan, if given, is self.plan with
+        some kinds swapped for _Built."""
         self.check(obj)
         values = []
         try:
-            for key, kind in self.plan:
+            for key, kind in plan or self.plan:
                 values.append(kind.load(obj[key], memo) if key in obj else None)
         except SchemaError as exc:
             if kind.__class__ is _Scalar:  # named as a field of this object
@@ -553,6 +577,79 @@ class _Document:
         return SchemaError(f"not valid JSON: {exc}")
 
 
+# a certificate's first member up to its value, and what follows a value:
+# the next member up to its value, or the closing brace (no key); a key is
+# a plain string, with no escape or control character
+_FIRST_MEMBER = re.compile(r'\{[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
+_NEXT_MEMBER = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*|\})')
+_SCAN = _BUILD.scan_once
+# the certificate's members whose copies share one built object
+_SHARED_MEMBERS = frozenset(key for key, kind in _CERTIFICATE.plan if getattr(kind, "shared", False))
+
+
+class _TextMemo:
+    """The text memo of one load: for each shared member of a certificate,
+    the text and built object of its key's last copy that built.
+
+    That text is a closed JSON object (a shared member builds from nothing
+    else), so a copy that starts with it parses to an equal value, which the
+    marshal memo would answer with the same object; ``walk`` hands that
+    object on with no parse."""
+
+    def __init__(self) -> None:
+        self.last: dict[str, tuple[str, Any]] = {}
+        self.plans: dict[tuple[str, ...], tuple] = {}
+
+    def walk(self, text: str, at: int) -> tuple[dict, tuple, int, list] | None:
+        """The certificate object that starts at text[at], parsed a member
+        at a time, each shared member that repeats its last copy's text as
+        that copy's object; with the plan that loads it, its end and the
+        (key, start, end) of each shared member parsed.  None, to parse the
+        certificate whole, where its text ends first, a key is not a plain
+        string or is repeated, or json raises anything."""
+        obj: dict[str, Any] = {}
+        hits: list[str] = []
+        scanned: list[tuple[str, int, int]] = []
+        last, scan, next_member = self.last, _SCAN, _NEXT_MEMBER.match
+        match = _FIRST_MEMBER.match(text, at)
+        while match is not None:
+            key = match[1]
+            if key is None:
+                return obj, self._plan(tuple(hits)), match.end(), scanned
+            if key in obj:
+                return None
+            at = match.end()
+            copy = last.get(key)
+            if copy is not None and text.startswith(copy[0], at):
+                obj[key] = copy[1]
+                hits.append(key)
+                at += len(copy[0])
+            else:
+                try:
+                    obj[key], end = scan(text, at)
+                except (StopIteration, ValueError, RecursionError, SchemaError):
+                    return None
+                if key in _SHARED_MEMBERS:
+                    scanned.append((key, at, end))
+                at = end
+            match = next_member(text, at)
+        return None
+
+    def _plan(self, hits: tuple[str, ...]) -> tuple:
+        """_CERTIFICATE's plan, the kinds of hits swapped for _Built."""
+        plan = self.plans.get(hits)
+        if plan is None:
+            plan = self.plans[hits] = tuple((key, _Built if key in hits else kind)
+                                            for key, kind in _CERTIFICATE.plan)
+        return plan
+
+    def keep(self, cert: SolutionCertificate, text: str, scanned: list[tuple[str, int, int]]) -> None:
+        """Remember the text and built object of each shared member scanned
+        in the walk of text that built cert (its fields are its keys)."""
+        for key, start, end in scanned:
+            self.last[key] = text[start:end], getattr(cert, key)
+
+
 def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
     """The certificates of the document that pieces spell out.  A file's
     certificates are parsed, checked and built one at a time, each shared
@@ -564,6 +661,7 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
     if doc.skip() != "{":
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
+    texts = _TextMemo()
     pairs: list[tuple[str, Any]] = []
     built: list[SolutionCertificate] = []
     failed: SchemaError | None = None
@@ -583,13 +681,22 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
             doc.step()
             index, char = 0, doc.skip()
             while char != "]":
-                obj = doc.value((key, index))
-                if failed is None and doc.duplicate is None:
+                loading = failed is None and doc.duplicate is None
+                walked = texts.walk(doc.text, doc.at) if loading else None
+                if walked is None:
+                    obj, plan, scanned = doc.value((key, index)), None, ()
+                else:
+                    obj, plan, doc.at, scanned = walked
+                    doc.mark = doc.at
+                if loading and doc.duplicate is None:  # a repeat in obj taints the document
                     try:
-                        built.append(array.item.load(obj, memo))
+                        cert = array.item._check_and_build(obj, memo, plan)
                     except SchemaError as exc:
                         exc.path = (key, index, *exc.path)
                         failed = exc
+                    else:
+                        built.append(cert)
+                        texts.keep(cert, doc.text, scanned)
                 index += 1
                 char = doc.next_item("]", "[0")
             doc.step()

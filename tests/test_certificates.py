@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import io
 import json
+import re
 import stat
 import sys
 import tempfile
@@ -220,15 +221,45 @@ def _sharing(certs, get):
     return [first.setdefault(id(get(cert)), i) for i, cert in enumerate(certs)]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+_SHARED_MEMBERS = ("row", "m_class", "hprime", "report")
+
+
+def _memo_hits(monkeypatch):
+    """The list, filled as certificates load, of the shared members each
+    walked certificate took from the text memo (None where it fell back)."""
+    hits = []
+    walk = certificates._TextMemo.walk
+
+    def spy(self, text, at):
+        walked = walk(self, text, at)
+        hits.append(walked and {key for key, kind in walked[1] if kind is certificates._Built})
+        return walked
+
+    monkeypatch.setattr(certificates._TextMemo, "walk", spy)
+    return hits
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 4096, 1 << 16])
 def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chunk):
+    """Reads of any size, the default's included, give the certificates and
+    the sharing of a whole text; a certificate cut by a read is parsed
+    whole, and the text memo still answers for the repeats after it."""
     text = dumps_certificates(certs)
     path = tmp_path / "certs.json"
     path.write_text(text)
+    expected = loads_certificates(text)
+    hits = _memo_hits(monkeypatch)
     monkeypatch.setattr(certificates, "_CHUNK", chunk)
-    loaded, expected = load_certificates(path), loads_certificates(text)
+    loaded = load_certificates(path)
     assert loaded == expected == certs
-    for get in (attrgetter("row"), attrgetter("report")):
+    # a read cuts a certificate, which is then parsed whole; from 4096
+    # characters on, a read holds whole certificates after it, which take
+    # every shared member from the text memo (a smaller read holds less than
+    # a certificate past the last one built, so every walk falls back)
+    assert None in hits
+    after_a_cut = any(cut is None and hit == set(_SHARED_MEMBERS) for cut, hit in zip(hits, hits[1:]))
+    assert after_a_cut == (chunk >= 4096)
+    for get in map(attrgetter, ("row", "report", "hprime", "m_class", "params.l2", "params.l3")):
         assert _sharing(loaded, get) == _sharing(expected, get)
 
 
@@ -273,6 +304,47 @@ def test_doctored_file_fails_verification(certs):
     doctored = certificate_from_dict(obj)
     with pytest.raises(TamperError):
         verify_certificate(doctored)
+
+
+def test_late_tampers_at_repeated_members_tails_fail_verify(tmp_path, certs):
+    """The file's last four certificates, each edited where a copy of a
+    repeated member ends: its report's notes, its report's c3, its
+    polarization's xi and its m-class's last coefficient.  Each differs
+    from the copy before it only there, and verify reports each."""
+    text = dumps_certificates(certs)
+    cut = [len(text)]
+    for _ in range(4):
+        cut.insert(0, text.rindex('\n    {\n      "version"', 0, cut[0]))
+    tampers = [
+        ('"report": {', '"notes": []', '"notes": ["x"]'),
+        ('"report": {', '"c3": "12"', '"c3": "13"'),
+        ('"hprime": {', '"xi": 168', '"xi": 169'),
+        ('"m_class": {', '"0"\n        ]', '"1"\n        ]'),
+    ]
+    parts = []
+    for (member, old, new), start, end in zip(tampers, cut, cut[1:]):
+        part = text[start:end]
+        at = part.index(old, part.index(member))
+        parts.append(part[:at] + new + part[at + len(old):])
+    path = tmp_path / "tampered.json"
+    path.write_text(text[:cut[0]] + "".join(parts))
+    shown = io.StringIO()
+    with redirect_stdout(shown):
+        assert run(["verify", str(path)]) == 1
+    lines = shown.getvalue().splitlines()
+    n = len(certs)
+    tag = "(k2=3, k3=6, u=-3, x=5)"
+    assert [line for line in lines if not line.startswith("ok   ")] == [
+        f"FAIL certificate {n - 4} {tag}: stored constraint report disagrees with recomputation"
+        " at notes: stored (x), recomputed ()",
+        f"FAIL certificate {n - 3} {tag}: stored constraint report disagrees with recomputation"
+        " at c3: stored 13, recomputed 12",
+        f"FAIL certificate {n - 2} {tag}: polarization is not certified ample"
+        " in the (f', e1', xi') frame",
+        f"FAIL certificate {n - 1} {tag}: stored m-space class fails the m-space check",
+        f"{n - 4}/{n} certificate(s) verified",
+    ]
+    assert len(lines) == n + 1
 
 
 # === strict loading ===
@@ -536,17 +608,89 @@ def _same_report_pair(certs):
     return [first, second]
 
 
-def test_loaded_file_shares_what_solve_shares(certs):
-    loaded = loads_certificates(dumps_certificates(certs))
-    # a class is one object wherever it occurs, so its three places share one table
-    for attrs in (["report"], ["row"], ["hprime"], ["m_class", "params.l2", "params.l3"]):
-        getters = [attrgetter(a) for a in attrs]
-        canonical = {}
-        for cert in loaded:
-            for get in getters:
-                value = get(cert)
-                assert value is canonical.setdefault(value, value)
-        assert len(canonical) == len({get(c) for c in certs for get in getters})
+def _spaced(certs, indents):
+    """A file of certs, certificate i dumped by json.dumps at indent
+    indents[i % len(indents)]: its members' texts differ from those of a
+    certificate at another indent."""
+    items = [json.dumps(certificate_to_dict(c), indent=indents[i % len(indents)])
+             for i, c in enumerate(certs)]
+    return '{"version": "1", "certificates": [' + ", ".join(items) + "]}"
+
+
+def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
+    """Each shared member is one object per value, whether the text memo
+    (a copy spelled as the one before it) or the marshal memo (a copy
+    spelled otherwise) answered for it."""
+    hits = _memo_hits(monkeypatch)
+    # as written, every certificate spelled otherwise, and a mix
+    for indents in ((2,), (None, 1), (None, 1, 1)):
+        hits.clear()
+        text = dumps_certificates(certs) if indents == (2,) else _spaced(certs, indents)
+        loaded = loads_certificates(text)
+        assert loaded == certs
+        # the box has one value of each shared member
+        alike = [indents[i % len(indents)] == indents[(i - 1) % len(indents)]
+                 for i in range(1, len(certs))]
+        assert None not in hits
+        assert [hit == set(_SHARED_MEMBERS) for hit in hits[1:]] == alike
+        # a class is one object wherever it occurs, so its three places share one table
+        for attrs in (["report"], ["row"], ["hprime"], ["m_class", "params.l2", "params.l3"]):
+            getters = [attrgetter(a) for a in attrs]
+            canonical = {}
+            for cert in loaded:
+                for get in getters:
+                    value = get(cert)
+                    assert value is canonical.setdefault(value, value)
+            assert len(canonical) == len({get(c) for c in certs for get in getters})
+
+
+def _member_span(text, index, key):
+    """The (start, end) in a file's text of the value of key in its
+    certificate number index."""
+    start = [m.end() for m in re.finditer(f'"{key}": ', text)][index]
+    return start, json.JSONDecoder().raw_decode(text, start)[1]
+
+
+@pytest.mark.parametrize(
+    "edit, cut", [("", 1), (" ", 0), ("@", 1), ("}", 0), (",", 0), ("{", 0), ("0", 1), ("\f", 0)])
+@pytest.mark.parametrize("where", ["first-byte", "last-byte", "past-the-end"])
+@pytest.mark.parametrize("key", _SHARED_MEMBERS)
+def test_an_edit_at_a_repeated_members_edge_loads_as_the_whole_text(certs, key, where, edit, cut):
+    """The text memo compares a copy with the last one's text: an edit
+    where that text starts or ends, or just past it, loads as the whole
+    text's parse would."""
+    pair = _same_report_pair(certs)
+    assert all(getattr(pair[0], k) is getattr(pair[1], k) for k in _SHARED_MEMBERS)
+    text = dumps_certificates(pair)
+    start, end = _member_span(text, 1, key)
+    at = {"first-byte": start, "last-byte": end - 1, "past-the-end": end}[where]
+    loaded = _loads_as_the_whole_text(text[:at] + edit + text[at + cut:])
+    if loaded is not None and loaded == pair:
+        assert getattr(loaded[1], key) is getattr(loaded[0], key)
+
+
+@pytest.mark.parametrize("spelling", ["\\u0072ow", "r\\u006fw", "row\\u0000", "row\t", "\\u0076ersion"])
+@pytest.mark.parametrize("member", ["version", "row"])
+def test_a_member_key_json_reads_otherwise_loads_as_the_whole_text(certs, member, spelling):
+    """A key with an escape or a control character, first in its
+    certificate or not, is read by json, not matched as it is written."""
+    text = dumps_certificates(_same_report_pair(certs))
+    at = text.index(f'"{member}": ', text.rindex("\n    {\n"))
+    _loads_as_the_whole_text(text[:at] + f'"{spelling}"' + text[at + len(member) + 2:])
+
+
+@pytest.mark.parametrize("key", _SHARED_MEMBERS)
+@pytest.mark.parametrize("spacing", [{"indent": 4}, {"indent": None}, {"separators": (",", ":")}])
+def test_a_repeated_member_spelled_otherwise_is_the_same_object(certs, key, spacing):
+    pair = _same_report_pair(certs)
+    text = dumps_certificates(pair)
+    start, end = _member_span(text, 1, key)
+    respaced = json.dumps(json.loads(text[start:end]), **spacing)
+    assert respaced != text[start:end]
+    loaded = _loads_as_the_whole_text(text[:start] + respaced + text[end:])
+    assert loaded == pair
+    for k in _SHARED_MEMBERS:
+        assert getattr(loaded[1], k) is getattr(loaded[0], k)
 
 
 def test_a_report_differing_in_one_entry_is_its_own_object(certs):
@@ -967,26 +1111,57 @@ def _whole_text_load(text):
     return [certificate_from_dict(payload)]
 
 
-_TWO_GOLDEN = json.dumps({"version": "1", "certificates": [json.loads(GOLDEN.read_text())] * 2},
-                         indent=2)
-_EDITS = ["", "{", "}", "[", "]", ",", ":", '"', "\\", " ", "\n", "0", "-", ".", "e", "t", "@",
-          '"u": 1, ', '"version": "1", ', '"certificates": [], ', "\ufeff", "\\u00e9"]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, len(_TWO_GOLDEN)), st.integers(0, 3), st.sampled_from(_EDITS))
-def test_load_matches_the_whole_text_load(at, cut, edit):
-    """Any edit of a two-certificate file loads to the same certificates, or
-    fails with the same message, as parsing its whole text first would."""
-    text = _TWO_GOLDEN[:at] + edit + _TWO_GOLDEN[at + cut:]
+def _loads_as_the_whole_text(text):
+    """Both entry points give text the certificates or the message that
+    parsing its whole text first gives; the certificates, or None."""
     try:
         expected = _whole_text_load(text)
     except SchemaError as exc:
         with pytest.raises(SchemaError) as caught:
             _load_both(text)
         assert str(caught.value) == str(exc)
-    else:
-        assert _load_both(text) == expected
+        return None
+    loaded = _load_both(text)
+    assert loaded == expected
+    return loaded
+
+
+_GOLDEN_CERTIFICATE = json.loads(GOLDEN.read_text())
+_TWO_GOLDEN = json.dumps({"version": "1", "certificates": [_GOLDEN_CERTIFICATE] * 2}, indent=2)
+# the middle report differs: the text memo misses it and the last copy's
+# report, which the marshal memo answers, while the last copy's row, class
+# and h' hit after that miss
+_MIDDLE = copy.deepcopy(_GOLDEN_CERTIFICATE)
+_MIDDLE["report"]["notes"] = ["the middle copy's own note"]
+_THREE_GOLDEN = json.dumps(
+    {"version": "1", "certificates": [_GOLDEN_CERTIFICATE, _MIDDLE, _GOLDEN_CERTIFICATE]}, indent=2)
+_EDITS = ["", "{", "}", "[", "]", ",", ":", '"', "\\", " ", "\n", "0", "-", ".", "e", "t", "@",
+          '"u": 1, ', '"version": "1", ', '"certificates": [], ', "\ufeff", "\\u00e9"]
+
+
+def _at_repeat_edges(test):
+    """Examples that edit a later copy's shared member at its first byte,
+    its last byte and just past it, where the text memo compares texts."""
+    for golden, index, keys in ((_TWO_GOLDEN, 1, _SHARED_MEMBERS), (_THREE_GOLDEN, 1, ("report",)),
+                                (_THREE_GOLDEN, 2, _SHARED_MEMBERS)):
+        for key in keys:
+            start, end = _member_span(golden, index, key)
+            for at in (start, end - 1, end):
+                for edit, cut in ((" ", 0), ("", 1), ("0", 1)):
+                    test = example(golden, at, cut, edit)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@_at_repeat_edges
+@given(st.sampled_from([_TWO_GOLDEN, _THREE_GOLDEN]), st.integers(0, len(_THREE_GOLDEN)),
+       st.integers(0, 3), st.sampled_from(_EDITS))
+def test_load_matches_the_whole_text_load(golden, at, cut, edit):
+    """Any edit of a two- or three-certificate file loads to the same
+    certificates, or fails with the same message, as parsing its whole text
+    first would."""
+    at %= len(golden) + 1
+    _loads_as_the_whole_text(golden[:at] + edit + golden[at + cut:])
 
 
 @pytest.mark.parametrize(
