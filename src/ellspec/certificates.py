@@ -30,35 +30,45 @@ its ``certificates`` array too: one regex match per key or separator and
 json's ``scan_once`` per value, over the text read so far.  It checks and
 builds each certificate before it reads the next; ``load_certificates``
 feeds it the file a fixed number of characters at a time, so it holds
-neither the whole text nor the whole parse.  An element the walk cannot
-finish (its text runs past what is read, a key is not a plain string or
-repeats, json raises anything), and every element after a failing one or
-a repeated key, is parsed whole by ``json.JSONDecoder.raw_decode``, which
-then decides.  The errors, and their order, are those of parsing the whole
-text first: what ``json.loads`` refuses (syntax, the digit and depth
-limits, a repeated key), then the file object's own keys and version, then
-the first failing certificate.
+neither the whole text nor the whole parse.  A walk that fails is made
+once more after reading on until twice the longest element walked is
+held, so an element a read cuts is walked too.  An element the walk still
+cannot finish (its text runs past what is read, a key is not a plain
+string or repeats, json raises anything), and every element after a
+failing one or a repeated key, is parsed whole by
+``json.JSONDecoder.raw_decode``, which then decides.  The errors, and
+their order, are those of parsing the whole text first: what
+``json.loads`` refuses (syntax, the digit and depth limits, a repeated
+key), then the file object's own keys and version, then the first failing
+certificate.
 
 Each call handles a shared object (a row, hprime, report or divisor class,
-as ``solve`` shares each among many certificates) once.  The writer renders
-one once per indentation it occurs at (keyed by ``id``, the object held for
-the call) and puts everything else straight into its sink, a piece at a
-time, so ``save_certificates`` streams the text into the file.  The loader
-has two memos.  The text memo holds, for each shared member of a
-certificate (``row``, ``m_class``, ``hprime``, ``report``), the text of its
-key's last copy that built, a closed JSON object: a copy whose text starts
-with it parses to an equal value, so the walk hands on that copy's object
-with no parse, no object hook and no key.  Any other copy is parsed, and
-the marshal memo keys it, when it has exactly its keys, on
-``marshal.dumps`` (format 2) of its values in declaration order; only the
-first copy of each key is checked and built, and a copy with any other
-keys, or one that fails, is never kept, so it is checked on its own.  The
-marshal memo thus still answers a copy equal in value but not in text, and
-the classes within ``params``, which the walk parses like every member
-that is not shared.  A loaded file shares what ``solve`` shares, classes
-included, whichever memo answered.  No memo outlives its call, and the
-bytes written and the errors raised are those of rendering and loading
-every copy on its own.
+as ``solve`` shares each among many certificates) once.  The writer fills
+templates.  On first use at an indentation each declaration compiles its
+constant text (head lines, quoted keys, separators, brackets) into one %
+format with a slot per value, one per presence pattern of its optional
+keys; a nested object that is not shared and has no optional keys
+(``params``) is inlined into its parent's.  An object is then written by
+one fill: an exact int goes in as it is, any other scalar as json spells
+it, an array of scalars is joined in one call, and a shared object's text
+comes from the call's memo, rendered once per indentation (keyed by
+``id``, the object held for the call).  The file's array hands its sink a
+certificate's text at a time, so ``save_certificates`` streams the text
+into the file.  The loader has two memos.  The text memo holds, for each
+shared member of a certificate (``row``, ``m_class``, ``hprime``,
+``report``), the text of its key's last copy that built, a closed JSON
+object: a copy whose text starts with it parses to an equal value, so the
+walk hands on that copy's object with no parse, no object hook and no
+key.  Any other copy is parsed, and the marshal memo keys it, when it has
+exactly its keys, on ``marshal.dumps`` (format 2) of its values in
+declaration order; only the first copy of each key is checked and built,
+and a copy with any other keys, or one that fails, is never kept, so it
+is checked on its own.  The marshal memo thus still answers a copy equal
+in value but not in text, and the classes within ``params``, which the
+walk parses like every member that is not shared.  A loaded file shares
+what ``solve`` shares, classes included, whichever memo answered.  No
+memo outlives its call, and the bytes written and the errors raised are
+those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -122,16 +132,18 @@ class _Scalar(namedtuple("_Scalar", "what types")):
             return value
         raise SchemaError(f"expected {self.what}")
 
-    def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
-        put(_spell(value))
+    @staticmethod
+    def at(newline: str) -> Callable:
+        return _spelled
 
 
 class _Codec(namedtuple("_Codec", "spell parse kind")):
     """A value with its own JSON spelling: spell gives the JSON value, which
     kind writes, and parse takes it back."""
 
-    def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
-        self.kind.write(self.spell(value), newline, memo, put)
+    def at(self, newline: str) -> Callable:
+        spell, text = self.spell, self.kind.at(newline)
+        return lambda value, memo: text(spell(value), memo)
 
     def load(self, value: Any, memo: dict) -> Any:
         return self.parse(value)
@@ -148,12 +160,32 @@ class _Built:
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
     """A JSON array of one codec's values, loaded as a tuple."""
 
+    def at(self, newline: str) -> Callable:
+        """The function (values, memo) -> the array's text, joined in one
+        call; an exact int item is spelled inline."""
+        inner = newline + "  "
+        opening, comma, closing = "[" + inner, "," + inner, newline + "]"
+        if self.item.__class__ is _Scalar:
+            def text(values: Sequence, memo: dict) -> str:
+                texts = []  # a loop: a short array spends more on a comprehension's frame
+                for v in values:
+                    texts.append(str(v) if v.__class__ is int else _spell(v))
+                return opening + comma.join(texts) + closing if texts else "[]"
+        else:
+            item = self.item.at(inner)
+
+            def text(values: Sequence, memo: dict) -> str:
+                texts = [item(v, memo) for v in values]
+                return opening + comma.join(texts) + closing if texts else "[]"
+        return text
+
     def write(self, values: Sequence, newline: str, memo: dict, put: Callable) -> None:
-        inner, write = newline + "  ", self.item.write
-        sep, comma = "[" + inner, "," + inner
+        """Put the array's text an item at a time."""
+        inner = newline + "  "
+        text, sep, comma = self.item.at(inner), "[" + inner, "," + inner
         for value in values:
             put(sep)
-            write(value, inner, memo, put)
+            put(text(value, memo))
             sep = comma
         put(newline + "]" if sep is comma else "[]")
 
@@ -174,22 +206,64 @@ class _FlatObject:
     """An entry's detail, the one dict the table spells: str keys, scalar values."""
 
     @staticmethod
-    def write(value: dict, newline: str, memo: dict, put: Callable) -> None:
+    def at(newline: str) -> Callable:
         inner = newline + "  "
-        members = [_quote(k) + ": " + _spell(v) for k, v in value.items()]
-        put("{" + inner + ("," + inner).join(members) + newline + "}" if members else "{}")
+        opening, comma, closing = "{" + inner, "," + inner, newline + "}"
+
+        def text(value: dict, memo: dict) -> str:
+            members = [_quote(k) + ": " + _spell(v) for k, v in value.items()]
+            return opening + comma.join(members) + closing if members else "{}"
+        return text
+
+
+class _Template(namedtuple("_Template", "fmt read slots pieces kinds paths")):
+    """An object's text at one indentation with one presence pattern of its
+    optional keys: the constant pieces around one slot per value written,
+    joined as a % format; read takes the object to its slots' values.  Per
+    slot, the function that spells its value (None for a scalar), the
+    (kind, newline) it is written at and, if the object reads attributes,
+    the dotted path of its value."""
+
+    def fill(self, value: Any, memo: dict) -> str:
+        """value's text: the format with each slot's value spelled, an exact
+        int as it is and any other scalar by _spell."""
+        texts = []
+        for slot, v in zip(self.slots, self.read(value)):
+            texts.append((v if v.__class__ is int else _spell(v)) if slot is None else slot(v, memo))
+        return self.fmt % tuple(texts)
+
+
+def _memoized(text: Callable) -> Callable:
+    """text, called once per value in a call; the memo holds the value with
+    its text, so that its id is not reused."""
+    def shared(value: Any, memo: dict) -> str:
+        key = text, id(value)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = value, text(value, memo)
+        return hit[1]
+    return shared
 
 
 class _Object:
     """One JSON object: the fixed head, then one key and one codec per value
-    that ``read`` takes off a Python value and ``build`` takes back, in that
-    order.  A key in ``optional`` is left out while its value is None.  A
-    ``shared`` object is checked and built once per distinct copy."""
+    that ``read`` takes off a Python value (its attributes named by the keys
+    if read is None) and ``build`` takes back, in that order.  A key in
+    ``optional``, which only an object reading attributes has, is left out
+    while its value is None.  A ``shared`` object is checked and built once
+    per distinct copy, and written once per indentation in a call.
 
-    def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable, build: Callable,
+    Written first at an indentation, the object compiles its constant text
+    into a template, one per presence pattern of its optional keys.  A
+    nested object that is not shared, has no optional keys and reads
+    attributes is inlined: its text goes into its parent's template, its
+    values into the parent's read."""
+
+    def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable | None, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
                  shared: bool = False) -> None:
-        self.read, self.build, self.shared = read, build, shared
+        self.attrs = None if read else tuple(keys)
+        self.read, self.build, self.shared = read or attrgetter(*keys), build, shared
         self.plan = tuple(zip(keys, kinds, strict=True))
         self.head = head or {}
         self.keys = (*self.head, *keys)
@@ -198,33 +272,82 @@ class _Object:
         self.required = self.allowed - optional
         # each key as written, '"key": '; the head's values are written in place
         self.head_lines = tuple(_quote(k) + ": " + _quote(v) for k, v in self.head.items())
-        self.labels = tuple((_quote(k) + ": ", kind, k in optional) for k, kind in self.plan)
-        self.write = self._write_shared if shared else self._render
+        self.labels = tuple((_quote(k) + ": ", kind) for k, kind in self.plan)
+        self.optional_at = tuple(i for i, key in enumerate(keys) if key in optional)
+        self.inline = not shared and not optional and self.attrs is not None
+        self.texts: dict[str, Callable] = {}
+        self.templates: dict[tuple[str, tuple[bool, ...]], _Template] = {}
 
-    def _write_shared(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
-        """Put value's text, rendered once per indentation in the call, the
-        memo holding the object so that its id is not reused."""
-        key = (id(self), id(value), newline)
-        if key not in memo:
-            text: list[str] = []
-            self._render(value, newline, memo, text.append)
-            memo[key] = value, "".join(text)
-        put(memo[key][1])
+    def at(self, newline: str) -> Callable:
+        """The function (value, memo) -> value's text, at the indentation
+        that newline ends with."""
+        text = self.texts.get(newline)
+        if text is None:
+            if self.optional_at:
+                text = lambda value, memo: self._template_of(value, newline).fill(value, memo)
+            else:
+                text = self._template(newline, ()).fill
+            text = self.texts[newline] = _memoized(text) if self.shared else text
+        return text
 
-    def _render(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
-        """Put value's text, at the indentation that newline ends with."""
+    def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
+        """Put value's text a piece at a time: the template's constant
+        pieces and its slots' texts, an array's an item at a time."""
+        template = self._template_of(value, newline)
+        for piece, (kind, inner), item in zip(template.pieces, template.kinds, template.read(value)):
+            put(piece)
+            if kind.__class__ is _Array:
+                kind.write(item, inner, memo, put)
+            else:
+                put(kind.at(inner)(item, memo))
+        put(template.pieces[-1])
+
+    def _template_of(self, value: Any, newline: str) -> _Template:
+        """value's template at newline: its optional keys that are None left out."""
+        absent = ()
+        if self.optional_at:
+            items = self.read(value)
+            absent = tuple([items[i] is None for i in self.optional_at])
+        return self._template(newline, absent)
+
+    def _template(self, newline: str, absent: tuple[bool, ...]) -> _Template:
+        """The template at newline's indentation, absent saying which
+        optional keys are left out."""
+        template = self.templates.get((newline, absent))
+        if template is None:
+            template = self.templates[newline, absent] = self._compile(newline, absent)
+        return template
+
+    def _compile(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         inner = newline + "  "
+        left_out = {i for i, gone in zip(self.optional_at, absent) if gone}
+        pieces, paths, slots, kinds = [""], [], [], []
         sep, comma = "{" + inner, "," + inner
         for line in self.head_lines:
-            put(sep + line)
+            pieces[-1] += sep + line
             sep = comma
-        for (label, kind, optional), item in zip(self.labels, self.read(value)):
-            if item is None and optional:
+        for i, (label, kind) in enumerate(self.labels):
+            if i in left_out:
                 continue
-            put(sep + label)
-            kind.write(item, inner, memo, put)
+            pieces[-1] += sep + label
             sep = comma
-        put(newline + "}" if sep is comma else "{}")
+            if kind.__class__ is _Object and kind.inline and self.attrs:
+                child = kind._template(inner, ())
+                pieces[-1] += child.pieces[0]
+                pieces += child.pieces[1:]
+                paths += (self.attrs[i] + "." + path for path in child.paths)
+                slots += child.slots
+                kinds += child.kinds
+            else:
+                pieces.append("")
+                if self.attrs:
+                    paths.append(self.attrs[i])
+                slots.append(None if kind.__class__ is _Scalar else kind.at(inner))
+                kinds.append((kind, inner))
+        pieces[-1] += newline + "}" if sep is comma else "{}"
+        fmt = "%s".join(piece.replace("%", "%%") for piece in pieces)
+        read = attrgetter(*paths) if self.attrs else self.read
+        return _Template(fmt, read, tuple(slots), tuple(pieces), tuple(kinds), tuple(paths))
 
     def load(self, obj: Any, memo: dict) -> Any:
         # marshal format 2 writes each value's exact type (1, True and 1.0
@@ -281,7 +404,7 @@ def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
     a field that defaults to None is optional."""
     keys = tuple(f.name for f in fields(cls))
     optional = frozenset(f.name for f in fields(cls) if f.default is None)
-    return _Object(keys, kinds, attrgetter(*keys), cls, head, optional, shared)
+    return _Object(keys, kinds, None, cls, head, optional, shared)
 
 
 def _surface_from_json(tag: Any) -> Surface:
@@ -390,6 +513,11 @@ def _spell(value: Any) -> str:
     return spell(value)
 
 
+def _spelled(value: Any, memo: dict) -> str:
+    """A scalar's text: _spell as a writer's function of (value, memo)."""
+    return _spell(value)
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """A JSON object as a dict; a repeated key, which json.loads would let
     the last value win, is a SchemaError."""
@@ -477,6 +605,14 @@ class _Document:
         self.mark = 0
         self.text = "".join([text[mark:], *pieces] if mark < len(text) else pieces)
         return True
+
+    def hold(self, count: int) -> bool:
+        """Read on until count characters past the read point are held, or
+        the document ends; whether any were read."""
+        read = False
+        while len(self.text) - self.at < count and self._read_on():
+            read = True
+        return read
 
     def skip(self) -> str:
         """Move past whitespace; the character there, "" at the end."""
@@ -679,15 +815,20 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
         else:  # the file's array, an item at a time
             pairs.append((key, built))
             doc.step()
-            index, char = 0, doc.skip()
+            index, char, longest = 0, doc.skip(), 0
             while char != "]":
                 loading = failed is None and doc.duplicate is None
                 walked = texts.walk(doc.text, doc.at) if loading else None
+                # a walk that may have run off the text read so far: once more,
+                # with twice the longest certificate walked held
+                if walked is None and loading and doc.hold(2 * longest):
+                    walked = texts.walk(doc.text, doc.at)
                 if walked is None:
                     obj, plan, scanned = doc.value((key, index)), None, ()
                 else:
-                    obj, plan, doc.at, scanned = walked
-                    doc.mark = doc.at
+                    obj, plan, end, scanned = walked
+                    longest = max(longest, end - doc.at)
+                    doc.at = doc.mark = end
                 if loading and doc.duplicate is None:  # a repeat in obj taints the document
                     try:
                         cert = array.item._check_and_build(obj, memo, plan)

@@ -50,6 +50,7 @@ a tampered twist reported as such whatever the polarization.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -455,7 +456,8 @@ def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str
 
 
 def _shown(value) -> str:
-    """An exact value on one line: rationals as canonical strings."""
+    """An exact value on one line: rationals as canonical strings, strings
+    as json spells them, so that ("",) and () read apart."""
     if isinstance(value, tuple):
         return "(" + ", ".join(_shown(v) for v in value) + ")"
-    return str(value)
+    return json.dumps(value) if isinstance(value, str) else str(value)

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import gc
+import hashlib
 import io
 import json
 import re
@@ -10,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from operator import attrgetter
@@ -242,8 +245,9 @@ def _memo_hits(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 64, 4096, 1 << 16])
 def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chunk):
     """Reads of any size, the default's included, give the certificates and
-    the sharing of a whole text; a certificate cut by a read is parsed
-    whole, and the text memo still answers for the repeats after it."""
+    the sharing of a whole text; a certificate cut by a read is walked again
+    once more is read, or else parsed whole, and the text memo still
+    answers for the repeats after it."""
     text = dumps_certificates(certs)
     path = tmp_path / "certs.json"
     path.write_text(text)
@@ -252,15 +256,37 @@ def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chun
     monkeypatch.setattr(certificates, "_CHUNK", chunk)
     loaded = load_certificates(path)
     assert loaded == expected == certs
-    # a read cuts a certificate, which is then parsed whole; from 4096
-    # characters on, a read holds whole certificates after it, which take
-    # every shared member from the text memo (a smaller read holds less than
-    # a certificate past the last one built, so every walk falls back)
+    # a read cuts a certificate, whose walk falls back; from 4096 characters
+    # on, the walk is made again once twice the longest certificate walked
+    # is read, and takes every shared member from the text memo (a smaller
+    # read holds a whole certificate, and so walks any, only by chance)
     assert None in hits
     after_a_cut = any(cut is None and hit == set(_SHARED_MEMBERS) for cut, hit in zip(hits, hits[1:]))
-    assert after_a_cut == (chunk >= 4096)
+    assert after_a_cut or chunk < 4096
     for get in map(attrgetter, ("row", "report", "hprime", "m_class", "params.l2", "params.l3")):
         assert _sharing(loaded, get) == _sharing(expected, get)
+
+
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
+def test_no_certificate_a_read_cuts_is_parsed_whole(tmp_path, monkeypatch, certs, chunk):
+    """At 4 KB and 64 KB reads every certificate is walked: none is parsed
+    whole by _Document.value, and the load dumps to the file's bytes."""
+    text = dumps_certificates(certs)
+    path = tmp_path / "certs.json"
+    path.write_text(text)
+    parsed = []
+    value = certificates._Document.value
+
+    def spy(self, path):
+        parsed.append(path)
+        return value(self, path)
+
+    monkeypatch.setattr(certificates._Document, "value", spy)
+    monkeypatch.setattr(certificates, "_CHUNK", chunk)
+    loaded = load_certificates(path)
+    assert len(text) > 8 * chunk  # reads cut certificates
+    assert [p for p in parsed if p[:1] == ("certificates",) and len(p) > 1] == []
+    assert dumps_certificates(loaded) == text
 
 
 def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, certs):
@@ -336,7 +362,7 @@ def test_late_tampers_at_repeated_members_tails_fail_verify(tmp_path, certs):
     tag = "(k2=3, k3=6, u=-3, x=5)"
     assert [line for line in lines if not line.startswith("ok   ")] == [
         f"FAIL certificate {n - 4} {tag}: stored constraint report disagrees with recomputation"
-        " at notes: stored (x), recomputed ()",
+        ' at notes: stored ("x"), recomputed ()',
         f"FAIL certificate {n - 3} {tag}: stored constraint report disagrees with recomputation"
         " at c3: stored 13, recomputed 12",
         f"FAIL certificate {n - 2} {tag}: polarization is not certified ample"
@@ -345,6 +371,18 @@ def test_late_tampers_at_repeated_members_tails_fail_verify(tmp_path, certs):
         f"{n - 4}/{n} certificate(s) verified",
     ]
     assert len(lines) == n + 1
+
+
+def test_a_note_tampered_to_the_empty_string_reads_apart_from_none(certs):
+    """The report's notes [] -> [""]: the message quotes the stored string,
+    so its two values do not read alike."""
+    text = dumps_certificates(certs[:1])
+    at = text.index('"notes": []', text.index('"report": {'))
+    tampered, = loads_certificates(text[:at] + '"notes": [""]' + text[at + len('"notes": []'):])
+    with pytest.raises(TamperError) as exc:
+        verify_certificate(tampered)
+    assert str(exc.value) == (
+        'stored constraint report disagrees with recomputation at notes: stored (""), recomputed ()')
 
 
 # === strict loading ===
@@ -600,6 +638,107 @@ def test_render_memo_lives_for_one_call(certs):
     assert after != before
     assert after == _oracle_dumps(case)
     assert dumps_certificates(case[:1]) == _oracle_dumps(case[:1])
+
+
+# === templates: one fill per object ===
+
+
+def test_a_template_keeps_its_constant_text_as_json_writes_it():
+    """Keys and head values holding %, braces, a quote and a non-ASCII
+    character, at two indentations, and a % in a written value."""
+    odd = '%s %% {0} }{ "q" caf\u00e9 \u03b6'
+    obj = certificates._Object(
+        (odd, "n", "m"), (certificates._INT, certificates._STRS, certificates._INT), lambda v: v, None,
+        head={"%": odd, odd + "{": "100%"},
+    )
+    value = (7, ("x%sy", odd), -1)
+    payload = {"%": odd, odd + "{": "100%", odd: 7, "n": ["x%sy", odd], "m": -1}
+    assert certificates._dumps(obj, value) == json.dumps(payload, indent=2)
+    assert certificates._dumps(certificates._Array(obj), [value, value]) == json.dumps(
+        [payload, payload], indent=2)
+
+
+def test_entries_in_every_presence_pattern(certs):
+    """value, residual and detail each left out or written: the eight
+    templates of an entry in one report."""
+    cert = certs[0]
+    entries = tuple(
+        ConstraintEntry(
+            f"E{i}", bool(i % 3),
+            value=Fraction(i, 3) if i & 1 else None,
+            residual=cert.params.l3 if i & 2 else None,
+            detail=(("a", True), ("b", False)) if i & 4 else None,
+        )
+        for i in range(8)
+    )
+    case = [dataclasses.replace(cert, report=dataclasses.replace(cert.report, entries=entries))]
+    _round_trips(case)
+    _round_trips([*case, certs[1], *case])
+
+
+def test_true_in_an_int_slot_is_written_true(certs):
+    cert = copy.copy(certs[0])
+    object.__setattr__(cert, "u", True)
+    object.__setattr__(cert, "hprime", (True, False, 1))
+    text = dumps_certificates([cert])
+    assert text == _oracle_dumps([cert])
+    assert '"u": true' in text and '"f": true' in text
+
+
+@pytest.mark.parametrize("bad", [[1], {"a": 1}, 1.5, Fraction(1, 2)], ids=type)
+@pytest.mark.parametrize("where", ["u", "z", "hprime", "params.a2", "notes"])
+def test_a_nested_or_unknown_value_in_a_scalar_slot_is_a_type_error(certs, where, bad):
+    """Where the loader takes a scalar, the writer refuses a list, dict,
+    float or Fraction, with json's message for an unknown type."""
+    cert = copy.copy(certs[0])
+    if where == "params.a2":
+        params = copy.copy(cert.params)
+        object.__setattr__(params, "a2", (0, bad))
+        object.__setattr__(cert, "params", params)
+    else:
+        object.__setattr__(cert, where, {"hprime": (1, bad, 2), "notes": ("x", bad)}.get(where, bad))
+    message = f"^Object of type {type(bad).__name__} is not JSON serializable$"
+    for case in ([cert], [certs[1], cert]):
+        with pytest.raises(TypeError, match=message):
+            dumps_certificates(case)
+
+
+def test_no_template_holds_a_value_after_a_dump(certs):
+    """Templates are built from the table alone: once a dump returns, the
+    certificates it wrote and their members are freed."""
+    def fresh(cert):
+        entries = tuple(map(dataclasses.replace, cert.report.entries))
+        report = dataclasses.replace(cert.report, entries=entries)
+        return dataclasses.replace(cert, row=dataclasses.replace(cert.row),
+                                   params=dataclasses.replace(cert.params), report=report)
+
+    case = [fresh(c) for c in certs[:3]]
+    refs = [weakref.ref(obj) for c in case for obj in (c, c.row, c.params, c.report, *c.report.entries)]
+    for written in (case, case[:1]):
+        assert dumps_certificates(written) == _oracle_dumps(written)
+    del case, written
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_the_file_array_puts_one_certificate_at_a_time(certs):
+    """The writer streams: a file's sink gets at least a piece per
+    certificate, none longer than a certificate's text."""
+    pieces = []
+    certificates._write_certificates(certs, pieces.append)
+    assert "".join(pieces) == dumps_certificates(certs)
+    assert len(pieces) >= len(certs)
+    assert max(map(len, pieces)) < 8192
+
+
+def test_the_search_box_file_is_pinned(certs):
+    """solve(3, 6) on the quick box, the benchmark's search box: the file's
+    size and sha256, and a load that dumps back to the same text."""
+    text = dumps_certificates(certs)
+    assert len(text.encode()) == 1_236_283
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "43556b04eefb973e40d4eb80a16d3af3d16fb1864117ac94b64de7c9a8936e28")
+    assert dumps_certificates(loads_certificates(text)) == text
 
 
 def _same_report_pair(certs):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import json
 import pickle
 import random
 from collections import Counter
@@ -502,7 +503,7 @@ def test_verify_detects_a_forged_report_note():
         verify_certificate(dataclasses.replace(cert, report=doctored))
     assert str(exc.value) == (
         "stored constraint report disagrees with recomputation at"
-        " notes: stored (forged note), recomputed ()"
+        ' notes: stored ("forged note"), recomputed ()'
     )
 
 
@@ -579,7 +580,7 @@ _FORGED_FOR_NONE = {
 def _shown(value):
     if isinstance(value, tuple):
         return "(" + ", ".join(_shown(v) for v in value) + ")"
-    return str(value)
+    return json.dumps(value) if isinstance(value, str) else str(value)
 
 
 def _forged(field, value):
