@@ -30,17 +30,16 @@ its ``certificates`` array too: one regex match per key or separator and
 json's ``scan_once`` per value, over the text read so far.  It checks and
 builds each certificate before it reads the next; ``load_certificates``
 feeds it the file a fixed number of characters at a time, so it holds
-neither the whole text nor the whole parse.  A walk that fails is made
-once more after reading on until twice the longest element walked is
-held, so an element a read cuts is walked too.  An element the walk still
-cannot finish (its text runs past what is read, a key is not a plain
-string or repeats, json raises anything), and every element after a
-failing one or a repeated key, is parsed whole by
-``json.JSONDecoder.raw_decode``, which then decides.  The errors, and
-their order, are those of parsing the whole text first: what
-``json.loads`` refuses (syntax, the digit and depth limits, a repeated
-key), then the file object's own keys and version, then the first failing
-certificate.
+neither the whole text nor the whole parse.  It reads on before each walk
+until twice the longest element walked is held, so it walks each element
+once and a read cuts none but the first.  An element the walk cannot
+finish (its text runs past what is read, a key is not a plain string or
+repeats, json raises anything), and every element after a failing one or
+a repeated key, is parsed whole by ``json.JSONDecoder.raw_decode``, which
+then decides.  The errors, and their order, are those of parsing the whole
+text first: what ``json.loads`` refuses (syntax, the digit and depth
+limits, a repeated key), then the file object's own keys and version, then
+the first failing certificate.
 
 Each call handles a shared object (a row, hprime, report or divisor class,
 as ``solve`` shares each among many certificates) once.  The writer fills
@@ -52,14 +51,15 @@ keys; a nested object that is not shared and has no optional keys
 one fill: an exact int goes in as it is, any other scalar as json spells
 it, an array of scalars is joined in one call, and a shared object's text
 comes from the call's memo, rendered once per indentation (keyed by
-``id``, the object held for the call).  The file's array hands its sink a
-certificate's text at a time, so ``save_certificates`` streams the text
-into the file.  The loader has two memos.  The text memo holds, for each
-shared member of a certificate (``row``, ``m_class``, ``hprime``,
-``report``), the text of its key's last copy that built, a closed JSON
-object: a copy whose text starts with it parses to an equal value, so the
-walk hands on that copy's object with no parse, no object hook and no
-key.  Any other copy is parsed, and the marshal memo keys it, when it has
+``id``, the object held for the call).  A file's text is the pieces of
+its template around its array's, put a certificate's fill at a time, so
+``save_certificates`` streams it into the file.  The loader has two memos.
+The text memo holds, for each shared member of a certificate (``row``,
+``m_class``, ``hprime``, ``report``), the text of its key's last copy that
+built, a closed JSON object: a copy whose text starts with it parses to an
+equal value, so the walk hands on that copy's object, which the
+certificate takes as built, with no parse, no object hook, no key and no
+check.  Any other copy is parsed, and the marshal memo keys it, when it has
 exactly its keys, on ``marshal.dumps`` (format 2) of its values in
 declaration order; only the first copy of each key is checked and built,
 and a copy with any other keys, or one that fails, is never kept, so it
@@ -149,22 +149,21 @@ class _Codec(namedtuple("_Codec", "spell parse kind")):
         return self.parse(value)
 
 
-class _Built:
-    """In a plan, a value the loader built already: loaded as it is."""
-
-    @staticmethod
-    def load(value: Any, memo: dict) -> Any:
-        return value
-
-
 class _Array(namedtuple("_Array", "item length", defaults=[None])):
     """A JSON array of one codec's values, loaded as a tuple."""
+
+    @staticmethod
+    def layout(newline: str) -> tuple[str, str, str, str]:
+        """An array's layout at newline's indentation: the newline its items
+        are written at, and the text before its first item, between two and
+        after its last; an empty array is "[]"."""
+        inner = newline + "  "
+        return inner, "[" + inner, "," + inner, newline + "]"
 
     def at(self, newline: str) -> Callable:
         """The function (values, memo) -> the array's text, joined in one
         call; an exact int item is spelled inline."""
-        inner = newline + "  "
-        opening, comma, closing = "[" + inner, "," + inner, newline + "]"
+        inner, opening, comma, closing = self.layout(newline)
         if self.item.__class__ is _Scalar:
             def text(values: Sequence, memo: dict) -> str:
                 texts = []  # a loop: a short array spends more on a comprehension's frame
@@ -178,16 +177,6 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
                 texts = [item(v, memo) for v in values]
                 return opening + comma.join(texts) + closing if texts else "[]"
         return text
-
-    def write(self, values: Sequence, newline: str, memo: dict, put: Callable) -> None:
-        """Put the array's text an item at a time."""
-        inner = newline + "  "
-        text, sep, comma = self.item.at(inner), "[" + inner, "," + inner
-        for value in values:
-            put(sep)
-            put(text(value, memo))
-            sep = comma
-        put(newline + "]" if sep is comma else "[]")
 
     def load(self, items: Any, memo: dict) -> tuple:
         if items.__class__ is not list or self.length not in (None, len(items)):
@@ -216,13 +205,12 @@ class _FlatObject:
         return text
 
 
-class _Template(namedtuple("_Template", "fmt read slots pieces kinds paths")):
+class _Template(namedtuple("_Template", "fmt read slots pieces paths")):
     """An object's text at one indentation with one presence pattern of its
     optional keys: the constant pieces around one slot per value written,
     joined as a % format; read takes the object to its slots' values.  Per
-    slot, the function that spells its value (None for a scalar), the
-    (kind, newline) it is written at and, if the object reads attributes,
-    the dotted path of its value."""
+    slot, the function that spells its value (None for a scalar) and, if
+    the object reads attributes, the dotted path of its value."""
 
     def fill(self, value: Any, memo: dict) -> str:
         """value's text: the format with each slot's value spelled, an exact
@@ -284,31 +272,14 @@ class _Object:
         text = self.texts.get(newline)
         if text is None:
             if self.optional_at:
-                text = lambda value, memo: self._template_of(value, newline).fill(value, memo)
+                def text(value: Any, memo: dict) -> str:  # its optional keys that are None left out
+                    items = self.read(value)
+                    absent = tuple([items[i] is None for i in self.optional_at])
+                    return self._template(newline, absent).fill(value, memo)
             else:
                 text = self._template(newline, ()).fill
             text = self.texts[newline] = _memoized(text) if self.shared else text
         return text
-
-    def write(self, value: Any, newline: str, memo: dict, put: Callable) -> None:
-        """Put value's text a piece at a time: the template's constant
-        pieces and its slots' texts, an array's an item at a time."""
-        template = self._template_of(value, newline)
-        for piece, (kind, inner), item in zip(template.pieces, template.kinds, template.read(value)):
-            put(piece)
-            if kind.__class__ is _Array:
-                kind.write(item, inner, memo, put)
-            else:
-                put(kind.at(inner)(item, memo))
-        put(template.pieces[-1])
-
-    def _template_of(self, value: Any, newline: str) -> _Template:
-        """value's template at newline: its optional keys that are None left out."""
-        absent = ()
-        if self.optional_at:
-            items = self.read(value)
-            absent = tuple([items[i] is None for i in self.optional_at])
-        return self._template(newline, absent)
 
     def _template(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         """The template at newline's indentation, absent saying which
@@ -321,7 +292,7 @@ class _Object:
     def _compile(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         inner = newline + "  "
         left_out = {i for i, gone in zip(self.optional_at, absent) if gone}
-        pieces, paths, slots, kinds = [""], [], [], []
+        pieces, paths, slots = [""], [], []
         sep, comma = "{" + inner, "," + inner
         for line in self.head_lines:
             pieces[-1] += sep + line
@@ -337,17 +308,15 @@ class _Object:
                 pieces += child.pieces[1:]
                 paths += (self.attrs[i] + "." + path for path in child.paths)
                 slots += child.slots
-                kinds += child.kinds
             else:
                 pieces.append("")
                 if self.attrs:
                     paths.append(self.attrs[i])
                 slots.append(None if kind.__class__ is _Scalar else kind.at(inner))
-                kinds.append((kind, inner))
         pieces[-1] += newline + "}" if sep is comma else "{}"
         fmt = "%s".join(piece.replace("%", "%%") for piece in pieces)
         read = attrgetter(*paths) if self.attrs else self.read
-        return _Template(fmt, read, tuple(slots), tuple(pieces), tuple(kinds), tuple(paths))
+        return _Template(fmt, read, tuple(slots), tuple(pieces), tuple(paths))
 
     def load(self, obj: Any, memo: dict) -> Any:
         # marshal format 2 writes each value's exact type (1, True and 1.0
@@ -379,14 +348,17 @@ class _Object:
             if obj[key] != value:
                 raise SchemaError(f"field {key!r} has unsupported value {obj[key]!r:.40}")
 
-    def _check_and_build(self, obj: Any, memo: dict, plan: tuple | None = None) -> Any:
-        """load(obj) without the memo; plan, if given, is self.plan with
-        some kinds swapped for _Built."""
+    def _check_and_build(self, obj: Any, memo: dict, built: Sequence[str] = ()) -> Any:
+        """load(obj) without the memo, the values of the keys in built taken
+        as built already."""
         self.check(obj)
         values = []
         try:
-            for key, kind in plan or self.plan:
-                values.append(kind.load(obj[key], memo) if key in obj else None)
+            for key, kind in self.plan:
+                if key in built:
+                    values.append(obj[key])
+                else:
+                    values.append(kind.load(obj[key], memo) if key in obj else None)
         except SchemaError as exc:
             if kind.__class__ is _Scalar:  # named as a field of this object
                 raise SchemaError(f"field {key!r} must be {kind.what}") from None
@@ -453,9 +425,7 @@ _FILE = _Object(("certificates",), (_Array(_CERTIFICATE),), lambda certs: (certs
 
 def _dumps(kind: Any, value: Any) -> str:
     """``json.dumps(..., indent=2)`` of a value that kind declares."""
-    pieces: list[str] = []
-    kind.write(value, "\n", {}, pieces.append)
-    return "".join(pieces)
+    return kind.at("\n")(value, {})
 
 
 def divisor_to_json(d: DivisorClass) -> dict:
@@ -483,10 +453,19 @@ def certificate_from_dict(obj: Any) -> SolutionCertificate:
 
 
 def _write_certificates(certs: Sequence[SolutionCertificate], put: Callable) -> None:
-    """Put the text of dumps_certificates(certs), a piece at a time."""
-    kind, value = (_CERTIFICATE, certs[0]) if len(certs) == 1 else (_FILE, certs)
-    kind.write(value, "\n", {}, put)
-    put("\n")
+    """Put the text of dumps_certificates(certs), a certificate at a time."""
+    if len(certs) == 1:
+        put(_dumps(_CERTIFICATE, certs[0]) + "\n")
+        return
+    # _FILE's template around its array, which is one level in
+    head, tail = _FILE._template("\n", ()).pieces
+    inner, sep, comma, closing = _Array.layout("\n  ")
+    text, memo = _CERTIFICATE.at(inner), {}
+    put(head)
+    for cert in certs:
+        put(sep + text(cert, memo))
+        sep = comma
+    put((closing if certs else "[]") + tail + "\n")
 
 
 def dumps_certificates(certs: Sequence[SolutionCertificate]) -> str:
@@ -606,13 +585,11 @@ class _Document:
         self.text = "".join([text[mark:], *pieces] if mark < len(text) else pieces)
         return True
 
-    def hold(self, count: int) -> bool:
+    def hold(self, count: int) -> None:
         """Read on until count characters past the read point are held, or
-        the document ends; whether any were read."""
-        read = False
+        the document ends."""
         while len(self.text) - self.at < count and self._read_on():
-            read = True
-        return read
+            pass
 
     def skip(self) -> str:
         """Move past whitespace; the character there, "" at the end."""
@@ -734,12 +711,11 @@ class _TextMemo:
 
     def __init__(self) -> None:
         self.last: dict[str, tuple[str, Any]] = {}
-        self.plans: dict[tuple[str, ...], tuple] = {}
 
-    def walk(self, text: str, at: int) -> tuple[dict, tuple, int, list] | None:
+    def walk(self, text: str, at: int) -> tuple[dict, list, int, list] | None:
         """The certificate object that starts at text[at], parsed a member
         at a time, each shared member that repeats its last copy's text as
-        that copy's object; with the plan that loads it, its end and the
+        that copy's object; with the keys of those members, its end and the
         (key, start, end) of each shared member parsed.  None, to parse the
         certificate whole, where its text ends first, a key is not a plain
         string or is repeated, or json raises anything."""
@@ -751,7 +727,7 @@ class _TextMemo:
         while match is not None:
             key = match[1]
             if key is None:
-                return obj, self._plan(tuple(hits)), match.end(), scanned
+                return obj, hits, match.end(), scanned
             if key in obj:
                 return None
             at = match.end()
@@ -770,14 +746,6 @@ class _TextMemo:
                 at = end
             match = next_member(text, at)
         return None
-
-    def _plan(self, hits: tuple[str, ...]) -> tuple:
-        """_CERTIFICATE's plan, the kinds of hits swapped for _Built."""
-        plan = self.plans.get(hits)
-        if plan is None:
-            plan = self.plans[hits] = tuple((key, _Built if key in hits else kind)
-                                            for key, kind in _CERTIFICATE.plan)
-        return plan
 
     def keep(self, cert: SolutionCertificate, text: str, scanned: list[tuple[str, int, int]]) -> None:
         """Remember the text and built object of each shared member scanned
@@ -817,21 +785,19 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
             doc.step()
             index, char, longest = 0, doc.skip(), 0
             while char != "]":
-                loading = failed is None and doc.duplicate is None
-                walked = texts.walk(doc.text, doc.at) if loading else None
-                # a walk that may have run off the text read so far: once more,
-                # with twice the longest certificate walked held
-                if walked is None and loading and doc.hold(2 * longest):
+                loading, walked = failed is None and doc.duplicate is None, None
+                if loading:  # read on to twice the longest certificate walked: a read cuts none
+                    doc.hold(2 * longest)
                     walked = texts.walk(doc.text, doc.at)
                 if walked is None:
-                    obj, plan, scanned = doc.value((key, index)), None, ()
+                    obj, hits, scanned = doc.value((key, index)), (), ()
                 else:
-                    obj, plan, end, scanned = walked
+                    obj, hits, end, scanned = walked
                     longest = max(longest, end - doc.at)
                     doc.at = doc.mark = end
                 if loading and doc.duplicate is None:  # a repeat in obj taints the document
                     try:
-                        cert = array.item._check_and_build(obj, memo, plan)
+                        cert = array.item._check_and_build(obj, memo, hits)
                     except SchemaError as exc:
                         exc.path = (key, index, *exc.path)
                         failed = exc
@@ -871,7 +837,7 @@ def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) ->
     once complete; on any error path keeps its bytes and the sibling goes."""
     partial = Path(f"{path}.{os.getpid()}.partial")
     try:
-        with open(partial, "w") as out:
+        with open(partial, "w", encoding="utf-8") as out:
             _write_certificates(certs, out.write)
         partial.replace(path)
     finally:
@@ -886,7 +852,7 @@ def load_certificates(path: str | Path) -> list[SolutionCertificate]:
     """loads_certificates of the file's text, read _CHUNK characters at a
     time, so neither the whole text nor its whole parse is ever held."""
     try:
-        with open(path) as file:
+        with open(path, encoding="utf-8") as file:
             pieces = iter(lambda: file.read(_CHUNK), "")
             try:
                 return _decode(pieces)
@@ -895,5 +861,5 @@ def load_certificates(path: str | Path) -> list[SolutionCertificate]:
                     pass
                 raise
     except UnicodeDecodeError:
-        Path(path).read_text()  # raises it again, at the byte's offset in the whole file
+        Path(path).read_text(encoding="utf-8")  # raises it again, at the byte's offset in the whole file
         raise

@@ -147,7 +147,7 @@ def _cmd_ample(args: argparse.Namespace) -> int:
 
 def _cmd_chern(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.params).read_text()
+        text = Path(args.params).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read parameter file: {exc}")
     params = bundle_params_from_json(loads_json(text))

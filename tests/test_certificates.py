@@ -66,7 +66,7 @@ def _load_both(text):
     between reads, is found to give the same certificates or error."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         path = Path(tmp) / "loaded.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         patch.setattr(certificates, "_CHUNK", 7)
         try:
             from_file = load_certificates(path)
@@ -235,7 +235,7 @@ def _memo_hits(monkeypatch):
 
     def spy(self, text, at):
         walked = walk(self, text, at)
-        hits.append(walked and {key for key, kind in walked[1] if kind is certificates._Built})
+        hits.append(walked and set(walked[1]))
         return walked
 
     monkeypatch.setattr(certificates._TextMemo, "walk", spy)
@@ -245,9 +245,10 @@ def _memo_hits(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 64, 4096, 1 << 16])
 def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chunk):
     """Reads of any size, the default's included, give the certificates and
-    the sharing of a whole text; a certificate cut by a read is walked again
-    once more is read, or else parsed whole, and the text memo still
-    answers for the repeats after it."""
+    the sharing of a whole text.  Under 4096 characters a read cuts a
+    certificate, which is parsed whole; from 4096 on, twice the longest
+    certificate walked is held before each walk, so none falls back and the
+    text memo answers every shared member after the first certificate."""
     text = dumps_certificates(certs)
     path = tmp_path / "certs.json"
     path.write_text(text)
@@ -256,13 +257,11 @@ def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chun
     monkeypatch.setattr(certificates, "_CHUNK", chunk)
     loaded = load_certificates(path)
     assert loaded == expected == certs
-    # a read cuts a certificate, whose walk falls back; from 4096 characters
-    # on, the walk is made again once twice the longest certificate walked
-    # is read, and takes every shared member from the text memo (a smaller
-    # read holds a whole certificate, and so walks any, only by chance)
-    assert None in hits
-    after_a_cut = any(cut is None and hit == set(_SHARED_MEMBERS) for cut, hit in zip(hits, hits[1:]))
-    assert after_a_cut or chunk < 4096
+    if chunk < 4096:  # the first certificate's walk runs off the first read
+        assert None in hits
+    else:
+        assert None not in hits
+        assert all(hit == set(_SHARED_MEMBERS) for hit in hits[1:])
     for get in map(attrgetter, ("row", "report", "hprime", "m_class", "params.l2", "params.l3")):
         assert _sharing(loaded, get) == _sharing(expected, get)
 
@@ -289,6 +288,18 @@ def test_no_certificate_a_read_cuts_is_parsed_whole(tmp_path, monkeypatch, certs
     assert dumps_certificates(loaded) == text
 
 
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
+def test_each_certificate_is_walked_once(tmp_path, monkeypatch, certs, chunk):
+    """At 4 KB and 64 KB reads the text memo walks each certificate exactly
+    once: a read never cuts the one walk, so it is never made again."""
+    path = tmp_path / "certs.json"
+    save_certificates(path, certs)
+    hits = _memo_hits(monkeypatch)
+    monkeypatch.setattr(certificates, "_CHUNK", chunk)
+    assert load_certificates(path) == certs
+    assert len(hits) == len(certs)
+
+
 def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, certs):
     path = tmp_path / "certs.json"
     save_certificates(path, certs)
@@ -310,7 +321,7 @@ def test_an_undecodable_byte_is_the_error_of_a_whole_read(tmp_path, monkeypatch,
     path.write_bytes(text.encode()[:-8] + b"\xff" + text.encode()[-8:])
     monkeypatch.setattr(certificates, "_CHUNK", 64)
     with pytest.raises(UnicodeDecodeError) as whole:
-        path.read_text()
+        path.read_text(encoding="utf-8")
     assert whole.value.start > 8192  # past one read of the file's buffer
     with pytest.raises(UnicodeDecodeError) as caught:
         load_certificates(path)

@@ -327,6 +327,29 @@ def test_verify_fails_every_certificate_with_a_shared_non_ample_polarization(tmp
     ]
 
 
+def test_verify_reads_utf8_whatever_the_locale(tmp_path):
+    """A certificate file is read as UTF-8 under any locale: a note spelled
+    with a raw "é" and a file that starts with a BOM each give the same
+    output and exit code under the C locale as in UTF-8 mode."""
+    first, second = _golden_json(), _golden_json()
+    second["notes"] = ["café"]
+    text = json.dumps({"version": "1", "certificates": [first, second]}, ensure_ascii=False)
+    noted, bom = tmp_path / "noted.json", tmp_path / "bom.json"
+    noted.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    root = str(Path(ellspec.__file__).resolve().parents[1])
+    c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    for path, code, last in ((noted, 1, "1/2 certificate(s) verified"),
+                             (bom, 2, "error: not valid JSON: Unexpected UTF-8 BOM")):
+        runs = [_run_script(sys.executable, "-m", "ellspec", "verify", str(path), cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=root, **mode))
+                for mode in (c_locale, {"PYTHONUTF8": "1"})]
+        assert [(p.returncode, p.stdout, p.stderr) for p in runs[1:]] == [
+            (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
+        assert runs[0].returncode == code
+        assert (runs[0].stdout + runs[0].stderr).splitlines()[-1].startswith(last)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ellspec.__file__).resolve().parents[1]))
     proc = _run_script(sys.executable, "-m", "ellspec", "table1", cwd=tmp_path, env=env)
