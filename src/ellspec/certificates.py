@@ -14,16 +14,16 @@ The format is one table, a declaration per JSON object with one codec per
 key, walked by both the writer and the strict loader.  A dataclass's keys
 are its field names in field order (one that defaults to None is left out
 while None); the only others are the ``version``/``basis_convention`` head
-and ``hprime``'s ``f``/``e1``/``xi``.  A spelled value (a rational, surface
-tag or entry's ``detail``) is written by the table's string or one
-flat-object kind.  The writer emits the bytes of
-``json.dumps(payload, indent=2) + "\n"``; the loader parses what
-``json.loads`` parses, a repeated key refused, and checks strictly (the
-written keys, each once, each value of its exact JSON type), so a loaded
-file saves back byte for byte, and its SchemaError names the key path, e.g.
-``certificates[1].report.c2_deficit[1]``.  A file holds one certificate
-object or {"version": "1", "certificates": [...]}.  ``certificate_to_dict``
-is the written text parsed back.
+and ``hprime``'s ``f``/``e1``/``xi``.  A leaf is a JSON scalar of exact
+type, a codec's string (a rational or a surface tag) or an entry's
+``detail``, one flat object of booleans written as the dict of its pairs.
+The writer emits the bytes of ``json.dumps(payload, indent=2) + "\n"``;
+the loader parses what ``json.loads`` parses, a repeated key refused, and
+checks strictly (the written keys, each once, each value of its exact JSON
+type), so a loaded file saves back byte for byte, and its SchemaError
+names the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file
+holds one certificate object or {"version": "1", "certificates": [...]}.
+``certificate_to_dict`` is the written text parsed back.
 
 The loader walks the file object member by member, and each element of
 its ``certificates`` array too: one regex match per key or separator and
@@ -41,34 +41,26 @@ text first: what ``json.loads`` refuses (syntax, the digit and depth
 limits, a repeated key), then the file object's own keys and version, then
 the first failing certificate.
 
-Each call handles a shared object (a row, hprime, report or divisor class,
-as ``solve`` shares each among many certificates) once.  The writer fills
-templates.  On first use at an indentation each declaration compiles its
-constant text (head lines, quoted keys, separators, brackets) into one %
-format with a slot per value, one per presence pattern of its optional
-keys; a nested object that is not shared and has no optional keys
-(``params``) is inlined into its parent's.  An object is then written by
-one fill: an exact int goes in as it is, any other scalar as json spells
-it, an array of scalars is joined in one call, and a shared object's text
-comes from the call's memo, rendered once per indentation (keyed by
-``id``, the object held for the call).  A file's text is the pieces of
-its template around its array's, put a certificate's fill at a time, so
-``save_certificates`` streams it into the file.  The loader has two memos.
-The text memo holds, for each shared member of a certificate (``row``,
-``m_class``, ``hprime``, ``report``), the text of its key's last copy that
-built, a closed JSON object: a copy whose text starts with it parses to an
-equal value, so the walk hands on that copy's object, which the
-certificate takes as built, with no parse, no object hook, no key and no
-check.  Any other copy is parsed, and the marshal memo keys it, when it has
-exactly its keys, on ``marshal.dumps`` (format 2) of its values in
-declaration order; only the first copy of each key is checked and built,
-and a copy with any other keys, or one that fails, is never kept, so it
-is checked on its own.  The marshal memo thus still answers a copy equal
-in value but not in text, and the classes within ``params``, which the
-walk parses like every member that is not shared.  A loaded file shares
-what ``solve`` shares, classes included, whichever memo answered.  No
-memo outlives its call, and the bytes written and the errors raised are
-those of rendering and loading every copy on its own.
+Each call handles a shared object (a row, hprime, report or divisor class)
+once per distinct copy.  The writer fills templates: on first use at an
+indentation, a declaration compiles its constant text into one % format
+with a slot per value, one per presence pattern of its optional keys, and
+a nested object that is not shared and has no optional keys (``params``)
+is inlined into its parent's.  A shared object's text is rendered once per
+indentation, and ``save_certificates`` streams a file a certificate at a
+time.  The loader has two memos.  The text memo holds, for each shared
+member of a certificate (``row``, ``m_class``, ``hprime``, ``report``),
+the text and built object of its key's last copy that built: a copy whose
+text starts with it is that object, with no parse and no check.  Any other
+copy is parsed, and the marshal memo keys one with exactly its keys on
+``marshal.dumps`` (format 2) of its values, so a copy equal in value but
+not in text, and the classes within ``params``, are built once too; a copy
+that fails or has other keys is never kept.  A load thus holds one object
+per distinct row, m-class, hprime, report and class value, but builds
+``a2``, ``a3`` and ``notes`` per certificate, which ``solve`` shares: on
+the quick box a load holds 416 ``a2`` objects to its 2, and 1 report to
+its 4.  No memo outlives its call, and the bytes written and the errors
+raised are those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -132,18 +124,14 @@ class _Scalar(namedtuple("_Scalar", "what types")):
             return value
         raise SchemaError(f"expected {self.what}")
 
-    @staticmethod
-    def at(newline: str) -> Callable:
-        return _spelled
 
-
-class _Codec(namedtuple("_Codec", "spell parse kind")):
-    """A value with its own JSON spelling: spell gives the JSON value, which
-    kind writes, and parse takes it back."""
+class _Codec(namedtuple("_Codec", "spell parse")):
+    """A value spelled as a JSON scalar: spell gives the scalar, parse takes
+    it back."""
 
     def at(self, newline: str) -> Callable:
-        spell, text = self.spell, self.kind.at(newline)
-        return lambda value, memo: text(spell(value), memo)
+        spell = self.spell
+        return lambda value, memo: _spell(spell(value))
 
     def load(self, value: Any, memo: dict) -> Any:
         return self.parse(value)
@@ -191,18 +179,28 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
         return tuple(out)
 
 
-class _FlatObject:
-    """An entry's detail, the one dict the table spells: str keys, scalar values."""
+class _Detail:
+    """An entry's detail: its (name, verdict) pairs as one JSON object of
+    booleans, written as their dict is."""
 
     @staticmethod
     def at(newline: str) -> Callable:
         inner = newline + "  "
         opening, comma, closing = "{" + inner, "," + inner, newline + "}"
 
-        def text(value: dict, memo: dict) -> str:
-            members = [_quote(k) + ": " + _spell(v) for k, v in value.items()]
+        def text(value: Sequence[tuple[str, bool]], memo: dict) -> str:
+            members = [_quote(k) + ": " + _spell(v) for k, v in dict(value).items()]
             return opening + comma.join(members) + closing if members else "{}"
         return text
+
+    @staticmethod
+    def load(obj: Any, memo: dict) -> tuple[tuple[str, bool], ...]:
+        if obj.__class__ is not dict:
+            raise SchemaError("expected an object")
+        for name, ok in obj.items():
+            if ok.__class__ is not bool:
+                raise SchemaError(f"field {name!r} must be a boolean")
+        return tuple(obj.items())
 
 
 class _Template(namedtuple("_Template", "fmt read slots pieces paths")):
@@ -223,7 +221,8 @@ class _Template(namedtuple("_Template", "fmt read slots pieces paths")):
 
 def _memoized(text: Callable) -> Callable:
     """text, called once per value in a call; the memo holds the value with
-    its text, so that its id is not reused."""
+    its text, so that its id is not reused.  A shared object has no optional
+    keys, so text is a template's bound fill: the key of every at()."""
     def shared(value: Any, memo: dict) -> str:
         key = text, id(value)
         hit = memo.get(key)
@@ -263,23 +262,19 @@ class _Object:
         self.labels = tuple((_quote(k) + ": ", kind) for k, kind in self.plan)
         self.optional_at = tuple(i for i, key in enumerate(keys) if key in optional)
         self.inline = not shared and not optional and self.attrs is not None
-        self.texts: dict[str, Callable] = {}
         self.templates: dict[tuple[str, tuple[bool, ...]], _Template] = {}
 
     def at(self, newline: str) -> Callable:
         """The function (value, memo) -> value's text, at the indentation
         that newline ends with."""
-        text = self.texts.get(newline)
-        if text is None:
-            if self.optional_at:
-                def text(value: Any, memo: dict) -> str:  # its optional keys that are None left out
-                    items = self.read(value)
-                    absent = tuple([items[i] is None for i in self.optional_at])
-                    return self._template(newline, absent).fill(value, memo)
-            else:
-                text = self._template(newline, ()).fill
-            text = self.texts[newline] = _memoized(text) if self.shared else text
-        return text
+        if self.optional_at:
+            def text(value: Any, memo: dict) -> str:  # its optional keys that are None left out
+                items = self.read(value)
+                absent = tuple([items[i] is None for i in self.optional_at])
+                return self._template(newline, absent).fill(value, memo)
+        else:
+            text = self._template(newline, ()).fill
+        return _memoized(text) if self.shared else text
 
     def _template(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         """The template at newline's indentation, absent saying which
@@ -386,23 +381,14 @@ def _surface_from_json(tag: Any) -> Surface:
         raise SchemaError(f"unknown surface tag {tag!r}") from None
 
 
-def _detail_from_json(obj: Any) -> tuple[tuple[str, bool], ...]:
-    if obj.__class__ is not dict:
-        raise SchemaError("expected an object")
-    for name, ok in obj.items():
-        if ok.__class__ is not bool:
-            raise SchemaError(f"field {name!r} must be a boolean")
-    return tuple(obj.items())
-
-
 _quote = json.encoder.encode_basestring_ascii
 _INT = _Scalar("an integer", (int,))
 _BOOL = _Scalar("a boolean", (bool,))
 _STR = _Scalar("a string", (str,))
 _INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
 _STRS = _Array(_STR)
-_Q = _Codec(rational_to_str, rational_from_str, _STR)
-_SURFACE = _Codec(attrgetter("value"), _surface_from_json, _STR)
+_Q = _Codec(rational_to_str, rational_from_str)
+_SURFACE = _Codec(attrgetter("value"), _surface_from_json)
 
 # The format, one declaration per JSON object.  str spells an int as its
 # Fraction, so an integral class's coefficients are written from its ints.
@@ -411,7 +397,7 @@ _DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _Array(_Q, RANK)),
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
 _PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
                   _DIVISOR, _DIVISOR)
-_ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Codec(dict, _detail_from_json, _FlatObject))
+_ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Detail)
 _REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS,
                   shared=True)
 _HPRIME = _Object(("f", "e1", "xi"), (_INT, _INT, _INT), tuple, lambda *coords: coords,
@@ -492,12 +478,7 @@ def _spell(value: Any) -> str:
     return spell(value)
 
 
-def _spelled(value: Any, memo: dict) -> str:
-    """A scalar's text: _spell as a writer's function of (value, memo)."""
-    return _spell(value)
-
-
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: Sequence[tuple[str, Any]]) -> dict[str, Any]:
     """A JSON object as a dict; a repeated key, which json.loads would let
     the last value win, is a SchemaError."""
     obj = dict(pairs)
@@ -507,15 +488,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-class _Pairs(list):
-    """A JSON object as its (key, value) pairs, repeats kept."""
-
-
 def _raise_duplicate(value: Any, path: tuple[str | int, ...] = ()) -> None:
     """_unique_keys's error with its key path: at the first object, in the
     order json.loads builds them (members before their object), that repeats
-    a key in a value parsed with _Pairs objects."""
-    is_object = value.__class__ is _Pairs
+    a key in a value parsed with _PAIRS, objects as tuples of pairs."""
+    is_object = value.__class__ is tuple
     if is_object or value.__class__ is list:
         for key, item in value if is_object else enumerate(value):
             _raise_duplicate(item, (*path, key))
@@ -528,7 +505,7 @@ def _raise_duplicate(value: Any, path: tuple[str | int, ...] = ()) -> None:
 
 
 _BUILD = json.JSONDecoder(object_pairs_hook=_unique_keys)
-_PAIRS = json.JSONDecoder(object_pairs_hook=_Pairs)
+_PAIRS = json.JSONDecoder(object_pairs_hook=tuple)
 _SPACE = json.decoder.WHITESPACE.match
 # how far before the end of the text read so far json may report an error
 # that more text would mend: a cut literal such as -Infinity or a cut \uXXXX
@@ -616,8 +593,8 @@ class _Document:
 
     def value(self, path: tuple[str | int, ...]) -> Any:
         """The JSON value at the read point, which moves past it; path names
-        it in the document.  After a repeated key, values are parsed with
-        _Pairs objects, only to check the rest of the document."""
+        it in the document.  After a repeated key, values are parsed by
+        _PAIRS, only to check the rest of the document."""
         while True:
             decoder = _BUILD if self.duplicate is None else _PAIRS
             try:
@@ -700,58 +677,41 @@ _SCAN = _BUILD.scan_once
 _SHARED_MEMBERS = frozenset(key for key, kind in _CERTIFICATE.plan if getattr(kind, "shared", False))
 
 
-class _TextMemo:
-    """The text memo of one load: for each shared member of a certificate,
-    the text and built object of its key's last copy that built.
-
-    That text is a closed JSON object (a shared member builds from nothing
-    else), so a copy that starts with it parses to an equal value, which the
-    marshal memo would answer with the same object; ``walk`` hands that
-    object on with no parse."""
-
-    def __init__(self) -> None:
-        self.last: dict[str, tuple[str, Any]] = {}
-
-    def walk(self, text: str, at: int) -> tuple[dict, list, int, list] | None:
-        """The certificate object that starts at text[at], parsed a member
-        at a time, each shared member that repeats its last copy's text as
-        that copy's object; with the keys of those members, its end and the
-        (key, start, end) of each shared member parsed.  None, to parse the
-        certificate whole, where its text ends first, a key is not a plain
-        string or is repeated, or json raises anything."""
-        obj: dict[str, Any] = {}
-        hits: list[str] = []
-        scanned: list[tuple[str, int, int]] = []
-        last, scan, next_member = self.last, _SCAN, _NEXT_MEMBER.match
-        match = _FIRST_MEMBER.match(text, at)
-        while match is not None:
-            key = match[1]
-            if key is None:
-                return obj, hits, match.end(), scanned
-            if key in obj:
+def _walk(text: str, at: int, last: dict[str, tuple[str, Any]]) -> tuple[dict, list, int, list] | None:
+    """The certificate object that starts at text[at], parsed a member at a
+    time.  last holds, per shared key, the text (a closed JSON object) and
+    built object of a copy: a member whose text starts with that text is
+    that object.  With the keys of those members, the object's end and the
+    (key, start, end) of each shared member parsed; None, to parse the
+    certificate whole, where its text ends first, a key is not a plain
+    string or is repeated, or json raises anything."""
+    obj: dict[str, Any] = {}
+    hits: list[str] = []
+    scanned: list[tuple[str, int, int]] = []
+    scan, next_member = _SCAN, _NEXT_MEMBER.match
+    match = _FIRST_MEMBER.match(text, at)
+    while match is not None:
+        key = match[1]
+        if key is None:
+            return obj, hits, match.end(), scanned
+        if key in obj:
+            return None
+        at = match.end()
+        copy = last.get(key)
+        if copy is not None and text.startswith(copy[0], at):
+            obj[key] = copy[1]
+            hits.append(key)
+            at += len(copy[0])
+        else:
+            try:
+                obj[key], end = scan(text, at)
+            except (StopIteration, ValueError, RecursionError, SchemaError):
                 return None
-            at = match.end()
-            copy = last.get(key)
-            if copy is not None and text.startswith(copy[0], at):
-                obj[key] = copy[1]
-                hits.append(key)
-                at += len(copy[0])
-            else:
-                try:
-                    obj[key], end = scan(text, at)
-                except (StopIteration, ValueError, RecursionError, SchemaError):
-                    return None
-                if key in _SHARED_MEMBERS:
-                    scanned.append((key, at, end))
-                at = end
-            match = next_member(text, at)
-        return None
-
-    def keep(self, cert: SolutionCertificate, text: str, scanned: list[tuple[str, int, int]]) -> None:
-        """Remember the text and built object of each shared member scanned
-        in the walk of text that built cert (its fields are its keys)."""
-        for key, start, end in scanned:
-            self.last[key] = text[start:end], getattr(cert, key)
+            if key in _SHARED_MEMBERS:
+                scanned.append((key, at, end))
+            at = end
+        match = next_member(text, at)
+    return None
 
 
 def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
@@ -765,7 +725,7 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
     if doc.skip() != "{":
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
-    texts = _TextMemo()
+    last: dict[str, tuple[str, Any]] = {}  # the text memo
     pairs: list[tuple[str, Any]] = []
     built: list[SolutionCertificate] = []
     failed: SchemaError | None = None
@@ -788,7 +748,7 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
                 loading, walked = failed is None and doc.duplicate is None, None
                 if loading:  # read on to twice the longest certificate walked: a read cuts none
                     doc.hold(2 * longest)
-                    walked = texts.walk(doc.text, doc.at)
+                    walked = _walk(doc.text, doc.at, last)
                 if walked is None:
                     obj, hits, scanned = doc.value((key, index)), (), ()
                 else:
@@ -803,7 +763,8 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
                         failed = exc
                     else:
                         built.append(cert)
-                        texts.keep(cert, doc.text, scanned)
+                        for name, start, end in scanned:  # the copies that built
+                            last[name] = doc.text[start:end], getattr(cert, name)
                 index += 1
                 char = doc.next_item("]", "[0")
             doc.step()

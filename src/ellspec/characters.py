@@ -70,12 +70,7 @@ _COMPONENT_MATRIX = _component_matrix()
 
 
 def _validate(chi: Sequence[int]) -> tuple[int, ...]:
-    try:
-        ints = tuple(int(x) for x in chi)
-        if ints != tuple(chi):
-            raise ValueError
-    except (OverflowError, ValueError):  # also inf and nan, which int() refuses
-        raise ValueError("character coefficients must be integers") from None
+    ints = linalg.integers(chi, "character coefficients")
     if len(ints) != 12:
         raise ValueError("a character needs one coefficient per marked point (12)")
     return ints

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .lattice import COMPONENT_SUM, Surface, named_class
+from .linalg import integers
 from .spectral import ChernB
 from .threefold import ChernX, pullback_from_b
 
@@ -25,15 +26,7 @@ _COMPONENTS = ("n1", "o2")
 def _multiplicities(a: Sequence) -> tuple[int, ...]:
     """The list as ints, a tuple of exact ints kept as it is; a non-integral
     or negative entry is a ValueError."""
-    if a.__class__ is tuple and {*map(type, a)} <= {int}:
-        ints = a
-    else:
-        try:
-            ints = tuple(map(int, a))
-            if ints != tuple(a):
-                raise ValueError
-        except (OverflowError, ValueError):  # also inf and nan, which int() refuses
-            raise ValueError("multiplicities must be integers") from None
+    ints = a if a.__class__ is tuple and {*map(type, a)} <= {int} else integers(a, "multiplicities")
     if ints and min(ints) < 0:
         raise ValueError("multiplicities must be nonnegative")
     return ints

@@ -89,6 +89,18 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
 # === integer elimination ===
 
 
+def integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """values as ints; an entry that is no integer is the ValueError
+    "<what> must be integers"."""
+    try:
+        ints = tuple(map(int, values))
+        if ints != tuple(values):
+            raise ValueError
+    except (OverflowError, ValueError):  # also inf and nan, which int() refuses
+        raise ValueError(f"{what} must be integers") from None
+    return ints
+
+
 def _clear_denominators(row: Sequence) -> list[int]:
     fracs = [Fraction(x) for x in row]
     scale = lcm(*(f.denominator for f in fracs))

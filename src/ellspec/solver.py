@@ -272,8 +272,8 @@ def _row_for(k2: int, k3: int) -> Table1Row:
 
 def _multiplicity_lists(length: int, a_max: int, nonconstant: bool, congruence) -> list[tuple[int, ...]]:
     """The lists, sorted, whose sum meets the congruence; only constant ones unless nonconstant."""
-    lists = product(range(a_max + 1), repeat=length)
-    return [a for a in lists if congruence_check(congruence, sum(a))[1] and (nonconstant or len(set(a)) == 1)]
+    lists = product(range(a_max + 1), repeat=length) if nonconstant else ((v,) * length for v in range(a_max + 1))
+    return [a for a in lists if congruence_check(congruence, sum(a))[1]]
 
 
 def _congruent(bound: int, congruence) -> range:

@@ -231,14 +231,14 @@ def _memo_hits(monkeypatch):
     """The list, filled as certificates load, of the shared members each
     walked certificate took from the text memo (None where it fell back)."""
     hits = []
-    walk = certificates._TextMemo.walk
+    walk = certificates._walk
 
-    def spy(self, text, at):
-        walked = walk(self, text, at)
+    def spy(text, at, last):
+        walked = walk(text, at, last)
         hits.append(walked and set(walked[1]))
         return walked
 
-    monkeypatch.setattr(certificates._TextMemo, "walk", spy)
+    monkeypatch.setattr(certificates, "_walk", spy)
     return hits
 
 
@@ -685,6 +685,18 @@ def test_entries_in_every_presence_pattern(certs):
     case = [dataclasses.replace(cert, report=dataclasses.replace(cert.report, entries=entries))]
     _round_trips(case)
     _round_trips([*case, certs[1], *case])
+
+
+def test_a_detail_repeating_a_name_is_written_as_its_dict(certs):
+    """A detail is written as json.dumps writes dict(detail): a repeated
+    name once, at its first position, with its last verdict."""
+    detail = (("a", True), ("b", False), ("a", False))
+    entry = ConstraintEntry("E", True, detail=detail)
+    cert = dataclasses.replace(certs[0], report=dataclasses.replace(certs[0].report, entries=(entry,)))
+    text = dumps_certificates([cert])
+    assert text == _oracle_dumps([cert])
+    assert '"detail": {\n          "a": false,\n          "b": false\n        }' in text
+    assert text.count('"a": ') == 1
 
 
 def test_true_in_an_int_slot_is_written_true(certs):
@@ -1245,12 +1257,12 @@ def test_a_syntax_error_is_placed_as_json_places_it(certs, doctor):
 
 def _whole_text_load(text):
     """The reference loader: the whole text parsed first, a repeated key
-    located by a second parse with _Pairs objects, then the checks."""
+    located by a second parse with objects as tuples of pairs, then the checks."""
     try:
         payload = json.loads(text, object_pairs_hook=certificates._unique_keys)
     except SchemaError:
         try:
-            certificates._raise_duplicate(json.loads(text, object_pairs_hook=certificates._Pairs))
+            certificates._raise_duplicate(json.loads(text, object_pairs_hook=tuple))
         except (ValueError, RecursionError):
             pass
         raise

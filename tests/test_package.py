@@ -39,6 +39,20 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_module_imports_another_modules_private_names():
+    """A relative import takes only public names (and dunders), so no module
+    reaches into another's internals."""
+    found = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+    assert found == []
+
+
 def test_readme_quickstart_prints_what_it_says():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     expected = [

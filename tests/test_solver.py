@@ -685,6 +685,34 @@ def test_solve_emits_in_order_with_nonconstant_lists(row):
     assert len(certs) == (54 if (row.k2, row.k3) == (3, 6) else 0)
 
 
+def _filtered_lists(length, a_max, nonconstant, congruence):
+    """The multiplicity lists by the plain rule: every list of the box, kept
+    if its sum meets the congruence and, unless nonconstant, it is constant."""
+    return [a for a in product(range(a_max + 1), repeat=length)
+            if congruence_check(congruence, sum(a))[1] and (nonconstant or len(set(a)) == 1)]
+
+
+@pytest.mark.parametrize("a_max", range(7))
+@pytest.mark.parametrize("nonconstant", [False, True])
+def test_multiplicity_lists_are_the_filtered_box(a_max, nonconstant):
+    for length, congruence in zip((2, 3), CONGRUENCES[2:]):
+        assert (solver_module._multiplicity_lists(length, a_max, nonconstant, congruence)
+                == _filtered_lists(length, a_max, nonconstant, congruence))
+
+
+def test_constant_multiplicity_lists_are_built_without_the_box(monkeypatch):
+    """The a_max + 1 constant lists are generated directly, not filtered out
+    of the (a_max + 1) ** length lists of the box."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole box was enumerated")
+
+    monkeypatch.setattr(solver_module, "product", refuse)
+    for length, congruence in zip((2, 3), CONGRUENCES[2:]):
+        lists = solver_module._multiplicity_lists(length, 200, False, congruence)
+        assert lists == [(v,) * length for v in range(201) if congruence_check(congruence, length * v)[1]]
+        assert lists
+
+
 def test_solve_emits_in_order_whatever_the_candidate_order():
     bounds = dataclasses.replace(SMALL_BOUNDS, d_abs=4, a_max=2)
     ordered = solve(3, 6, bounds, m_candidates=CANDIDATES, allow_nonconstant_lists=True)
