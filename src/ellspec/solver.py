@@ -32,18 +32,18 @@ integral and the step keeps d2 mod 2 and d3 mod 3, which the integrality
 detail reads, so that is unchanged too.  solve emits each point, in the
 order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
 SolutionCertificate that can be re-verified from its raw parameters alone.
-verify_certificate has three bounded memos, which solve neither reads nor
+verify_certificate has two bounded memos, which solve neither reads nor
 fills.  The coset memo, keyed on (z, m, k2, k3, u, x, d2 mod 2, d3 mod 3,
 a2, a3, h'), stores the coset of an m-class that passes the m-space check,
 then z; a failing m-class raises its TamperError, which is not cached, so it
 is checked again on each call.  The key keeps the residues, since a genuine
-certificate off its congruences stores that failing detail.  The step memo
-holds the stepped twist of each (representative twist, steps).  The report
-memo remembers each pair of a stored and a fresh report object found equal,
-so certificates sharing one stored report (as loaded ones do) compare it
-field by field once per fresh report; it holds both objects, so no id is
-reused, and a mismatch is never remembered.  The invariance covers the
-stored twists only once they are tied to the parametrization, so each
+certificate off its congruences stores that failing detail.  The coset's
+last slot holds the stored report last found equal to its fresh one (at
+first the fresh report itself), so certificates sharing one stored report
+(as loaded ones do) compare it field by field once per coset; the slot goes
+with its entry, and a mismatch is never recorded.  The step memo holds the
+stepped twist of each (representative twist, steps).  The invariance covers
+the stored twists only once they are tied to the parametrization, so each
 certificate's stepped twists are compared before its report; that also keeps
 a tampered twist reported as such whatever the polarization.
 """
@@ -294,13 +294,15 @@ def _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime):
 
 @lru_cache(maxsize=128)  # verify's; bounded, since the shapes come from files
 def _verified_coset(z, m_class, k2, k3, u, x, d2_mod_2, d3_mod_3, a2, a3, hprime):
-    """The _coset of a stored m-class that passes the m-space check, then z;
-    a TamperError otherwise, which lru_cache does not keep."""
+    """[l2, l3, report, matched]: the _coset of a stored m-class that passes the
+    m-space check, then z, and a slot for the stored report last found equal to
+    the report (at first itself); a TamperError otherwise, which lru_cache does not keep."""
     if not m_space_check(m_class):
         raise TamperError("stored m-space class fails the m-space check")
     if z is not None and m_class != z * _M1:
         raise TamperError("stored m-space class disagrees with z")
-    return _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime)
+    l2, l3, report = _coset(k2, k3, u, x, m_class, d2_mod_2, d3_mod_3, a2, a3, hprime)
+    return [l2, l3, report, report]
 
 
 def _step(twist: DivisorClass, steps: int) -> DivisorClass:
@@ -309,17 +311,13 @@ def _step(twist: DivisorClass, steps: int) -> DivisorClass:
     return combination(Surface.BPRIME, ((1, twist), (-steps, _FP)))
 
 
-# verify's step and report memos (see the module docstring); bounded, since
-# the twists and reports come from files
-_stepped = lru_cache(maxsize=1024)(_step)
-_equal_reports: dict[tuple[int, int], tuple[ConstraintReport, ConstraintReport]] = {}
+_stepped = lru_cache(maxsize=1024)(_step)  # verify's; bounded, since the twists come from files
 
 
 def _clear_verify_memos() -> None:
-    """Empty verify's three memos together; solve reads none of them."""
+    """Empty verify's two memos together; solve reads neither."""
     _verified_coset.cache_clear()
     _stepped.cache_clear()
-    _equal_reports.clear()
 
 
 def solve(
@@ -371,7 +369,8 @@ def solve(
 
     d2c, d3c, s21c, s31c = CONGRUENCES
     d2s, d3s = _congruent(b.d_abs, d2c), _congruent(b.d_abs, d3c)
-    if 3 % k != 0 or not (d2s and d3s):  # 9/k fractional (no integral twist) or no d-grid
+    us, xs = _congruent(b.u_abs, _U_MOD_6), _congruent(b.x_abs, _X_MOD_6)
+    if 3 % k != 0 or not (d2s and d3s and us and xs):  # 9/k fractional (no integral twist) or an empty range
         return []
 
     lists = [
@@ -380,10 +379,10 @@ def solve(
         for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists, s31c)
     ]
     certificates = []
-    for u in _congruent(b.u_abs, _U_MOD_6):
+    for u in us:
         windows = ((z, m, *_x_window(k, u, m)) for z, m in m_grid)
         consistent = [(z, m) for z, m, lo, hi in windows if lo <= hi]
-        for x in _congruent(b.x_abs, _X_MOD_6):
+        for x in xs:
             for z, m_class in consistent:
                 shapes = []
                 for a2, a3, gaps in lists:
@@ -412,27 +411,25 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """Recompute a certificate from its raw parameters by the one coset rule
     `solve` emits it with, and compare.
 
-    Reads the coset, step and report memos (see the module docstring).
-    Returns the fresh report, one object shared by every certificate of the
-    shape and d-residues; raises TamperError if the m-class fails, or the
-    stored twists, report or notes disagree.
+    Reads the coset and step memos (see the module docstring).  Returns the
+    fresh report, one object shared by every certificate of the shape and
+    d-residues; raises TamperError if the m-class fails, or the stored
+    twists, report or notes disagree.
     """
     p = cert.params
-    l2, l3, fresh = _verified_coset(
+    coset = _verified_coset(
         cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
     )
+    l2, l3, fresh, matched = coset
     if _stepped(l2, p.d2 // 2) != p.l2 or _stepped(l3, p.d3 // 3) != p.l3:
         raise TamperError("stored twist classes disagree with the parametrization")
     if fresh is None:
         require_ample(polarization_class(cert.hprime))
-    pair = (id(cert.report), id(fresh))
-    if pair not in _equal_reports:
+    if cert.report is not matched:
         if cert.report != fresh:
             difference = _report_difference(cert.report, fresh)
             raise TamperError(f"stored constraint report disagrees with recomputation at {difference}")
-        if len(_equal_reports) >= 128:  # each entry keeps a stored report alive
-            del _equal_reports[next(iter(_equal_reports))]
-        _equal_reports[pair] = cert.report, fresh
+        coset[3] = cert.report
     if cert.notes != fresh.notes:
         shown = f"stored {_shown(cert.notes)}, recomputed {_shown(fresh.notes)}"
         raise TamperError(f"stored notes disagree with recomputation: {shown}")

@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import pickle
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -713,6 +715,25 @@ def test_constant_multiplicity_lists_are_built_without_the_box(monkeypatch):
         assert lists
 
 
+@pytest.mark.parametrize(
+    "bounds, nonconstant",
+    [
+        (SearchBounds(u_abs=0, x_abs=0, a_max=300), False),
+        (SearchBounds(u_abs=0, a_max=40), True),
+        (SearchBounds(x_abs=0, a_max=40), True),
+    ],
+    ids=["u-and-x", "u", "x"],
+)
+def test_an_empty_u_or_x_range_returns_before_the_lists_are_built(monkeypatch, bounds, nonconstant):
+    """No u = 3 (mod 6) or no x = 5 (mod 6) lies in [-0, 0], so solve returns
+    [] without evaluating the lists' gaps."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lists were built for an empty box")
+
+    monkeypatch.setattr(solver_module, "means_gap", refuse)
+    assert solve(3, 6, bounds, allow_nonconstant_lists=nonconstant) == []
+
+
 def test_solve_emits_in_order_whatever_the_candidate_order():
     bounds = dataclasses.replace(SMALL_BOUNDS, d_abs=4, a_max=2)
     ordered = solve(3, 6, bounds, m_candidates=CANDIDATES, allow_nonconstant_lists=True)
@@ -1192,49 +1213,69 @@ def test_verify_evaluates_each_quick_box_shape_once(monkeypatch):
 
 
 def _verify_memos():
-    """The coset and step memos' counters and the report memo's entries."""
-    return (
-        solver_module._verified_coset.cache_info(), solver_module._stepped.cache_info(),
-        dict(solver_module._equal_reports),
+    """The coset and step memos' counters."""
+    return solver_module._verified_coset.cache_info(), solver_module._stepped.cache_info()
+
+
+def _coset_entry(cert):
+    """The coset memo's [l2, l3, fresh report, matched report] for cert's key;
+    the read is one more call, a hit or a fill."""
+    p = cert.params
+    return solver_module._verified_coset(
+        cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
     )
 
 
 def test_solve_leaves_the_verify_memo_alone():
     """solve runs the coset rule and the step uncached: it neither reads nor
-    fills the memos verify reads, so a report patched in for one solve
-    cannot reach a later verify."""
-    verify_certificate(_quick_cert())
+    fills the memos verify reads, nor the report slot of a coset, so a
+    report patched in for one solve cannot reach a later verify."""
+    cert = _quick_cert()
+    verify_certificate(cert)
     before = _verify_memos()
     assert solve(3, 6, SMALL_BOUNDS)
     assert _verify_memos() == before
+    assert _coset_entry(cert)[3] is cert.report
 
 
 def test_clear_verify_memos_clears_every_verify_memo():
+    """Clearing drops the coset entries with their report slots: a refill
+    starts its slot at its own fresh report."""
     _clear_verify_memos()
-    verify_certificate(_quick_cert())
-    coset, step, reports = _verify_memos()
-    assert (coset.currsize, step.currsize, len(reports)) == (1, 2, 1)
+    cert = _quick_cert()
+    verify_certificate(cert)
+    coset, step = _verify_memos()
+    assert (coset.currsize, step.currsize) == (1, 2)
+    assert _coset_entry(cert)[3] is cert.report
     _clear_verify_memos()
-    coset, step, reports = _verify_memos()
-    assert (coset.currsize, step.currsize, len(reports)) == (0, 0, 0)
+    coset, step = _verify_memos()
+    assert (coset.currsize, step.currsize) == (0, 0)
+    entry = _coset_entry(cert)
+    assert entry[3] is entry[2] and entry[3] is not cert.report
 
 
 def test_step_and_report_memos_stay_bounded():
     """1,100 genuine certificates, each one d2-step further along the grid
     and each with its own copy of the report: one coset, but 1,101 stepped
-    twists and 1,100 pairs of report objects."""
+    twists and 1,100 report objects, of which the coset's slot keeps only
+    the last."""
     cert = _quick_cert()
     p = cert.params
     _clear_verify_memos()
+    copies = []
     for i in range(1100):
         params = dataclasses.replace(p, d2=p.d2 + 2 * i, l2=p.l2 - i * FP)
         stepped = dataclasses.replace(cert, params=params, report=dataclasses.replace(cert.report))
         assert verify_certificate(stepped) == cert.report
-    coset, step, reports = _verify_memos()
+        copies.append(weakref.ref(stepped.report))
+    coset, step = _verify_memos()
     assert coset.currsize == 1
     assert step.maxsize is not None
     assert step.currsize <= step.maxsize < 1100
-    assert len(reports) < 1100
+    del stepped
+    gc.collect()
+    assert [ref() is None for ref in copies] == [True] * 1099 + [False]
+    assert _coset_entry(cert)[3] is copies[-1]()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1252,21 +1293,41 @@ def test_memoized_step_is_the_combination(coeffs, steps):
 
 
 def test_a_report_found_equal_is_compared_again_under_another_polarization():
-    """The report memo keys on the pair of stored and fresh report objects:
-    the quick certificate's report, already found equal under the default
-    polarization, kept by a copy with h' = (3, 21, 21) fails there, on every
-    call, and the genuine certificate still verifies."""
+    """h' is in the coset memo's key, so the report slot of one polarization
+    answers for no other: the quick certificate's report, already found
+    equal under the default polarization, kept by a copy with
+    h' = (3, 21, 21) fails there, on every call, without taking that
+    coset's slot, and the genuine certificate still verifies."""
     cert = _quick_cert()
     _clear_verify_memos()
     verify_certificate(cert)
-    assert len(solver_module._equal_reports) == 1
+    assert _coset_entry(cert)[3] is cert.report
     moved = dataclasses.replace(cert, hprime=(3, 21, 21))
     assert moved.report is cert.report
     for _ in range(2):
         with pytest.raises(TamperError) as exc:
             verify_certificate(moved)
         assert str(exc.value) == _REPORT_MESSAGE + "S_s.value: stored -12, recomputed -6"
+    assert _coset_entry(moved)[3] is not cert.report
     assert verify_certificate(cert) == cert.report
+
+
+def test_an_equal_report_takes_the_slot_and_a_tampered_one_still_fails():
+    """A stored report that is another object of equal value verifies and
+    takes its coset's slot; a tampered report verified next on that coset is
+    still compared, and fails with its stored and recomputed values."""
+    cert = _quick_cert()
+    _clear_verify_memos()
+    copy = dataclasses.replace(cert, report=dataclasses.replace(cert.report))
+    assert copy.report is not cert.report and copy.report == cert.report
+    assert verify_certificate(copy) == cert.report
+    assert _coset_entry(cert)[3] is copy.report
+    tampered = _DOCTORS["report.S_s"][0](cert)
+    for _ in range(2):
+        with pytest.raises(TamperError) as exc:
+            verify_certificate(tampered)
+        assert str(exc.value) == _REPORT_MESSAGE + "S_s.value: stored -11, recomputed -12"
+    assert _coset_entry(cert)[3] is copy.report
 
 
 # === search inputs are checked before any work starts ===
