@@ -64,7 +64,9 @@ class BundleParams:
             raise ValueError("k2, k3, d2 and d3 must be ints")
         object.__setattr__(self, "a2", multiplicities(2, self.a2))
         object.__setattr__(self, "a3", multiplicities(3, self.a3))
-        for lcls in (self.l2, self.l3):
+        for name, lcls in (("l2", self.l2), ("l3", self.l3)):
+            if not isinstance(lcls, DivisorClass):
+                raise ValueError(f"{name} must be a DivisorClass")
             if lcls.surface is not Surface.BPRIME:
                 raise ValueError("twist classes must live on B'")
 

@@ -48,19 +48,20 @@ with a slot per value, one per presence pattern of its optional keys, and
 a nested object that is not shared and has no optional keys (``params``)
 is inlined into its parent's.  A shared object's text is rendered once per
 indentation, and ``save_certificates`` streams a file a certificate at a
-time.  The loader has two memos.  The text memo holds, for each shared
-member of a certificate (``row``, ``m_class``, ``hprime``, ``report``),
-the text and built object of its key's last copy that built: a copy whose
-text starts with it is that object, with no parse and no check.  Any other
-copy is parsed, and the marshal memo keys one with exactly its keys on
+time.  The loader has two memos.  The text memo's unit is a run of a
+certificate's members: from its "{" to the end of the member before
+``params`` (``version`` ... ``m_class``), and from the end of ``params`` to
+its "}" (``hprime``, ``report``, ``notes``).  It holds per run the text and
+built members of its last copy that built: a run whose text starts with
+that text has those members, with no parse and no check, since JSON text
+decides its members as it is read.  Any other copy of a shared object is
+parsed, and the marshal memo keys one with exactly its keys on
 ``marshal.dumps`` (format 2) of its values, so a copy equal in value but
 not in text, and the classes within ``params``, are built once too; a copy
-that fails or has other keys is never kept.  A load thus holds one object
-per distinct row, m-class, hprime, report and class value, but builds
-``a2``, ``a3`` and ``notes`` per certificate, which ``solve`` shares: on
-the quick box a load holds 416 ``a2`` objects to its 2, and 1 report to
-its 4.  No memo outlives its call, and the bytes written and the errors
-raised are those of rendering and loading every copy on its own.
+that fails or has other keys is never kept.  The same memo holds a tuple
+per distinct multiplicity list, and ``notes`` come shared with their run.
+No memo outlives its call, and the bytes written and the errors raised are
+those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 from .assembly import BundleParams, ConstraintEntry, ConstraintReport
 from .errors import SchemaError
@@ -176,7 +177,8 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
         except SchemaError as exc:
             exc.path = (len(out), *exc.path)
             raise
-        return tuple(out)
+        out = tuple(out)  # exact ints, interned: one tuple per value in a call, as solve shares them
+        return memo.setdefault((_INT, out), out) if self.item is _INT else out
 
 
 class _Detail:
@@ -343,7 +345,7 @@ class _Object:
             if obj[key] != value:
                 raise SchemaError(f"field {key!r} has unsupported value {obj[key]!r:.40}")
 
-    def _check_and_build(self, obj: Any, memo: dict, built: Sequence[str] = ()) -> Any:
+    def _check_and_build(self, obj: Any, memo: dict, built: Collection[str] = ()) -> Any:
         """load(obj) without the memo, the values of the keys in built taken
         as built already."""
         self.check(obj)
@@ -673,43 +675,52 @@ class _Document:
 _FIRST_MEMBER = re.compile(r'\{[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
 _NEXT_MEMBER = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*|\})')
 _SCAN = _BUILD.scan_once
-# the certificate's members whose copies share one built object
-_SHARED_MEMBERS = frozenset(key for key, kind in _CERTIFICATE.plan if getattr(kind, "shared", False))
+_RUNS_CUT = "params"  # the member between a certificate's two runs
 
 
-def _walk(text: str, at: int, last: dict[str, tuple[str, Any]]) -> tuple[dict, list, int, list] | None:
+def _walk(text: str, at: int, last: list[tuple[str, dict] | None]) -> tuple[dict, set, int, list] | None:
     """The certificate object that starts at text[at], parsed a member at a
-    time.  last holds, per shared key, the text (a closed JSON object) and
-    built object of a copy: a member whose text starts with that text is
-    that object.  With the keys of those members, the object's end and the
-    (key, start, end) of each shared member parsed; None, to parse the
-    certificate whole, where its text ends first, a key is not a plain
-    string or is repeated, or json raises anything."""
+    time but for its two runs around params: from its "{" to the end of the
+    member before params, and from the end of params to its "}".  last
+    holds, per run, the text and built members of a copy, or None: a run
+    whose text starts with that text has those members.  With their keys,
+    the object's end and the (run, start, end, keys) of each run parsed;
+    None, to parse the certificate whole, where its text ends first, a key
+    is not a plain string or is repeated, or json raises anything."""
     obj: dict[str, Any] = {}
-    hits: list[str] = []
-    scanned: list[tuple[str, int, int]] = []
+    hits: set[str] = set()
+    scanned: list[tuple[int, int, int, list[str]]] = []
     scan, next_member = _SCAN, _NEXT_MEMBER.match
-    match = _FIRST_MEMBER.match(text, at)
+    run, start, first = 0, at, 0  # the run parsed (None once taken), its start and its first key's index
+    copy = last[0]
+    if copy is not None and text.startswith(copy[0], at):
+        obj.update(copy[1])
+        hits.update(copy[1])
+        run, at = None, at + len(copy[0])
+        match = next_member(text, at)
+    else:
+        match = _FIRST_MEMBER.match(text, at)
     while match is not None:
         key = match[1]
         if key is None:
+            if run == 1:
+                scanned.append((1, start, match.end(), [*obj][first:]))
             return obj, hits, match.end(), scanned
         if key in obj:
             return None
-        at = match.end()
-        copy = last.get(key)
-        if copy is not None and text.startswith(copy[0], at):
-            obj[key] = copy[1]
-            hits.append(key)
-            at += len(copy[0])
-        else:
-            try:
-                obj[key], end = scan(text, at)
-            except (StopIteration, ValueError, RecursionError, SchemaError):
-                return None
-            if key in _SHARED_MEMBERS:
-                scanned.append((key, at, end))
-            at = end
+        if key == _RUNS_CUT and run == 0 and obj:
+            scanned.append((0, start, at, [*obj]))
+        try:
+            obj[key], at = scan(text, match.end())
+        except (StopIteration, ValueError, RecursionError, SchemaError):
+            return None
+        if key == _RUNS_CUT:
+            copy = last[1]
+            if copy is not None and text.startswith(copy[0], at) and obj.keys().isdisjoint(copy[1]):
+                obj.update(copy[1])
+                hits.update(copy[1])
+                return obj, hits, at + len(copy[0]), scanned
+            run, start, first = 1, at, len(obj)
         match = next_member(text, at)
     return None
 
@@ -725,7 +736,8 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
     if doc.skip() != "{":
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
-    last: dict[str, tuple[str, Any]] = {}  # the text memo
+    head = array.item.head
+    last: list[tuple[str, dict] | None] = [None, None]  # the text memo, per run
     pairs: list[tuple[str, Any]] = []
     built: list[SolutionCertificate] = []
     failed: SchemaError | None = None
@@ -763,8 +775,9 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
                         failed = exc
                     else:
                         built.append(cert)
-                        for name, start, end in scanned:  # the copies that built
-                            last[name] = doc.text[start:end], getattr(cert, name)
+                        for run, start, end, names in scanned:  # the runs that built, members as built
+                            last[run] = doc.text[start:end], {
+                                name: obj[name] if name in head else getattr(cert, name) for name in names}
                 index += 1
                 char = doc.next_item("]", "[0")
             doc.step()

@@ -257,10 +257,16 @@ class SolutionCertificate:
     def __post_init__(self) -> None:
         if self.k != self.row.k:
             raise ValueError("stored k disagrees with the table row")
+        if not isinstance(self.m_class, DivisorClass):
+            raise ValueError("m_class must be a DivisorClass")
         if self.m_class.surface is not Surface.BPRIME:
             raise ValueError("m-space class must live on B'")
+        if not isinstance(self.params, BundleParams):
+            raise ValueError("params must be a BundleParams")
         if (self.params.k2, self.params.k3) != (self.row.k2, self.row.k3):
             raise ValueError("bundle parameters disagree with the table row")
+        if not isinstance(self.report, ConstraintReport):
+            raise ValueError("report must be a ConstraintReport")
 
 
 def _row_for(k2: int, k3: int) -> Table1Row:

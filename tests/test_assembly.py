@@ -1,5 +1,7 @@
 """Bundle assembly: component characters, totals, and the constraint system."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,56 @@ def test_bundle_params_reject_non_int_degrees(field, value):
     fields = {"k2": 3, "k3": 6, "d2": 10, "d3": 10, field: value}
     with pytest.raises(ValueError, match="^k2, k3, d2 and d3 must be ints$"):
         BundleParams(**fields, a2=(0, 0), a3=(0, 0, 0), l2=golden.l2, l3=golden.l3)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"k2": True}, "k2, k3, d2 and d3 must be ints"),
+    ({"d3": 10.0}, "k2, k3, d2 and d3 must be ints"),
+    ({"a2": (0, -1)}, "multiplicities must be nonnegative"),
+    ({"a3": [0, 0]}, "expected 3 multiplicities, got 2"),
+    ({"l2": named_class(Surface.B, "f")}, "twist classes must live on B'"),
+    # checked in field order: l2's surface before l3's type
+    ({"l2": named_class(Surface.B, "f"), "l3": None}, "twist classes must live on B'"),
+    ({"l2": None}, "l2 must be a DivisorClass"),
+    ({"l3": (0,) * 10}, "l3 must be a DivisorClass"),
+], ids=["bool-k2", "float-d3", "negative", "short-list", "l2-on-B", "l2-on-B-l3-none", "l2-none",
+        "l3-tuple"])
+def test_bundle_params_checks_keep_their_messages(change, message):
+    """Built or replaced, a bad field is the ValueError naming it, never an
+    AttributeError from a check that reads it."""
+    golden = golden_params()
+    values = {**{f.name: getattr(golden, f.name) for f in dataclasses.fields(golden)}, **change}
+    for build in (lambda: BundleParams(*values.values()), lambda: dataclasses.replace(golden, **change)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_bundle_params_stay_a_frozen_dataclass():
+    """The checks sit in __post_init__ behind the generated __init__, so
+    the fields, equality, hash, repr, replace and pickling are the
+    dataclass's own; a list is stored as a tuple."""
+    golden = golden_params()
+    names = [f.name for f in dataclasses.fields(BundleParams)]
+    assert names == ["k2", "k3", "d2", "d3", "a2", "a3", "l2", "l3"]
+    listed = BundleParams(3, 6, 10, 10, [0, 0], [0, 0, 0], golden.l2, golden.l3)
+    assert listed.a2 == (0, 0) and type(listed.a2) is tuple and type(listed.a3) is tuple
+    assert listed == golden and hash(listed) == hash(golden)
+    values = tuple(getattr(golden, name) for name in names)
+    assert hash(golden) == hash(values)
+    assert repr(golden) == "BundleParams(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    assert dataclasses.replace(golden, d2=12) == golden_params(d2=12)
+    assert dataclasses.replace(golden, d2=12) != golden
+    assert list(vars(golden)) == names
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(golden, protocol))
+        assert clone == golden and clone is not golden and list(vars(clone)) == names
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(golden, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(golden, name)
+    assert golden == golden_params()
 
 
 def test_small_ample_polarization_fails_slope():

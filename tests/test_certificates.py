@@ -225,21 +225,44 @@ def _sharing(certs, get):
 
 
 _SHARED_MEMBERS = ("row", "m_class", "hprime", "report")
+# a certificate's members as written, in its two runs around params
+_RUNS = {
+    "before": ("version", "basis_convention", "row", "k", "u", "x", "z", "m_class"),
+    "after": ("hprime", "report", "notes"),
+}
 
 
 def _memo_hits(monkeypatch):
-    """The list, filled as certificates load, of the shared members each
-    walked certificate took from the text memo (None where it fell back)."""
+    """The list, filled as certificates load, of the runs each walked
+    certificate took from the text memo (None where it fell back)."""
     hits = []
     walk = certificates._walk
 
     def spy(text, at, last):
         walked = walk(text, at, last)
-        hits.append(walked and set(walked[1]))
+        hits.append(walked and {run for run, keys in _RUNS.items() if set(keys) <= walked[1]})
         return walked
 
     monkeypatch.setattr(certificates, "_walk", spy)
     return hits
+
+
+def _run_spans(text, index):
+    """The (start, end) spans in a file's text of certificate number index's
+    two runs: from its "{" to the end of the member before params, and from
+    the end of params to its "}"."""
+    start = text.rindex("{", 0, [m.start() for m in re.finditer('"version": ', text)][index + 1])
+    params_start, params_end = _member_span(text, index, "params")
+    before_end = len(text[:text.rindex(",", 0, params_start)].rstrip())
+    return {"before": (start, before_end),
+            "after": (params_end, json.JSONDecoder().raw_decode(text, start)[1])}
+
+
+def _repeated_runs(text, count):
+    """Per certificate after the first, the runs whose text is that of the
+    certificate before it: those the text memo answers in a file that builds."""
+    texts = [{run: text[a:b] for run, (a, b) in _run_spans(text, i).items()} for i in range(count)]
+    return [{run for run in _RUNS if this[run] == before[run]} for before, this in zip(texts, texts[1:])]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 4096, 1 << 16])
@@ -261,7 +284,8 @@ def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chun
         assert None in hits
     else:
         assert None not in hits
-        assert all(hit == set(_SHARED_MEMBERS) for hit in hits[1:])
+        assert hits[1:] == _repeated_runs(text, len(certs))
+        assert all("after" in hit for hit in hits[1:])
     for get in map(attrgetter, ("row", "report", "hprime", "m_class", "params.l2", "params.l3")):
         assert _sharing(loaded, get) == _sharing(expected, get)
 
@@ -781,8 +805,9 @@ def _spaced(certs, indents):
 
 def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
     """Each shared member is one object per value, whether the text memo
-    (a copy spelled as the one before it) or the marshal memo (a copy
-    spelled otherwise) answered for it."""
+    (a run spelled as the one before it) or the marshal memo (a copy
+    spelled otherwise) answered for it; the multiplicity lists are one
+    object per value, and notes come shared with the run after params."""
     hits = _memo_hits(monkeypatch)
     # as written, every certificate spelled otherwise, and a mix
     for indents in ((2,), (None, 1), (None, 1, 1)):
@@ -790,13 +815,15 @@ def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
         text = dumps_certificates(certs) if indents == (2,) else _spaced(certs, indents)
         loaded = loads_certificates(text)
         assert loaded == certs
-        # the box has one value of each shared member
+        # the box has one value of each member after params
         alike = [indents[i % len(indents)] == indents[(i - 1) % len(indents)]
                  for i in range(1, len(certs))]
         assert None not in hits
-        assert [hit == set(_SHARED_MEMBERS) for hit in hits[1:]] == alike
+        assert hits[1:] == _repeated_runs(text, len(certs))
+        assert [hit >= {"after"} for hit in hits[1:]] == alike
         # a class is one object wherever it occurs, so its three places share one table
-        for attrs in (["report"], ["row"], ["hprime"], ["m_class", "params.l2", "params.l3"]):
+        for attrs in (["report"], ["row"], ["hprime"], ["m_class", "params.l2", "params.l3"],
+                      ["params.a2", "params.a3"], ["notes"]):
             getters = [attrgetter(a) for a in attrs]
             canonical = {}
             for cert in loaded:
@@ -804,6 +831,11 @@ def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
                     value = get(cert)
                     assert value is canonical.setdefault(value, value)
             assert len(canonical) == len({get(c) for c in certs for get in getters})
+    # notes other than the empty tuple are one object while the run after params repeats
+    noted = [_noted(c) for c in certs[:8]]
+    loaded = loads_certificates(dumps_certificates(noted))
+    assert loaded == noted
+    assert len({id(c.notes) for c in loaded}) == 1 and loaded[0].notes
 
 
 def _member_span(text, index, key):
@@ -813,22 +845,85 @@ def _member_span(text, index, key):
     return start, json.JSONDecoder().raw_decode(text, start)[1]
 
 
-@pytest.mark.parametrize(
-    "edit, cut", [("", 1), (" ", 0), ("@", 1), ("}", 0), (",", 0), ("{", 0), ("0", 1), ("\f", 0)])
-@pytest.mark.parametrize("where", ["first-byte", "last-byte", "past-the-end"])
-@pytest.mark.parametrize("key", _SHARED_MEMBERS)
-def test_an_edit_at_a_repeated_members_edge_loads_as_the_whole_text(certs, key, where, edit, cut):
-    """The text memo compares a copy with the last one's text: an edit
-    where that text starts or ends, or just past it, loads as the whole
-    text's parse would."""
+def _pair_text(certs):
+    """Two certificates whose two runs are written alike, as a file's text."""
     pair = _same_report_pair(certs)
     assert all(getattr(pair[0], k) is getattr(pair[1], k) for k in _SHARED_MEMBERS)
     text = dumps_certificates(pair)
-    start, end = _member_span(text, 1, key)
+    first, second = _run_spans(text, 0), _run_spans(text, 1)
+    assert all(text[slice(*first[run])] == text[slice(*second[run])] for run in _RUNS)
+    return pair, text
+
+
+@pytest.mark.parametrize(
+    "edit, cut", [("", 1), (" ", 0), ("@", 1), ("}", 0), (",", 0), ("{", 0), ("0", 1), ("\f", 0)])
+@pytest.mark.parametrize("where", ["first-byte", "last-byte", "past-the-end"])
+@pytest.mark.parametrize("key", [*_RUNS, *_SHARED_MEMBERS])
+def test_an_edit_at_a_repeated_members_edge_loads_as_the_whole_text(certs, key, where, edit, cut):
+    """The text memo compares a run with the last one's text: an edit where
+    that text starts or ends, or just past it, or at the edges of a shared
+    member within it, loads as the whole text's parse would."""
+    pair, text = _pair_text(certs)
+    start, end = _run_spans(text, 1)[key] if key in _RUNS else _member_span(text, 1, key)
     at = {"first-byte": start, "last-byte": end - 1, "past-the-end": end}[where]
     loaded = _loads_as_the_whole_text(text[:at] + edit + text[at + cut:])
     if loaded is not None and loaded == pair:
-        assert getattr(loaded[1], key) is getattr(loaded[0], key)
+        for name in _RUNS.get(key, (key,)):
+            assert getattr(loaded[1], name, None) is getattr(loaded[0], name, None)
+
+
+def _without_params(text):
+    start, end = _member_span(text, 1, "params")
+    return text[:text.rindex(",", 0, start)] + text[end:]
+
+
+def _extra_after_notes(text):
+    end = _run_spans(text, 1)["after"][1] - len("\n    }")
+    return text[:end] + ',\n      "extra": 1' + text[end:]
+
+
+def _repeated_after_params(key):
+    def doctor(text):
+        start, end = _member_span(text, 1, key)
+        value = text[start:end]
+        at = _member_span(text, 1, "params")[1]
+        return text[:at] + f',\n      "{key}": {value}' + text[at:]
+    return doctor
+
+
+def _repeated_before_params(key):
+    def doctor(text):
+        start, end = _member_span(text, 1, key)
+        value = text[start:end]
+        at = text.index('"params": ', text.rindex('"version": '))
+        return text[:at] + f'"{key}": {value},\n      ' + text[at:]
+    return doctor
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (_without_params, r"^certificates\[1\]: missing field 'params'$"),
+        (_extra_after_notes, r"^certificates\[1\]: unknown field 'extra'$"),
+        (_repeated_after_params("u"), r"^certificates\[1\]: duplicate key 'u'$"),
+        (_repeated_after_params("m_class"), r"^certificates\[1\]: duplicate key 'm_class'$"),
+        # the run after params is the first one's text, but its hprime came before
+        (_repeated_before_params("hprime"), r"^certificates\[1\]: duplicate key 'hprime'$"),
+        (_repeated_before_params("notes"), r"^certificates\[1\]: duplicate key 'notes'$"),
+    ],
+    ids=["no-params", "extra-after-notes", "u-after-params", "m_class-after-params",
+         "hprime-before-params", "notes-before-params"],
+)
+def test_a_certificate_off_the_runs_layout_loads_as_the_whole_text(certs, doctor, message):
+    """A second certificate whose first run repeats the first one's, but
+    with no params, a member after notes, or a key of either run repeated
+    next to params: each fails as the whole text's parse does."""
+    _, text = _pair_text(certs)
+    doctored = doctor(text)
+    assert doctored.startswith(text[:_run_spans(text, 1)["before"][1]])
+    with pytest.raises(SchemaError, match=message):
+        _whole_text_load(doctored)
+    assert _loads_as_the_whole_text(doctored) is None
 
 
 @pytest.mark.parametrize("spelling", ["\\u0072ow", "r\\u006fw", "row\\u0000", "row\t", "\\u0076ersion"])
@@ -1290,9 +1385,9 @@ def _loads_as_the_whole_text(text):
 
 _GOLDEN_CERTIFICATE = json.loads(GOLDEN.read_text())
 _TWO_GOLDEN = json.dumps({"version": "1", "certificates": [_GOLDEN_CERTIFICATE] * 2}, indent=2)
-# the middle report differs: the text memo misses it and the last copy's
-# report, which the marshal memo answers, while the last copy's row, class
-# and h' hit after that miss
+# the middle report differs: the text memo misses the run after params in
+# the middle copy and in the last, whose report the marshal memo answers,
+# while the last copy's run before params hits after that miss
 _MIDDLE = copy.deepcopy(_GOLDEN_CERTIFICATE)
 _MIDDLE["report"]["notes"] = ["the middle copy's own note"]
 _THREE_GOLDEN = json.dumps(
@@ -1302,12 +1397,13 @@ _EDITS = ["", "{", "}", "[", "]", ",", ":", '"', "\\", " ", "\n", "0", "-", ".",
 
 
 def _at_repeat_edges(test):
-    """Examples that edit a later copy's shared member at its first byte,
-    its last byte and just past it, where the text memo compares texts."""
+    """Examples that edit a later copy's run, where the text memo compares
+    texts, or a shared member within it, at its first byte, its last byte
+    and just past it."""
     for golden, index, keys in ((_TWO_GOLDEN, 1, _SHARED_MEMBERS), (_THREE_GOLDEN, 1, ("report",)),
                                 (_THREE_GOLDEN, 2, _SHARED_MEMBERS)):
-        for key in keys:
-            start, end = _member_span(golden, index, key)
+        spans = [_member_span(golden, index, key) for key in keys]
+        for start, end in [*_run_spans(golden, index).values(), *spans]:
             for at in (start, end - 1, end):
                 for edit, cut in ((" ", 0), ("", 1), ("0", 1)):
                     test = example(golden, at, cut, edit)(test)

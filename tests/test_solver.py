@@ -1381,6 +1381,80 @@ def test_search_bounds_reject_an_empty_z_window():
 # === pickling and copying ===
 
 
+def _other_row_params(cert):
+    """cert's params on the (2, 4) row, twists kept."""
+    return dataclasses.replace(cert.params, k2=2, k3=4)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: {"k": c.k + 1}, "stored k disagrees with the table row"),
+    (lambda c: {"m_class": named_class(Surface.B, "f")}, "m-space class must live on B'"),
+    (lambda c: {"params": _other_row_params(c)}, "bundle parameters disagree with the table row"),
+    # checked in field order: k before the m-class, the m-class before params
+    (lambda c: {"k": c.k + 1, "m_class": None}, "stored k disagrees with the table row"),
+    (lambda c: {"m_class": named_class(Surface.B, "f"), "params": None}, "m-space class must live on B'"),
+], ids=["k-off-the-row", "m-class-on-B", "params-on-another-row", "k-before-m-class",
+        "m-class-before-params"])
+def test_certificate_checks_keep_their_messages(change, message):
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    values = {**vars(cert), **change(cert)}
+    for build in (lambda: solver_module.SolutionCertificate(*values.values()),
+                  lambda: dataclasses.replace(cert, **change(cert))):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: {"report": None}, "report must be a ConstraintReport"),
+    (lambda c: {"report": dataclasses.asdict(c.report)}, "report must be a ConstraintReport"),
+    (lambda c: {"m_class": None}, "m_class must be a DivisorClass"),
+    (lambda c: {"params": None}, "params must be a BundleParams"),
+    (lambda c: {"params": vars(c.params)}, "params must be a BundleParams"),
+], ids=["report-none", "report-dict", "m-class-none", "params-none", "params-dict"])
+def test_a_wrong_typed_certificate_field_is_a_value_error_naming_it(change, message):
+    """A report, m-class or params of another type once got past the
+    constructor and failed later, in verify or in a check, with an
+    AttributeError."""
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(cert, **change(cert))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("twist", ["l2", "l3"])
+def test_a_twist_that_is_no_divisor_class_is_a_value_error_naming_it(twist):
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(cert.params, **{twist: None})
+    assert str(exc.value) == f"{twist} must be a DivisorClass"
+
+
+def test_certificates_stay_a_frozen_dataclass():
+    """The checks sit in __post_init__ behind the generated __init__, so
+    the fields, notes' default, equality, hash, repr, replace and pickling
+    are the dataclass's own."""
+    certs = solve(3, 6, SMALL_BOUNDS)
+    cert = certs[0]
+    names = [f.name for f in dataclasses.fields(solver_module.SolutionCertificate)]
+    assert names == ["row", "k", "u", "x", "z", "m_class", "params", "hprime", "report", "notes"]
+    values = tuple(getattr(cert, name) for name in names)
+    assert solver_module.SolutionCertificate(*values[:-1]) == cert and cert.notes == ()
+    again = solver_module.SolutionCertificate(**dict(zip(names, values)))
+    assert again == cert and again is not cert and hash(again) == hash(cert) == hash(values)
+    assert repr(cert) == "SolutionCertificate(" + ", ".join(
+        f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    assert dataclasses.replace(cert, params=certs[1].params) == certs[1] != cert
+    assert list(vars(cert)) == names
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(cert, protocol))
+        assert clone == cert and list(vars(clone)) == names
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, None)
+    assert cert == solve(3, 6, SMALL_BOUNDS)[0]
+
+
 def test_core_values_round_trip_through_pickle():
     """DivisorClass is frozen and slotted, so its __reduce__ is what lets it,
     and every value holding one, pickle or copy at all."""
