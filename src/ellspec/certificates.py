@@ -41,12 +41,12 @@ text first: what ``json.loads`` refuses (syntax, the digit and depth
 limits, a repeated key), then the file object's own keys and version, then
 the first failing certificate.
 
-Each call handles a shared object (a row, hprime, report or divisor class)
-once per distinct copy.  The writer fills templates: on first use at an
-indentation, a declaration compiles its constant text into one % format
-with a slot per value, one per presence pattern of its optional keys, and
-a nested object that is not shared and has no optional keys (``params``)
-is inlined into its parent's.  A shared object's text is rendered once per
+Each call handles a shared value once per distinct copy: the declarations
+of a row, hprime, report and divisor class are shared objects, those of the
+multiplicity lists and ``notes`` shared arrays.  The writer fills
+templates: on first use at an indentation, a declaration compiles its
+constant text into one % format with a slot per value, one per presence
+pattern of its optional keys.  A shared value's text is rendered once per
 indentation, and ``save_certificates`` streams a file a certificate at a
 time.  The loader has two memos.  The text memo's unit is a run of a
 certificate's members: from its "{" to the end of the member before
@@ -59,9 +59,9 @@ parsed, and the marshal memo keys one with exactly its keys on
 ``marshal.dumps`` (format 2) of its values, so a copy equal in value but
 not in text, and the classes within ``params``, are built once too; a copy
 that fails or has other keys is never kept.  The same memo holds a tuple
-per distinct multiplicity list, and ``notes`` come shared with their run.
-No memo outlives its call, and the bytes written and the errors raised are
-those of rendering and loading every copy on its own.
+per distinct value of a shared array.  No memo outlives its call, and the
+bytes written and the errors raised are those of rendering and loading
+every copy on its own.
 """
 
 from __future__ import annotations
@@ -120,6 +120,9 @@ def rational_from_str(text: Any) -> Fraction:
 class _Scalar(namedtuple("_Scalar", "what types")):
     """A JSON scalar, stored as it is; its types are exact: True is no integer."""
 
+    def at(self, newline: str) -> Callable:
+        return lambda value, memo: _spell(value)
+
     def load(self, value: Any, memo: dict) -> Any:
         if value.__class__ in self.types:
             return value
@@ -138,8 +141,10 @@ class _Codec(namedtuple("_Codec", "spell parse")):
         return self.parse(value)
 
 
-class _Array(namedtuple("_Array", "item length", defaults=[None])):
-    """A JSON array of one codec's values, loaded as a tuple."""
+class _Array(namedtuple("_Array", "item length shared", defaults=[None, False])):
+    """A JSON array of one codec's values, loaded as a tuple.  A ``shared``
+    array is loaded as one tuple per value and written once per
+    indentation in a call."""
 
     @staticmethod
     def layout(newline: str) -> tuple[str, str, str, str]:
@@ -151,21 +156,14 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
 
     def at(self, newline: str) -> Callable:
         """The function (values, memo) -> the array's text, joined in one
-        call; an exact int item is spelled inline."""
+        call."""
         inner, opening, comma, closing = self.layout(newline)
-        if self.item.__class__ is _Scalar:
-            def text(values: Sequence, memo: dict) -> str:
-                texts = []  # a loop: a short array spends more on a comprehension's frame
-                for v in values:
-                    texts.append(str(v) if v.__class__ is int else _spell(v))
-                return opening + comma.join(texts) + closing if texts else "[]"
-        else:
-            item = self.item.at(inner)
+        item = self.item.at(inner)
 
-            def text(values: Sequence, memo: dict) -> str:
-                texts = [item(v, memo) for v in values]
-                return opening + comma.join(texts) + closing if texts else "[]"
-        return text
+        def text(values: Sequence, memo: dict) -> str:
+            texts = [item(v, memo) for v in values]
+            return opening + comma.join(texts) + closing if texts else "[]"
+        return _memoized(text) if self.shared else text
 
     def load(self, items: Any, memo: dict) -> tuple:
         if items.__class__ is not list or self.length not in (None, len(items)):
@@ -177,8 +175,8 @@ class _Array(namedtuple("_Array", "item length", defaults=[None])):
         except SchemaError as exc:
             exc.path = (len(out), *exc.path)
             raise
-        out = tuple(out)  # exact ints, interned: one tuple per value in a call, as solve shares them
-        return memo.setdefault((_INT, out), out) if self.item is _INT else out
+        out = tuple(out)  # one tuple per value in a call, as solve shares them
+        return memo.setdefault((self, out), out) if self.shared else out
 
 
 class _Detail:
@@ -205,12 +203,11 @@ class _Detail:
         return tuple(obj.items())
 
 
-class _Template(namedtuple("_Template", "fmt read slots pieces paths")):
+class _Template(namedtuple("_Template", "fmt read slots pieces")):
     """An object's text at one indentation with one presence pattern of its
     optional keys: the constant pieces around one slot per value written,
     joined as a % format; read takes the object to its slots' values.  Per
-    slot, the function that spells its value (None for a scalar) and, if
-    the object reads attributes, the dotted path of its value."""
+    slot, the function that spells its value (None for a scalar)."""
 
     def fill(self, value: Any, memo: dict) -> str:
         """value's text: the format with each slot's value spelled, an exact
@@ -223,8 +220,9 @@ class _Template(namedtuple("_Template", "fmt read slots pieces paths")):
 
 def _memoized(text: Callable) -> Callable:
     """text, called once per value in a call; the memo holds the value with
-    its text, so that its id is not reused.  A shared object has no optional
-    keys, so text is a template's bound fill: the key of every at()."""
+    its text, so that its id is not reused.  text is built once per template
+    slot (an array's function, or the bound fill of a shared object's one
+    template), so it keys the slot."""
     def shared(value: Any, memo: dict) -> str:
         key = text, id(value)
         hit = memo.get(key)
@@ -243,15 +241,12 @@ class _Object:
     per distinct copy, and written once per indentation in a call.
 
     Written first at an indentation, the object compiles its constant text
-    into a template, one per presence pattern of its optional keys.  A
-    nested object that is not shared, has no optional keys and reads
-    attributes is inlined: its text goes into its parent's template, its
-    values into the parent's read."""
+    into a template, one per presence pattern of its optional keys, which
+    reads only the attributes it writes."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable | None, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
                  shared: bool = False) -> None:
-        self.attrs = None if read else tuple(keys)
         self.read, self.build, self.shared = read or attrgetter(*keys), build, shared
         self.plan = tuple(zip(keys, kinds, strict=True))
         self.head = head or {}
@@ -263,7 +258,6 @@ class _Object:
         self.head_lines = tuple(_quote(k) + ": " + _quote(v) for k, v in self.head.items())
         self.labels = tuple((_quote(k) + ": ", kind) for k, kind in self.plan)
         self.optional_at = tuple(i for i, key in enumerate(keys) if key in optional)
-        self.inline = not shared and not optional and self.attrs is not None
         self.templates: dict[tuple[str, tuple[bool, ...]], _Template] = {}
 
     def at(self, newline: str) -> Callable:
@@ -289,7 +283,7 @@ class _Object:
     def _compile(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         inner = newline + "  "
         left_out = {i for i, gone in zip(self.optional_at, absent) if gone}
-        pieces, paths, slots = [""], [], []
+        pieces, slots = [""], []
         sep, comma = "{" + inner, "," + inner
         for line in self.head_lines:
             pieces[-1] += sep + line
@@ -299,21 +293,14 @@ class _Object:
                 continue
             pieces[-1] += sep + label
             sep = comma
-            if kind.__class__ is _Object and kind.inline and self.attrs:
-                child = kind._template(inner, ())
-                pieces[-1] += child.pieces[0]
-                pieces += child.pieces[1:]
-                paths += (self.attrs[i] + "." + path for path in child.paths)
-                slots += child.slots
-            else:
-                pieces.append("")
-                if self.attrs:
-                    paths.append(self.attrs[i])
-                slots.append(None if kind.__class__ is _Scalar else kind.at(inner))
+            pieces.append("")
+            slots.append(None if kind.__class__ is _Scalar else kind.at(inner))
         pieces[-1] += newline + "}" if sep is comma else "{}"
         fmt = "%s".join(piece.replace("%", "%%") for piece in pieces)
-        read = attrgetter(*paths) if self.attrs else self.read
-        return _Template(fmt, read, tuple(slots), tuple(pieces), tuple(paths))
+        read = self.read
+        if left_out:  # optional keys are attributes: read only those written
+            read = attrgetter(*(key for i, (key, _) in enumerate(self.plan) if i not in left_out))
+        return _Template(fmt, read, tuple(slots), tuple(pieces))
 
     def load(self, obj: Any, memo: dict) -> Any:
         # marshal format 2 writes each value's exact type (1, True and 1.0
@@ -388,7 +375,8 @@ _INT = _Scalar("an integer", (int,))
 _BOOL = _Scalar("a boolean", (bool,))
 _STR = _Scalar("a string", (str,))
 _INT_OR_NULL = _Scalar("an integer or null", (int, type(None)))
-_STRS = _Array(_STR)
+_INTS = _Array(_INT, shared=True)
+_STRS = _Array(_STR, shared=True)
 _Q = _Codec(rational_to_str, rational_from_str)
 _SURFACE = _Codec(attrgetter("value"), _surface_from_json)
 
@@ -397,8 +385,7 @@ _SURFACE = _Codec(attrgetter("value"), _surface_from_json)
 _DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _Array(_Q, RANK)),
                    lambda d: (d.surface, d.num if d.den == 1 else d.coeffs), DivisorClass, shared=True)
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
-_PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _Array(_INT), _Array(_INT),
-                  _DIVISOR, _DIVISOR)
+_PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _INTS, _INTS, _DIVISOR, _DIVISOR)
 _ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Detail)
 _REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS,
                   shared=True)

@@ -255,6 +255,8 @@ class SolutionCertificate:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.row.__class__ is not Table1Row:
+            raise ValueError("row must be a Table1Row")
         if self.k != self.row.k:
             raise ValueError("stored k disagrees with the table row")
         if not isinstance(self.m_class, DivisorClass):
@@ -267,6 +269,18 @@ class SolutionCertificate:
             raise ValueError("bundle parameters disagree with the table row")
         if not isinstance(self.report, ConstraintReport):
             raise ValueError("report must be a ConstraintReport")
+        hprime = _three_ints(self.hprime)
+        if hprime is not self.hprime:  # a list, stored as the tuple a load builds
+            object.__setattr__(self, "hprime", hprime)
+
+
+def _three_ints(hprime: object) -> tuple[int, int, int]:
+    """hprime as a tuple, if it is a tuple or list of three exact ints."""
+    if hprime.__class__ in (tuple, list) and len(hprime) == 3:
+        f, e1, xi = hprime
+        if f.__class__ is e1.__class__ is xi.__class__ is int:
+            return tuple(hprime)
+    raise ValueError(f"polarization hprime must be three ints, got {hprime!r}")
 
 
 def _row_for(k2: int, k3: int) -> Table1Row:
@@ -354,10 +368,7 @@ def solve(
     b = bounds if bounds is not None else SearchBounds()
     if workers != 1:
         raise ValueError("workers must be 1: solve runs in one process")
-    if not (isinstance(hprime, (tuple, list)) and len(hprime) == 3
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in hprime)):
-        raise ValueError(f"polarization hprime must be three ints, got {hprime!r}")
-    hprime = tuple(hprime)
+    hprime = _three_ints(hprime)
     require_ample(polarization_class(hprime))
 
     if m_candidates is None:
@@ -424,7 +435,7 @@ def verify_certificate(cert: SolutionCertificate) -> ConstraintReport:
     """
     p = cert.params
     coset = _verified_coset(
-        cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, tuple(cert.hprime),
+        cert.z, cert.m_class, p.k2, p.k3, cert.u, cert.x, p.d2 % 2, p.d3 % 3, p.a2, p.a3, cert.hprime,
     )
     l2, l3, fresh, matched = coset
     if _stepped(l2, p.d2 // 2) != p.l2 or _stepped(l3, p.d3 // 3) != p.l3:

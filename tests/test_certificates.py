@@ -641,8 +641,8 @@ def test_one_class_at_three_indentations(certs):
 
 
 def test_hprime_lists_render_their_own_values(certs):
-    """tuple() of a list hprime is a temporary, so its id recurs between
-    certificates; each must still be written with its own values."""
+    """A list hprime is stored as its tuple; each certificate's, one value
+    per certificate, is written with its own values."""
     case = [dataclasses.replace(c, hprime=[i, 2 * i + 1, -i]) for i, c in enumerate(certs[:8])]
     text = dumps_certificates(case)
     assert text == _oracle_dumps(case)
@@ -662,6 +662,37 @@ def test_render_memo_holds_what_it_keys():
     text = certificates._dumps(certificates._Array(fresh), values)
     expected = [{"d": divisor_to_json(DivisorClass(Surface.B, [n] * 10))} for n in values]
     assert text == json.dumps(expected, indent=2)
+
+
+def test_each_shared_array_is_rendered_once_per_value(monkeypatch, certs):
+    """A spy on each shared array's text function, built as the templates
+    compile afresh: a dump of the box renders each distinct a2, a3 and
+    notes object once, in the order first written, not once per
+    certificate; a second dump renders them again."""
+    rendered = {}
+    memoized = certificates._memoized
+
+    def spy(text):
+        if not text.__qualname__.startswith("_Array."):
+            return memoized(text)
+
+        def counted(values, memo):
+            rendered.setdefault(counted, []).append(values)
+            return text(values, memo)
+        return memoized(counted)
+
+    monkeypatch.setattr(certificates, "_memoized", spy)
+    for kind in vars(certificates).values():
+        if isinstance(kind, certificates._Object):
+            monkeypatch.setattr(kind, "templates", {})
+    for calls in (1, 2):
+        assert dumps_certificates(certs) == _oracle_dumps(certs)
+        # the slots in the order written: params.a2, params.a3, report.notes, notes
+        a2, a3, report_notes, notes = rendered.values()
+        for values, get in ((a2, attrgetter("params.a2")), (a3, attrgetter("params.a3")),
+                            (report_notes, attrgetter("report.notes")), (notes, attrgetter("notes"))):
+            assert [id(v) for v in values] == calls * [*{id(get(c)): None for c in certs}]
+        assert [len(a2), len(a3), len(notes)] == [2 * calls, 4 * calls, calls]
 
 
 def test_render_memo_lives_for_one_call(certs):
@@ -806,8 +837,11 @@ def _spaced(certs, indents):
 def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
     """Each shared member is one object per value, whether the text memo
     (a run spelled as the one before it) or the marshal memo (a copy
-    spelled otherwise) answered for it; the multiplicity lists are one
-    object per value, and notes come shared with the run after params."""
+    spelled otherwise) answered for it; the multiplicity lists and notes
+    are one object per value.  On the box every notes is (), which CPython
+    holds once, so notes are checked on certificates with notes of their
+    own: loaded as written, and spelled at alternate indents, so that no
+    run after params repeats the one before it."""
     hits = _memo_hits(monkeypatch)
     # as written, every certificate spelled otherwise, and a mix
     for indents in ((2,), (None, 1), (None, 1, 1)):
@@ -831,11 +865,14 @@ def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
                     value = get(cert)
                     assert value is canonical.setdefault(value, value)
             assert len(canonical) == len({get(c) for c in certs for get in getters})
-    # notes other than the empty tuple are one object while the run after params repeats
+    # notes of their own: as written the run after params repeats, at alternate indents never
     noted = [_noted(c) for c in certs[:8]]
-    loaded = loads_certificates(dumps_certificates(noted))
-    assert loaded == noted
-    assert len({id(c.notes) for c in loaded}) == 1 and loaded[0].notes
+    for text, repeats in ((dumps_certificates(noted), True), (_spaced(noted[:6], (None, 1)), False)):
+        hits.clear()
+        loaded = loads_certificates(text)
+        assert loaded == noted[:len(loaded)]
+        assert [hit >= {"after"} for hit in hits[1:]] == [repeats] * (len(loaded) - 1)
+        assert len({id(c.notes) for c in loaded}) == 1 and loaded[0].notes
 
 
 def _member_span(text, index, key):

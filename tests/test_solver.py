@@ -1411,15 +1411,32 @@ def test_certificate_checks_keep_their_messages(change, message):
     (lambda c: {"m_class": None}, "m_class must be a DivisorClass"),
     (lambda c: {"params": None}, "params must be a BundleParams"),
     (lambda c: {"params": vars(c.params)}, "params must be a BundleParams"),
-], ids=["report-none", "report-dict", "m-class-none", "params-none", "params-dict"])
+    (lambda c: {"row": None}, "row must be a Table1Row"),
+    (lambda c: {"hprime": None}, "polarization hprime must be three ints, got None"),
+    (lambda c: {"hprime": (25, 144)}, "polarization hprime must be three ints, got (25, 144)"),
+    (lambda c: {"hprime": (25.0, 144, 168)}, "polarization hprime must be three ints, got (25.0, 144, 168)"),
+], ids=["report-none", "report-dict", "m-class-none", "params-none", "params-dict", "row-none",
+        "hprime-none", "hprime-pair", "hprime-float"])
 def test_a_wrong_typed_certificate_field_is_a_value_error_naming_it(change, message):
-    """A report, m-class or params of another type once got past the
-    constructor and failed later, in verify or in a check, with an
-    AttributeError."""
+    """A row, report, m-class, params or h' of another type was once no
+    ValueError naming it: a row failed in the constructor with an
+    AttributeError, the others got past it and failed later, in verify or
+    a check, or, for a float h', when saved.  An h' is refused with solve's
+    own message."""
     cert = solve(3, 6, SMALL_BOUNDS)[0]
     with pytest.raises(ValueError) as exc:
         dataclasses.replace(cert, **change(cert))
     assert str(exc.value) == message
+
+
+def test_a_list_polarization_is_stored_as_a_tuple():
+    """A certificate built with a list h' holds the tuple solve and a load
+    hold, so it equals, verifies and saves as the certificate it copies."""
+    cert = solve(3, 6, SMALL_BOUNDS)[0]
+    listed = dataclasses.replace(cert, hprime=list(cert.hprime))
+    assert listed.hprime.__class__ is tuple and listed == cert
+    assert verify_certificate(listed) == cert.report
+    assert dumps_certificates([listed]) == dumps_certificates([cert])
 
 
 @pytest.mark.parametrize("twist", ["l2", "l3"])
