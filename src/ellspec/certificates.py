@@ -505,21 +505,20 @@ _CUT_REACH = 16
 class _Document:
     """A JSON document read from pieces of its text, a value at a time.
 
-    ``text[at:]`` is what is left of the pieces read so far.  Reading on
-    drops the text before ``mark``, the end of the last value or opening
-    bracket, and ``base``, ``lines`` and ``line_start`` (the offset of the
-    last dropped newline) place ``text`` in the document for json's error
-    messages.  A repeated key's error is kept in ``duplicate``, and with its
-    key path in ``located``; the rest of the document is then only checked
-    to be JSON, and the error names its path only if it is.
+    ``source()`` gives a fresh iterator of the pieces; ``text[at:]`` is what
+    is left of those read so far, which starts at ``base`` in the document.
+    Reading on drops the text before ``mark``, the end of the last value or
+    opening bracket.  A load error reads the source once more, to its end.
+    A repeated key's error is kept in ``duplicate``, and with its key path
+    in ``located``; the rest of the document is then only checked to be
+    JSON, and the error names its path only if it is.
     """
 
-    def __init__(self, pieces: Iterator[str]) -> None:
-        self.pieces = pieces
+    def __init__(self, source: Callable[[], Iterator[str]]) -> None:
+        self.source = source
+        self.pieces = source()
         self.text = ""
-        self.at = self.mark = self.base = self.lines = 0
-        self.line_start = -1
-        self.done = False
+        self.at = self.mark = self.base = 0
         self.duplicate: SchemaError | None = None
         self.located: SchemaError | None = None
         self._read_on()
@@ -537,14 +536,9 @@ class _Document:
             size += len(piece)
             if size > kept:
                 break
-        else:
-            self.done = True
         if not size:
             return False
         text, mark = self.text, self.mark
-        if newlines := text.count("\n", 0, mark):
-            self.lines += newlines
-            self.line_start = self.base + text.rfind("\n", 0, mark)
         self.base += mark
         self.at -= mark
         self.mark = 0
@@ -592,12 +586,11 @@ class _Document:
                 self.duplicate = exc
                 continue
             except (ValueError, RecursionError) as exc:
-                if self.done or not self._may_be_cut(exc):
+                if not (self._may_be_cut(exc) and self._read_on()):
                     raise self._invalid(exc) from exc
             else:  # a number at the end of the text may go on in the next piece
-                if end < len(self.text) or self.done:
+                if end < len(self.text) or not self._read_on():
                     break
-            self._read_on()
         self.at = self.mark = end
         if decoder is _PAIRS and self.located is None:
             try:
@@ -644,15 +637,19 @@ class _Document:
     def _invalid(self, exc: ValueError | RecursionError) -> SchemaError:
         """The error for exc, which json met at this point of the document (a
         JSONDecodeError's position is in text): json's, placed in the whole
-        document, unless a repeated key came first."""
+        document by the newlines of a second read of the source, unless a
+        repeated key came first."""
+        offset = self.base + exc.pos if isinstance(exc, json.JSONDecodeError) else 0
+        lines, line_start, read = 0, -1, 0  # line_start: the offset of the last newline
+        self.pieces = self.source()  # read to its end: a byte the codec refuses comes first
+        for piece in self.pieces:
+            if read < offset and (newlines := piece.count("\n", 0, offset - read)):
+                lines, line_start = lines + newlines, read + piece.rfind("\n", 0, offset - read)
+            read += len(piece)
         if self.duplicate is not None:  # not JSON past the repeat: the pathless error
             return self.duplicate
         if isinstance(exc, json.JSONDecodeError):
-            text, pos = self.text, exc.pos
-            newline = text.rfind("\n", 0, pos)
-            line = self.lines + text.count("\n", 0, pos) + 1
-            column = pos - newline if newline >= 0 else self.base + pos - self.line_start
-            exc = f"{exc.msg}: line {line} column {column} (char {self.base + pos})"
+            exc = f"{exc.msg}: line {lines + 1} column {offset - line_start} (char {offset})"
         return SchemaError(f"not valid JSON: {exc}")
 
 
@@ -712,14 +709,14 @@ def _walk(text: str, at: int, last: list[tuple[str, dict] | None]) -> tuple[dict
     return None
 
 
-def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
-    """The certificates of the document that pieces spell out.  A file's
-    certificates are parsed, checked and built one at a time, each shared
+def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
+    """The certificates of the document that source's pieces spell out.  A
+    file's certificates are parsed, checked and built one at a time, each shared
     object once, and after the first failing one only parsed.  The errors
     and their order are those of the whole text's checks: first what
     json.loads rejects and a repeated key, then the file object's own keys
     and version, then the first failing certificate."""
-    doc, memo = _Document(pieces), {}
+    doc, memo = _Document(source), {}
     if doc.skip() != "{":
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
@@ -770,8 +767,10 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
             doc.step()
         char = doc.next_item("}", '{"":0')
     doc.step()
-    # an object closes after its members: a repeat inside one comes first
-    members = _unique_keys(pairs) if doc.duplicate is None else {}
+    try:  # an object closes after its members: a repeat inside one comes first
+        members = _unique_keys(pairs) if doc.duplicate is None else {}
+    except SchemaError as exc:  # raised once the rest is read, as one in a certificate
+        doc.duplicate = doc.located = exc
     doc.end()
     if listed not in members:
         return [_CERTIFICATE.load(members, memo)]
@@ -786,11 +785,11 @@ def _decode(pieces: Iterator[str]) -> list[SolutionCertificate]:
 def loads_json(text: str) -> Any:
     """json.loads, with a repeated key, a too-long int or too-deep nesting a
     SchemaError; a repeated key's error names its key path."""
-    return _Document(iter((text,))).whole()
+    return _Document(lambda: iter((text,))).whole()
 
 
 def loads_certificates(text: str) -> list[SolutionCertificate]:
-    return _decode(iter((text,)))
+    return _decode(lambda: iter((text,)))
 
 
 def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) -> None:
@@ -811,16 +810,14 @@ _CHUNK = 1 << 16
 
 def load_certificates(path: str | Path) -> list[SolutionCertificate]:
     """loads_certificates of the file's text, read _CHUNK characters at a
-    time, so neither the whole text nor its whole parse is ever held."""
-    try:
+    time, so neither the whole text nor its whole parse is held, but for a
+    byte the codec refuses: its error is raised by a read of the whole file."""
+    def source() -> Iterator[str]:
         with open(path, encoding="utf-8") as file:
-            pieces = iter(lambda: file.read(_CHUNK), "")
-            try:
-                return _decode(pieces)
-            except SchemaError:
-                for _ in pieces:  # a byte the codec refuses anywhere comes first, as in a whole read
-                    pass
-                raise
+            while piece := file.read(_CHUNK):
+                yield piece
+    try:
+        return _decode(source)
     except UnicodeDecodeError:
         Path(path).read_text(encoding="utf-8")  # raises it again, at the byte's offset in the whole file
         raise

@@ -324,29 +324,60 @@ def test_each_certificate_is_walked_once(tmp_path, monkeypatch, certs, chunk):
     assert len(hits) == len(certs)
 
 
-def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, certs):
+@pytest.mark.parametrize("late_error", [False, True], ids=["loads", "late-syntax-error"])
+def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, certs, late_error):
+    """Nor does a load that fails near the file's end, although its error
+    reads the file again to place json's message."""
+    text = dumps_certificates(certs)
+    expected = None
+    if late_error:
+        at = text.rindex("\n", 0, len(text) - 100)  # between two tokens
+        text = text[:at] + "@" + text[at:]
+        with pytest.raises(json.JSONDecodeError) as parsed:
+            json.loads(text)
+        expected = f"not valid JSON: {parsed.value}"
     path = tmp_path / "certs.json"
-    save_certificates(path, certs)
+    path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(certificates, "_CHUNK", 4096)
+    error = None
     tracemalloc.start()
     try:
-        load_certificates(path)
+        try:
+            load_certificates(path)
+        except SchemaError as exc:
+            error = str(exc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert error == expected
     assert peak < path.stat().st_size / 2
 
 
-def test_an_undecodable_byte_is_the_error_of_a_whole_read(tmp_path, monkeypatch, certs):
+# an error in the text, met before the load has read the file to its end
+_EARLIER_ERRORS = {
+    "syntax-error-at-the-start": lambda text: "@" + text,
+    "repeated-file-key": lambda text: text.replace('{\n  "version": "1",', '{\n  "version": "1",\n  "version": "1",', 1),
+    "repeated-certificate-key": lambda text: text.replace('"k": 3,', '"k": 3,\n      "k": 3,', 1),
+    "trailing-text": lambda text: text + "@",
+    "failing-first-certificate": lambda text: text.replace('"k": 3,', '"k": "3",', 1),
+    "version-2": lambda text: text.replace('"version": "1"', '"version": "2"', 1),
+}
+
+
+@pytest.mark.parametrize("doctor", _EARLIER_ERRORS.values(), ids=_EARLIER_ERRORS)
+def test_an_undecodable_byte_is_the_error_of_a_whole_read(tmp_path, monkeypatch, certs, doctor):
     """A byte the text codec refuses comes before any error in the text, at
-    its offset in the whole file, although the load reads in pieces."""
-    text = "@" + dumps_certificates(certs[:3])
+    its offset in the whole file, although the load reads in pieces and
+    meets the text's error first."""
+    text = doctor(dumps_certificates(certs[:3]))
+    with pytest.raises(SchemaError):
+        loads_certificates(text)
     path = tmp_path / "certs.json"
-    path.write_bytes(text.encode()[:-8] + b"\xff" + text.encode()[-8:])
+    # the byte lies past the file buffer that holds the text's error
+    path.write_bytes(text.encode() + b" " * 16384 + b"\xff\n")
     monkeypatch.setattr(certificates, "_CHUNK", 64)
     with pytest.raises(UnicodeDecodeError) as whole:
         path.read_text(encoding="utf-8")
-    assert whole.value.start > 8192  # past one read of the file's buffer
     with pytest.raises(UnicodeDecodeError) as caught:
         load_certificates(path)
     assert str(caught.value) == str(whole.value)
