@@ -12,7 +12,7 @@ constraint system a good certificate must satisfy:
     C2_f  the pt x f' part of c2(X) - c2(V) is nonnegative
     C2_f' the f x pt part of c2(X) - c2(V) is nonnegative
     C3    c3(V) = 12
-    integrality of the twists and the congruences forced by them
+    integrality of the twists and the stated congruences (CONGRUENCES)
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .threefold import ChernX
 _CI = {2: 1, 3: 3}  # binom(i+1, 2) - i
 _FP = named_class(Surface.BPRIME, "f")
 _K1_NOTES = ("k = 1 row: geometric side conditions not certified by this search",)
-# (detail name, modulus, residue) for d2, d3, S^1(a2), S^1(a3): forced by integral twists
+# (detail name, modulus, residue) for d2, d3, S^1(a2), S^1(a3): a stated input, not
+# forced by integrality; on (3, 6) integral twists allow 36 residue classes, these pick one
 CONGRUENCES = (("d2_even", 2, 0), ("d3_mod_3_is_1", 3, 1), ("s21_even", 2, 0), ("s31_mod_3_is_0", 3, 0))
 
 
@@ -62,13 +63,18 @@ class BundleParams:
     def __post_init__(self) -> None:
         if (self.k2.__class__, self.k3.__class__, self.d2.__class__, self.d3.__class__) != (int,) * 4:
             raise ValueError("k2, k3, d2 and d3 must be ints")
-        object.__setattr__(self, "a2", multiplicities(2, self.a2))
-        object.__setattr__(self, "a3", multiplicities(3, self.a3))
-        for name, lcls in (("l2", self.l2), ("l3", self.l3)):
-            if not isinstance(lcls, DivisorClass):
-                raise ValueError(f"{name} must be a DivisorClass")
-            if lcls.surface is not Surface.BPRIME:
-                raise ValueError("twist classes must live on B'")
+        a2, a3 = multiplicities(2, self.a2), multiplicities(3, self.a3)
+        if a2 is not self.a2:  # a checked tuple is kept as it is
+            object.__setattr__(self, "a2", a2)
+        if a3 is not self.a3:
+            object.__setattr__(self, "a3", a3)
+        l2, l3 = self.l2, self.l3
+        if not (l2.__class__ is l3.__class__ is DivisorClass and l2.surface is l3.surface is Surface.BPRIME):
+            for name, lcls in (("l2", l2), ("l3", l3)):
+                if not isinstance(lcls, DivisorClass):
+                    raise ValueError(f"{name} must be a DivisorClass")
+                if lcls.surface is not Surface.BPRIME:
+                    raise ValueError("twist classes must live on B'")
 
     def component(self, i: int) -> tuple[int, int, tuple[int, ...], DivisorClass]:
         if i == 2:

@@ -43,15 +43,18 @@ the first failing certificate.
 
 Each call handles a shared value once per distinct copy: the declarations
 of a row, hprime, report and divisor class are shared objects, those of the
-multiplicity lists and ``notes`` shared arrays.  The writer fills
-templates: on first use at an indentation, a declaration compiles its
-constant text into one % format with a slot per value, one per presence
-pattern of its optional keys.  A shared value's text is rendered once per
-indentation, and ``save_certificates`` streams a file a certificate at a
-time.  The loader has two memos.  The text memo's unit is a run of a
-certificate's members: from its "{" to the end of the member before
-``params`` (``version`` ... ``m_class``), and from the end of ``params`` to
-its "}" (``hprime``, ``report``, ``notes``).  It holds per run the text and
+multiplicity lists and ``notes`` shared arrays.  Both directions cut a
+certificate at ``params`` into two runs of members: from its "{" to the end
+of the member before ``params`` (``version`` ... ``m_class``), and from the
+end of ``params`` to its "}" (``hprime``, ``report``, ``notes``).  The
+writer fills templates: on first use at an indentation, a declaration
+compiles its constant text into one % format with a slot per value, one per
+presence pattern of its optional keys.  A shared value's text is rendered
+once per indentation, and a certificate's two runs once per identity of the
+nine values they write (a family of ``solve`` varies only in ``params``),
+held as two pieces around which each certificate fills its ``params``;
+``save_certificates`` streams a file a certificate at a time.  The loader
+has two memos.  The text memo holds per run the text and
 built members of its last copy that built: a run whose text starts with
 that text has those members, with no parse and no check, since JSON text
 decides its members as it is read.  Any other copy of a shared object is
@@ -66,6 +69,7 @@ every copy on its own.
 
 from __future__ import annotations
 
+import codecs
 import json
 import marshal
 import os
@@ -209,13 +213,16 @@ class _Template(namedtuple("_Template", "fmt read slots pieces")):
     joined as a % format; read takes the object to its slots' values.  Per
     slot, the function that spells its value (None for a scalar)."""
 
-    def fill(self, value: Any, memo: dict) -> str:
-        """value's text: the format with each slot's value spelled, an exact
-        int as it is and any other scalar by _spell."""
+    def texts(self, value: Any, memo: dict) -> list:
+        """Each slot's value spelled: an exact int as it is, any other scalar by _spell."""
         texts = []
         for slot, v in zip(self.slots, self.read(value)):
             texts.append((v if v.__class__ is int else _spell(v)) if slot is None else slot(v, memo))
-        return self.fmt % tuple(texts)
+        return texts
+
+    def fill(self, value: Any, memo: dict) -> str:
+        """value's text."""
+        return self.fmt % tuple(self.texts(value, memo))
 
 
 def _memoized(text: Callable) -> Callable:
@@ -242,12 +249,14 @@ class _Object:
 
     Written first at an indentation, the object compiles its constant text
     into a template, one per presence pattern of its optional keys, which
-    reads only the attributes it writes."""
+    reads only the attributes it writes.  An object that reads attributes
+    may name a ``cut`` member: its text around that member is filled once
+    per identity of its other values in a call."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable | None, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
-                 shared: bool = False) -> None:
-        self.read, self.build, self.shared = read or attrgetter(*keys), build, shared
+                 shared: bool = False, cut: str | None = None) -> None:
+        self.read, self.build, self.shared, self.cut = read or attrgetter(*keys), build, shared, cut
         self.plan = tuple(zip(keys, kinds, strict=True))
         self.head = head or {}
         self.keys = (*self.head, *keys)
@@ -263,6 +272,8 @@ class _Object:
     def at(self, newline: str) -> Callable:
         """The function (value, memo) -> value's text, at the indentation
         that newline ends with."""
+        if self.cut is not None:
+            return self._around(newline)
         if self.optional_at:
             def text(value: Any, memo: dict) -> str:  # its optional keys that are None left out
                 items = self.read(value)
@@ -271,6 +282,28 @@ class _Object:
         else:
             text = self._template(newline, ()).fill
         return _memoized(text) if self.shared else text
+
+    def _around(self, newline: str) -> Callable:
+        """at(newline) of an object with a cut member and no optional key:
+        its text before and after that member is filled once per identity of
+        its other values in a call, held with those values so that their ids
+        are not reused; then each value fills only the member's text."""
+        template, keys = self._template(newline, ()), [key for key, _ in self.plan]
+        at = keys.index(self.cut)
+        pieces = [piece.replace("%", "%%") for piece in template.pieces]
+        before, after = "%s".join(pieces[:at + 1]), "%s".join(pieces[at + 1:])
+        others, member = attrgetter(*keys[:at], *keys[at + 1:]), attrgetter(self.cut)
+        text = template.slots[at]
+
+        def around(value: Any, memo: dict) -> str:
+            held = others(value)
+            hit = memo.get(key := (around, *map(id, held)))
+            if hit is None:
+                texts = template.texts(value, memo)
+                hit = memo[key] = held, before % tuple(texts[:at]), after % tuple(texts[at + 1:])
+                return hit[1] + texts[at] + hit[2]
+            return hit[1] + text(member(value), memo) + hit[2]
+        return around
 
     def _template(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         """The template at newline's indentation, absent saying which
@@ -355,12 +388,12 @@ class _Object:
 
 
 def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
-            shared: bool = False) -> _Object:
+            shared: bool = False, cut: str | None = None) -> _Object:
     """The object that stores a dataclass: its fields as keys, in field order;
     a field that defaults to None is optional."""
     keys = tuple(f.name for f in fields(cls))
     optional = frozenset(f.name for f in fields(cls) if f.default is None)
-    return _Object(keys, kinds, None, cls, head, optional, shared)
+    return _Object(keys, kinds, None, cls, head, optional, shared, cut)
 
 
 def _surface_from_json(tag: Any) -> Surface:
@@ -393,7 +426,7 @@ _HPRIME = _Object(("f", "e1", "xi"), (_INT, _INT, _INT), tuple, lambda *coords: 
                   shared=True)
 _CERTIFICATE = _stores(SolutionCertificate, _ROW, _INT, _INT, _INT, _INT_OR_NULL, _DIVISOR, _PARAMS,
                        _HPRIME, _REPORT, _STRS,
-                       head={"version": FORMAT_VERSION, "basis_convention": BASIS_CONVENTION})
+                       head={"version": FORMAT_VERSION, "basis_convention": BASIS_CONVENTION}, cut="params")
 _FILE = _Object(("certificates",), (_Array(_CERTIFICATE),), lambda certs: (certs,), list,
                 head={"version": FORMAT_VERSION})
 
@@ -659,7 +692,6 @@ class _Document:
 _FIRST_MEMBER = re.compile(r'\{[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
 _NEXT_MEMBER = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*|\})')
 _SCAN = _BUILD.scan_once
-_RUNS_CUT = "params"  # the member between a certificate's two runs
 
 
 def _walk(text: str, at: int, last: list[tuple[str, dict] | None]) -> tuple[dict, set, int, list] | None:
@@ -692,13 +724,13 @@ def _walk(text: str, at: int, last: list[tuple[str, dict] | None]) -> tuple[dict
             return obj, hits, match.end(), scanned
         if key in obj:
             return None
-        if key == _RUNS_CUT and run == 0 and obj:
+        if key == _CERTIFICATE.cut and run == 0 and obj:
             scanned.append((0, start, at, [*obj]))
         try:
             obj[key], at = scan(text, match.end())
         except (StopIteration, ValueError, RecursionError, SchemaError):
             return None
-        if key == _RUNS_CUT:
+        if key == _CERTIFICATE.cut:
             copy = last[1]
             if copy is not None and text.startswith(copy[0], at) and obj.keys().isdisjoint(copy[1]):
                 obj.update(copy[1])
@@ -808,10 +840,24 @@ def save_certificates(path: str | Path, certs: Sequence[SolutionCertificate]) ->
 _CHUNK = 1 << 16
 
 
+class _Undecodable(UnicodeDecodeError):
+    """exc moved by shift to its place in a whole file, with the bytes it
+    refuses alone as its object: str() is a whole read's."""
+
+    def __init__(self, exc: UnicodeDecodeError, shift: int) -> None:
+        bad = exc.object[exc.start:exc.end]
+        super().__init__(exc.encoding, bad, exc.start + shift, exc.end + shift, exc.reason)
+
+    def __str__(self) -> str:
+        where = (f"byte 0x{self.object[0]:02x} in position {self.start}" if len(self.object) == 1
+                 else f"bytes in position {self.start}-{self.end - 1}")
+        return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
+
+
 def load_certificates(path: str | Path) -> list[SolutionCertificate]:
     """loads_certificates of the file's text, read _CHUNK characters at a
-    time, so neither the whole text nor its whole parse is held, but for a
-    byte the codec refuses: its error is raised by a read of the whole file."""
+    time, so neither the whole text nor its whole parse is held.  A byte the
+    codec refuses is a whole read's error, placed by a read of the bytes."""
     def source() -> Iterator[str]:
         with open(path, encoding="utf-8") as file:
             while piece := file.read(_CHUNK):
@@ -819,5 +865,14 @@ def load_certificates(path: str | Path) -> list[SolutionCertificate]:
     try:
         return _decode(source)
     except UnicodeDecodeError:
-        Path(path).read_text(encoding="utf-8")  # raises it again, at the byte's offset in the whole file
-        raise
+        decoder, read = codecs.getincrementaldecoder("utf-8")(), 0
+        with open(path, "rb") as file:
+            while True:  # held: the bytes of a character the last read cut
+                chunk, held = file.read(_CHUNK), len(decoder.getstate()[0])
+                try:
+                    decoder.decode(chunk, final=not chunk)
+                except UnicodeDecodeError as exc:
+                    raise _Undecodable(exc, read - held) from None
+                if not chunk:
+                    raise
+                read += len(chunk)

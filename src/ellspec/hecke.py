@@ -24,9 +24,15 @@ _COMPONENTS = ("n1", "o2")
 
 
 def _multiplicities(a: Sequence) -> tuple[int, ...]:
-    """The list as ints, a tuple of exact ints kept as it is; a non-integral
-    or negative entry is a ValueError."""
-    ints = a if a.__class__ is tuple and {*map(type, a)} <= {int} else integers(a, "multiplicities")
+    """The list as ints, a tuple of exact ints >= 0 kept as it is; a
+    non-integral or negative entry is a ValueError."""
+    if a.__class__ is tuple:
+        for x in a:
+            if x.__class__ is not int or x < 0:
+                break
+        else:
+            return a
+    ints = integers(a, "multiplicities")
     if ints and min(ints) < 0:
         raise ValueError("multiplicities must be nonnegative")
     return ints

@@ -383,6 +383,73 @@ def test_an_undecodable_byte_is_the_error_of_a_whole_read(tmp_path, monkeypatch,
     assert str(caught.value) == str(whole.value)
 
 
+def _whole_read_error(data):
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    return whole.value
+
+
+def _cut_before_the_byte(char, cut):
+    """A character whose first cut bytes end the read before the one that
+    holds a \xff after it, 64 bytes to a read."""
+    def doctor(body):
+        boundary = len(body) // 2 // 64 * 64
+        return body[:boundary - cut] + char.encode() + b" \xff" + body[boundary:]
+    return doctor
+
+
+# bytes a whole read refuses, put into a certificate file's (ASCII) text
+_UNDECODABLE = {
+    "euro-cut-1-2": _cut_before_the_byte("\u20ac", 1),
+    "euro-cut-2-1": _cut_before_the_byte("\u20ac", 2),
+    "astral-cut-3-1": _cut_before_the_byte("\U0001d53c", 3),
+    "truncated-at-the-end": lambda body: body + "\u20ac".encode()[:2],
+    "invalid-continuation": lambda body: body[:-100] + b"\xe2\x82A" + body[-100:],
+    "invalid-continuation-1": lambda body: body[:-100] + b"\xc3A" + body[-100:],
+}
+
+
+@pytest.mark.parametrize("doctor", _UNDECODABLE.values(), ids=_UNDECODABLE)
+def test_an_undecodable_sequence_is_placed_as_a_whole_read_places_it(tmp_path, monkeypatch, certs, doctor):
+    """The load's error is a whole read's, in its message, start and end,
+    although it reads the bytes again 64 at a time and holds only the bytes
+    refused."""
+    data = doctor(dumps_certificates(certs[:3]).encode())
+    path = tmp_path / "certs.json"
+    path.write_bytes(data)
+    whole = _whole_read_error(data)
+    monkeypatch.setattr(certificates, "_CHUNK", 64)
+    with pytest.raises(UnicodeDecodeError) as caught:
+        load_certificates(path)
+    assert str(caught.value) == str(whole)
+    assert (caught.value.start, caught.value.end, caught.value.reason) == (whole.start, whole.end, whole.reason)
+    assert caught.value.object == whole.object[whole.start:whole.end]
+
+
+def test_an_undecodable_byte_near_the_end_holds_no_whole_file(tmp_path, monkeypatch, certs, capsys):
+    """A \xff 100 bytes before the end of a file of a few MB: the load's
+    tracemalloc peak stays under half the file, and verify prints a whole
+    read's message and exits 2."""
+    data = dumps_certificates([*certs, *certs, *certs]).encode()
+    data = data[:-100] + b"\xff" + data[-100:]
+    path = tmp_path / "certs.json"
+    path.write_bytes(data)
+    message = str(_whole_read_error(data))
+    assert message == f"'utf-8' codec can't decode byte 0xff in position {len(data) - 101}: invalid start byte"
+    monkeypatch.setattr(certificates, "_CHUNK", 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load_certificates(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == message
+    assert len(data) > 3_000_000 and peak < len(data) / 2
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_loaded_certificate_verifies(certs):
     reloaded = certificate_from_dict(certificate_to_dict(certs[0]))
     assert verify_certificate(reloaded).all_pass
@@ -643,6 +710,7 @@ def pool(certs):
         _noted(certs[1]),
         _noted(_fractional(certs[2])),
         dataclasses.replace(certs[3], z=None),
+        *certs[4:13:4],  # certs[0]'s family, which solve interleaves with three others
     ]
 
 
@@ -735,6 +803,110 @@ def test_render_memo_lives_for_one_call(certs):
     assert after != before
     assert after == _oracle_dumps(case)
     assert dumps_certificates(case[:1]) == _oracle_dumps(case[:1])
+
+
+# === the writer's family memo: a certificate's text around params ===
+
+
+def _family(cert):
+    """The identities of the nine values a certificate writes around params."""
+    return tuple(map(id, attrgetter("row", "k", "u", "x", "z", "m_class", "hprime", "report", "notes")(cert)))
+
+
+def test_each_family_is_filled_once_around_params(monkeypatch, certs):
+    """solve emits its families interleaved, shapes varying fastest; a dump
+    fills the certificate's template for the first of each family only, and
+    every other certificate writes just its params."""
+    families = [*map(_family, certs)]
+    assert len(set(families)) == 4 and all(a != b for a, b in zip(families, families[1:]))
+    first = {}
+    for family, cert in zip(families, certs):
+        first.setdefault(family, cert)
+    filled = []
+    texts = certificates._Template.texts
+
+    def spy(template, value, memo):
+        if isinstance(value, SolutionCertificate):
+            filled.append(value)
+        return texts(template, value, memo)
+
+    monkeypatch.setattr(certificates._Template, "texts", spy)
+    for calls in (1, 2):  # the memo lives for one call
+        assert dumps_certificates(certs) == _oracle_dumps(certs)
+        assert filled == calls * [*first.values()]
+    _round_trips(certs)
+
+
+def _with(cert, **values):
+    """A copy of cert with values set as they are, unchecked."""
+    cert = copy.copy(cert)
+    for name, value in values.items():
+        object.__setattr__(cert, name, value)
+    return cert
+
+
+# per value keyed around params, another object equal to the one certs[0] and certs[4] share
+_TWINS = {
+    "row": dataclasses.replace,
+    "m_class": copy.deepcopy,
+    "hprime": lambda hprime: tuple([*hprime]),
+    "report": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("field", _TWINS)
+def test_an_equal_copy_of_a_keyed_value_is_written_in_its_family(certs, field):
+    """A family member holding an equal copy of a shared value, between
+    two holding the value itself, is written as the oracle writes it."""
+    first, second, third = certs[0], certs[4], certs[8]
+    twin = _TWINS[field](getattr(second, field))
+    assert twin == getattr(second, field) and twin is not getattr(second, field)
+    case = [first, _with(second, **{field: twin}), third, second]
+    assert _family(case[1]) != _family(second) and _family(first) == _family(second) == _family(third)
+    _round_trips(case)
+
+
+@pytest.mark.parametrize("field", ["k", "u", "x", "z", "notes"])
+def test_equal_scalars_of_other_objects_are_each_written_as_themselves(certs, field):
+    """True == 1 and hashes alike, and two equal notes tuples are two
+    objects: a family keyed by identity writes true where a member holds
+    True and 1 where the others hold 1, and each notes tuple as it is."""
+    if field == "notes":
+        one, other = tuple(["100% %s"]), tuple(["100% %s"])
+    else:
+        one, other = 1, True
+    case = [_with(c, **{field: value}) for c, value in zip(certs[0:13:4], (one, other, one, other))]
+    text = dumps_certificates(case)
+    assert text == _oracle_dumps(case)
+    if field != "notes":
+        assert text.count(f'"{field}": true') == 2 and text.count(f'"{field}": 1,') == 2
+
+
+def test_z_null_and_z_set_in_one_call(certs):
+    case = [c if i % 2 else dataclasses.replace(c, z=None) for i, c in enumerate(certs[:16])]
+    assert _oracle_dumps(case).count('"z": null') == 8
+    _round_trips(case)
+
+
+def test_a_percent_in_a_note_survives_the_family_pieces(certs):
+    """A note is written into the text around params, which the writer
+    holds per family: its "%" and "%s" are written as they are."""
+    notes = ("100% of %s, %%d and %(k)s", "%")
+    report = dataclasses.replace(certs[0].report, notes=notes)
+    case = [dataclasses.replace(c, notes=notes, report=report) for c in certs[0:13:4]]
+    case.insert(2, certs[1])
+    _round_trips(case)
+    assert dumps_certificates(case).count('"100% of %s, %%d and %(k)s"') == 8
+
+
+def test_a_hot_family_does_not_answer_for_a_replaced_report(certs):
+    """certs[8] with its report replaced by one that differs, after two of
+    its family have been written: its own report is written."""
+    replaced = dataclasses.replace(certs[8], report=dataclasses.replace(certs[8].report, c3=Fraction(13)))
+    case = [certs[0], certs[4], replaced, certs[12]]
+    text = dumps_certificates(case)
+    assert text.count('"c3": "13"') == 1
+    _round_trips(case)
 
 
 # === templates: one fill per object ===
