@@ -25,46 +25,40 @@ names the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file
 holds one certificate object or {"version": "1", "certificates": [...]}.
 ``certificate_to_dict`` is the written text parsed back.
 
-The loader walks the file object member by member, and each element of
-its ``certificates`` array too: one regex match per key or separator and
-json's ``scan_once`` per value, over the text read so far.  It checks and
-builds each certificate before it reads the next; ``load_certificates``
-feeds it the file a fixed number of characters at a time, so it holds
-neither the whole text nor the whole parse.  It reads on before each walk
-until twice the longest element walked is held, so it walks each element
-once and a read cuts none but the first.  An element the walk cannot
-finish (its text runs past what is read, a key is not a plain string or
-repeats, json raises anything), and every element after a failing one or
-a repeated key, is parsed whole by ``json.JSONDecoder.raw_decode``, which
-then decides.  The errors, and their order, are those of parsing the whole
-text first: what ``json.loads`` refuses (syntax, the digit and depth
+The loader parses the file object a member at a time, and each element of
+its ``certificates`` array on its own, over the text read so far; it checks
+and builds each certificate before it reads the next, and after a failing
+one or a repeated key only parses.  ``load_certificates`` feeds it the file
+a fixed number of characters at a time, so it holds neither the whole text
+nor the whole parse.  The errors, and their order, are those of parsing the
+whole text first: what ``json.loads`` refuses (syntax, the digit and depth
 limits, a repeated key), then the file object's own keys and version, then
 the first failing certificate.
 
 Each call handles a shared value once per distinct copy: the declarations
 of a row, hprime, report and divisor class are shared objects, those of the
-multiplicity lists and ``notes`` shared arrays.  Both directions cut a
-certificate at ``params`` into two runs of members: from its "{" to the end
-of the member before ``params`` (``version`` ... ``m_class``), and from the
-end of ``params`` to its "}" (``hprime``, ``report``, ``notes``).  The
-writer fills templates: on first use at an indentation, a declaration
-compiles its constant text into one % format with a slot per value, one per
-presence pattern of its optional keys.  A shared value's text is rendered
-once per indentation, and a certificate's two runs once per identity of the
-nine values they write (a family of ``solve`` varies only in ``params``),
-held as two pieces around which each certificate fills its ``params``;
+multiplicity lists and ``notes`` shared arrays.  The writer fills
+templates: on first use at an indentation, a declaration compiles its
+constant text into one % format with a slot per value, one per presence
+pattern of its optional keys, and a shared value's text is rendered once
+per indentation.  A certificate's family is its members but ``params`` (a
+family of ``solve`` varies only in ``params``); ``_Object.family`` fills
+its text as two pieces around ``params``, once per identity of the nine
+values in a call, and each certificate then fills only its ``params``;
 ``save_certificates`` streams a file a certificate at a time.  The loader
-has two memos.  The text memo holds per run the text and
-built members of its last copy that built: a run whose text starts with
-that text has those members, with no parse and no check, since JSON text
-decides its members as it is read.  Any other copy of a shared object is
-parsed, and the marshal memo keys one with exactly its keys on
-``marshal.dumps`` (format 2) of its values, so a copy equal in value but
-not in text, and the classes within ``params``, are built once too; a copy
-that fails or has other keys is never kept.  The same memo holds a tuple
-per distinct value of a shared array.  No memo outlives its call, and the
-bytes written and the errors raised are those of rendering and loading
-every copy on its own.
+checks a certificate against the same two pieces of the last one it parsed
+whole: text that is the first piece, one ``params`` value and the second
+piece is that certificate with the new ``params``, since JSON text decides
+its members as it is read.  It reads on before each check until twice the
+longest certificate is held, so a read cuts none but the first.  Any other
+certificate is parsed whole, and the marshal memo keys a shared copy with
+exactly its keys on ``marshal.dumps`` (format 2) of its values, so a copy
+equal in value but not in text, and the classes within ``params``, are
+built once; a copy that fails or has other keys is never kept.  The same
+memo holds a tuple per distinct value of a shared array, and the written
+text of each distinct shared value and family.  No memo outlives its call,
+and the bytes written and the errors raised are those of rendering and
+loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -80,7 +74,7 @@ from fractions import Fraction
 from math import gcd
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .assembly import BundleParams, ConstraintEntry, ConstraintReport
 from .errors import SchemaError
@@ -258,6 +252,9 @@ class _Object:
                  shared: bool = False, cut: str | None = None) -> None:
         self.read, self.build, self.shared, self.cut = read or attrgetter(*keys), build, shared, cut
         self.plan = tuple(zip(keys, kinds, strict=True))
+        if cut is not None:  # the other values key the object's text around the cut member
+            self.cut_at = keys.index(cut)
+            self.others = attrgetter(*keys[:self.cut_at], *keys[self.cut_at + 1:])
         self.head = head or {}
         self.keys = (*self.head, *keys)
         self.values = itemgetter(*self.keys)
@@ -272,8 +269,14 @@ class _Object:
     def at(self, newline: str) -> Callable:
         """The function (value, memo) -> value's text, at the indentation
         that newline ends with."""
-        if self.cut is not None:
-            return self._around(newline)
+        if self.cut is not None:  # the family's text around the cut member, then the member's
+            family, text = self.family(newline), self._template(newline, ()).slots[self.cut_at]
+            others, member = self.others, attrgetter(self.cut)
+
+            def around(value: Any, memo: dict) -> str:
+                hit = memo.get((family, *map(id, others(value)))) or family(value, memo)
+                return hit[1] + text(member(value), memo) + hit[2]
+            return around
         if self.optional_at:
             def text(value: Any, memo: dict) -> str:  # its optional keys that are None left out
                 items = self.read(value)
@@ -283,27 +286,24 @@ class _Object:
             text = self._template(newline, ()).fill
         return _memoized(text) if self.shared else text
 
-    def _around(self, newline: str) -> Callable:
-        """at(newline) of an object with a cut member and no optional key:
-        its text before and after that member is filled once per identity of
-        its other values in a call, held with those values so that their ids
-        are not reused; then each value fills only the member's text."""
-        template, keys = self._template(newline, ()), [key for key, _ in self.plan]
-        at = keys.index(self.cut)
+    def family(self, newline: str) -> Callable:
+        """The function (value, memo) -> (held, before, after) of an object
+        with a cut member and no optional key: its text before and after
+        that member at newline's indentation, filled in slot order once per
+        identity of its other values in a call, and held with those values
+        so that their ids are not reused."""
+        template, at, others = self._template(newline, ()), self.cut_at, self.others
         pieces = [piece.replace("%", "%%") for piece in template.pieces]
         before, after = "%s".join(pieces[:at + 1]), "%s".join(pieces[at + 1:])
-        others, member = attrgetter(*keys[:at], *keys[at + 1:]), attrgetter(self.cut)
-        text = template.slots[at]
 
-        def around(value: Any, memo: dict) -> str:
+        def family(value: Any, memo: dict) -> tuple[tuple, str, str]:
             held = others(value)
-            hit = memo.get(key := (around, *map(id, held)))
+            hit = memo.get(key := (family, *map(id, held)))
             if hit is None:
                 texts = template.texts(value, memo)
                 hit = memo[key] = held, before % tuple(texts[:at]), after % tuple(texts[at + 1:])
-                return hit[1] + texts[at] + hit[2]
-            return hit[1] + text(member(value), memo) + hit[2]
-        return around
+            return hit
+        return family
 
     def _template(self, newline: str, absent: tuple[bool, ...]) -> _Template:
         """The template at newline's indentation, absent saying which
@@ -365,22 +365,31 @@ class _Object:
             if obj[key] != value:
                 raise SchemaError(f"field {key!r} has unsupported value {obj[key]!r:.40}")
 
-    def _check_and_build(self, obj: Any, memo: dict, built: Collection[str] = ()) -> Any:
-        """load(obj) without the memo, the values of the keys in built taken
-        as built already."""
+    def _check_and_build(self, obj: Any, memo: dict) -> Any:
+        """load(obj) without the memo."""
         self.check(obj)
         values = []
         try:
             for key, kind in self.plan:
-                if key in built:
-                    values.append(obj[key])
-                else:
-                    values.append(kind.load(obj[key], memo) if key in obj else None)
+                values.append(kind.load(obj[key], memo) if key in obj else None)
         except SchemaError as exc:
             if kind.__class__ is _Scalar:  # named as a field of this object
                 raise SchemaError(f"field {key!r} must be {kind.what}") from None
             exc.path = (key, *exc.path)
             raise
+        return self._build(values)
+
+    def load_cut(self, held: tuple, obj: Any, memo: dict) -> Any:
+        """The object whose cut member loads from obj and whose other values
+        are held, as its family holds them."""
+        try:
+            value = self.plan[self.cut_at][1].load(obj, memo)
+        except SchemaError as exc:
+            exc.path = (self.cut, *exc.path)
+            raise
+        return self._build((*held[:self.cut_at], value, *held[self.cut_at:]))
+
+    def _build(self, values: Sequence) -> Any:
         try:
             return self.build(*values)
         except (TypeError, ValueError) as exc:
@@ -686,58 +695,17 @@ class _Document:
         return SchemaError(f"not valid JSON: {exc}")
 
 
-# a certificate's first member up to its value, and what follows a value:
-# the next member up to its value, or the closing brace (no key); a key is
-# a plain string, with no escape or control character
-_FIRST_MEMBER = re.compile(r'\{[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
-_NEXT_MEMBER = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*|\})')
-_SCAN = _BUILD.scan_once
-
-
-def _walk(text: str, at: int, last: list[tuple[str, dict] | None]) -> tuple[dict, set, int, list] | None:
-    """The certificate object that starts at text[at], parsed a member at a
-    time but for its two runs around params: from its "{" to the end of the
-    member before params, and from the end of params to its "}".  last
-    holds, per run, the text and built members of a copy, or None: a run
-    whose text starts with that text has those members.  With their keys,
-    the object's end and the (run, start, end, keys) of each run parsed;
-    None, to parse the certificate whole, where its text ends first, a key
-    is not a plain string or is repeated, or json raises anything."""
-    obj: dict[str, Any] = {}
-    hits: set[str] = set()
-    scanned: list[tuple[int, int, int, list[str]]] = []
-    scan, next_member = _SCAN, _NEXT_MEMBER.match
-    run, start, first = 0, at, 0  # the run parsed (None once taken), its start and its first key's index
-    copy = last[0]
-    if copy is not None and text.startswith(copy[0], at):
-        obj.update(copy[1])
-        hits.update(copy[1])
-        run, at = None, at + len(copy[0])
-        match = next_member(text, at)
-    else:
-        match = _FIRST_MEMBER.match(text, at)
-    while match is not None:
-        key = match[1]
-        if key is None:
-            if run == 1:
-                scanned.append((1, start, match.end(), [*obj][first:]))
-            return obj, hits, match.end(), scanned
-        if key in obj:
-            return None
-        if key == _CERTIFICATE.cut and run == 0 and obj:
-            scanned.append((0, start, at, [*obj]))
+def _in_family(text: str, at: int, before: str, after: str) -> tuple[Any, int] | None:
+    """The JSON value of the cut member of the certificate at text[at], and
+    the certificate's end, if its text is before, one value and after; None
+    where it is not, or json raises anything (a repeated key included)."""
+    if text.startswith(before, at):
         try:
-            obj[key], at = scan(text, match.end())
+            obj, end = _BUILD.scan_once(text, at + len(before))
         except (StopIteration, ValueError, RecursionError, SchemaError):
             return None
-        if key == _CERTIFICATE.cut:
-            copy = last[1]
-            if copy is not None and text.startswith(copy[0], at) and obj.keys().isdisjoint(copy[1]):
-                obj.update(copy[1])
-                hits.update(copy[1])
-                return obj, hits, at + len(copy[0]), scanned
-            run, start, first = 1, at, len(obj)
-        match = next_member(text, at)
+        if text.startswith(after, end):
+            return obj, end + len(after)
     return None
 
 
@@ -752,8 +720,8 @@ def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
     if doc.skip() != "{":
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
-    head = array.item.head
-    last: list[tuple[str, dict] | None] = [None, None]  # the text memo, per run
+    family = array.item.family(_Array.layout("\n  ")[0])
+    last: tuple[tuple, str, str] | None = None  # the family of the last certificate parsed whole
     pairs: list[tuple[str, Any]] = []
     built: list[SolutionCertificate] = []
     failed: SchemaError | None = None
@@ -773,27 +741,26 @@ def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
             doc.step()
             index, char, longest = 0, doc.skip(), 0
             while char != "]":
-                loading, walked = failed is None and doc.duplicate is None, None
-                if loading:  # read on to twice the longest certificate walked: a read cuts none
+                loading, start, found = failed is None and doc.duplicate is None, doc.base + doc.at, None
+                if loading and last is not None:  # read on to twice the longest certificate: a read cuts none
                     doc.hold(2 * longest)
-                    walked = _walk(doc.text, doc.at, last)
-                if walked is None:
-                    obj, hits, scanned = doc.value((key, index)), (), ()
+                    found = _in_family(doc.text, doc.at, *last[1:])
+                if found is None:
+                    obj = doc.value((key, index))
                 else:
-                    obj, hits, end, scanned = walked
-                    longest = max(longest, end - doc.at)
-                    doc.at = doc.mark = end
+                    obj, doc.at = found
+                    doc.mark = doc.at
                 if loading and doc.duplicate is None:  # a repeat in obj taints the document
+                    longest = max(longest, doc.base + doc.at - start)
                     try:
-                        cert = array.item._check_and_build(obj, memo, hits)
+                        cert = array.item.load(obj, memo) if found is None else array.item.load_cut(last[0], obj, memo)
                     except SchemaError as exc:
                         exc.path = (key, index, *exc.path)
                         failed = exc
                     else:
                         built.append(cert)
-                        for run, start, end, names in scanned:  # the runs that built, members as built
-                            last[run] = doc.text[start:end], {
-                                name: obj[name] if name in head else getattr(cert, name) for name in names}
+                        if found is None:
+                            last = family(cert, memo)
                 index += 1
                 char = doc.next_item("]", "[0")
             doc.step()

@@ -395,7 +395,7 @@ def solve(
         for a2 in _multiplicity_lists(2, b.a_max, allow_nonconstant_lists, s21c)
         for a3 in _multiplicity_lists(3, b.a_max, allow_nonconstant_lists, s31c)
     ]
-    certificates = []
+    certificates, step = [], lru_cache(maxsize=None)(_step)  # one object per twist value in a call
     for u in us:
         windows = ((z, m, *_x_window(k, u, m)) for z, m in m_grid)
         consistent = [(z, m) for z, m, lo, hi in windows if lo <= hi]
@@ -409,7 +409,7 @@ def solve(
                     # one coset per shape, uncached: see the module docstring
                     l2, l3, report = _coset(k2, k3, u, x, m_class, d2c[2], d3c[2], a2, a3, hprime)
                     if report.all_pass:
-                        l2s, l3s = [_step(l2, d2 // 2) for d2 in d2s], [_step(l3, d3 // 3) for d3 in d3s]
+                        l2s, l3s = [step(l2, d2 // 2) for d2 in d2s], [step(l3, d3 // 3) for d3 in d3s]
                         shapes.append((a2, a3, l2s, l3s, report))
                 certificates.extend(
                     SolutionCertificate(
@@ -469,9 +469,12 @@ def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str
     raise ArithmeticError("unequal reports agree on every field")
 
 
-def _shown(value) -> str:
+def _shown(value, limit: int | None = 200) -> str:
     """An exact value on one line: rationals as canonical strings, strings
-    as json spells them, so that ("",) and () read apart."""
+    as json spells them, so that ("",) and () read apart; past limit
+    characters, its first 40 and its length."""
     if isinstance(value, tuple):
-        return "(" + ", ".join(_shown(v) for v in value) + ")"
-    return json.dumps(value) if isinstance(value, str) else str(value)
+        text = "(" + ", ".join(_shown(v, None) for v in value) + ")"
+    else:
+        text = json.dumps(value) if isinstance(value, str) else str(value)
+    return text if limit is None or len(text) <= limit else f"{text[:40]}... ({len(text)} characters)"

@@ -232,19 +232,19 @@ _RUNS = {
 }
 
 
-def _memo_hits(monkeypatch):
-    """The list, filled as certificates load, of the runs each walked
-    certificate took from the text memo (None where it fell back)."""
-    hits = []
-    walk = certificates._walk
+def _parsed_whole(monkeypatch):
+    """The list, filled as a file loads, of the indices of the certificates
+    that _Document.value parses whole."""
+    parsed = []
+    value = certificates._Document.value
 
-    def spy(text, at, last):
-        walked = walk(text, at, last)
-        hits.append(walked and {run for run, keys in _RUNS.items() if set(keys) <= walked[1]})
-        return walked
+    def spy(self, path):
+        if path[:1] == ("certificates",) and len(path) > 1:
+            parsed.append(path[1])
+        return value(self, path)
 
-    monkeypatch.setattr(certificates, "_walk", spy)
-    return hits
+    monkeypatch.setattr(certificates._Document, "value", spy)
+    return parsed
 
 
 def _run_spans(text, index):
@@ -258,42 +258,39 @@ def _run_spans(text, index):
             "after": (params_end, json.JSONDecoder().raw_decode(text, start)[1])}
 
 
-def _repeated_runs(text, count):
-    """Per certificate after the first, the runs whose text is that of the
-    certificate before it: those the text memo answers in a file that builds."""
-    texts = [{run: text[a:b] for run, (a, b) in _run_spans(text, i).items()} for i in range(count)]
-    return [{run for run in _RUNS if this[run] == before[run]} for before, this in zip(texts, texts[1:])]
+def _family_changes(text, count):
+    """The indices of the certificates whose two runs are not those of the
+    certificate before them: the first, and each where the family text
+    changes."""
+    texts = [[text[a:b] for a, b in _run_spans(text, i).values()] for i in range(count)]
+    return [i for i in range(count) if i == 0 or texts[i] != texts[i - 1]]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 4096, 1 << 16])
 def test_file_load_in_pieces_is_the_text_load(tmp_path, monkeypatch, certs, chunk):
     """Reads of any size, the default's included, give the certificates and
-    the sharing of a whole text.  Under 4096 characters a read cuts a
-    certificate, which is parsed whole; from 4096 on, twice the longest
-    certificate walked is held before each walk, so none falls back and the
-    text memo answers every shared member after the first certificate."""
+    the sharing of a whole text.  Twice the longest certificate is held
+    before each check, so only the first certificate is parsed whole, even
+    where a read is shorter than a certificate: every other one is answered
+    from the text around params of the first."""
     text = dumps_certificates(certs)
     path = tmp_path / "certs.json"
     path.write_text(text)
     expected = loads_certificates(text)
-    hits = _memo_hits(monkeypatch)
+    parsed = _parsed_whole(monkeypatch)
     monkeypatch.setattr(certificates, "_CHUNK", chunk)
     loaded = load_certificates(path)
     assert loaded == expected == certs
-    if chunk < 4096:  # the first certificate's walk runs off the first read
-        assert None in hits
-    else:
-        assert None not in hits
-        assert hits[1:] == _repeated_runs(text, len(certs))
-        assert all("after" in hit for hit in hits[1:])
+    assert parsed == _family_changes(text, len(certs)) == [0]
     for get in map(attrgetter, ("row", "report", "hprime", "m_class", "params.l2", "params.l3")):
         assert _sharing(loaded, get) == _sharing(expected, get)
 
 
 @pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
 def test_no_certificate_a_read_cuts_is_parsed_whole(tmp_path, monkeypatch, certs, chunk):
-    """At 4 KB and 64 KB reads every certificate is walked: none is parsed
-    whole by _Document.value, and the load dumps to the file's bytes."""
+    """At 4 KB and 64 KB reads only the first certificate, which no earlier
+    one answers for, is parsed whole by _Document.value, and the load dumps
+    to the file's bytes."""
     text = dumps_certificates(certs)
     path = tmp_path / "certs.json"
     path.write_text(text)
@@ -308,20 +305,30 @@ def test_no_certificate_a_read_cuts_is_parsed_whole(tmp_path, monkeypatch, certs
     monkeypatch.setattr(certificates, "_CHUNK", chunk)
     loaded = load_certificates(path)
     assert len(text) > 8 * chunk  # reads cut certificates
-    assert [p for p in parsed if p[:1] == ("certificates",) and len(p) > 1] == []
+    assert [p for p in parsed if p[:1] == ("certificates",) and len(p) > 1] == [("certificates", 0)]
     assert dumps_certificates(loaded) == text
 
 
 @pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
 def test_each_certificate_is_walked_once(tmp_path, monkeypatch, certs, chunk):
-    """At 4 KB and 64 KB reads the text memo walks each certificate exactly
-    once: a read never cuts the one walk, so it is never made again."""
+    """At 4 KB and 64 KB reads each certificate after the first is checked
+    once against the text around params of the one before, and each check
+    answers; a read never cuts a check, so none is made again, and no
+    certificate is parsed twice."""
     path = tmp_path / "certs.json"
     save_certificates(path, certs)
-    hits = _memo_hits(monkeypatch)
+    checks, parsed = [], _parsed_whole(monkeypatch)
+    in_family = certificates._in_family
+
+    def spy(*args):
+        checks.append(in_family(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(certificates, "_in_family", spy)
     monkeypatch.setattr(certificates, "_CHUNK", chunk)
     assert load_certificates(path) == certs
-    assert len(hits) == len(certs)
+    assert len(checks) == len(certs) - 1 and None not in checks
+    assert parsed == [0]
 
 
 @pytest.mark.parametrize("late_error", [False, True], ids=["loads", "late-syntax-error"])
@@ -1038,26 +1045,22 @@ def _spaced(certs, indents):
 
 
 def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
-    """Each shared member is one object per value, whether the text memo
-    (a run spelled as the one before it) or the marshal memo (a copy
-    spelled otherwise) answered for it; the multiplicity lists and notes
-    are one object per value.  On the box every notes is (), which CPython
+    """Each shared member is one object per value, whether the text around
+    params of the certificate before answered for it or the marshal memo
+    did (a certificate parsed whole); the multiplicity lists and notes are
+    one object per value.  As written, only a certificate whose text around
+    params is not that of the one before is parsed whole; spelled at other
+    indents, each one is.  On the box every notes is (), which CPython
     holds once, so notes are checked on certificates with notes of their
-    own: loaded as written, and spelled at alternate indents, so that no
-    run after params repeats the one before it."""
-    hits = _memo_hits(monkeypatch)
+    own."""
+    parsed = _parsed_whole(monkeypatch)
     # as written, every certificate spelled otherwise, and a mix
     for indents in ((2,), (None, 1), (None, 1, 1)):
-        hits.clear()
+        parsed.clear()
         text = dumps_certificates(certs) if indents == (2,) else _spaced(certs, indents)
         loaded = loads_certificates(text)
         assert loaded == certs
-        # the box has one value of each member after params
-        alike = [indents[i % len(indents)] == indents[(i - 1) % len(indents)]
-                 for i in range(1, len(certs))]
-        assert None not in hits
-        assert hits[1:] == _repeated_runs(text, len(certs))
-        assert [hit >= {"after"} for hit in hits[1:]] == alike
+        assert parsed == (_family_changes(text, len(certs)) if indents == (2,) else [*range(len(certs))])
         # a class is one object wherever it occurs, so its three places share one table
         for attrs in (["report"], ["row"], ["hprime"], ["m_class", "params.l2", "params.l3"],
                       ["params.a2", "params.a3"], ["notes"]):
@@ -1068,14 +1071,20 @@ def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
                     value = get(cert)
                     assert value is canonical.setdefault(value, value)
             assert len(canonical) == len({get(c) for c in certs for get in getters})
-    # notes of their own: as written the run after params repeats, at alternate indents never
+    # notes of their own: as written, at alternate indents, and alternating
+    # in pairs with plain certificates, whose family text differs
     noted = [_noted(c) for c in certs[:8]]
-    for text, repeats in ((dumps_certificates(noted), True), (_spaced(noted[:6], (None, 1)), False)):
-        hits.clear()
+    mixed = [_noted(c) if i // 2 % 2 == 0 else c for i, c in enumerate(certs[:8])]
+    for case, text, whole in ((noted, dumps_certificates(noted), [0]),
+                              (noted[:6], _spaced(noted[:6], (None, 1)), [*range(6)]),
+                              (mixed, dumps_certificates(mixed), [0, 2, 4, 6])):
+        parsed.clear()
         loaded = loads_certificates(text)
-        assert loaded == noted[:len(loaded)]
-        assert [hit >= {"after"} for hit in hits[1:]] == [repeats] * (len(loaded) - 1)
-        assert len({id(c.notes) for c in loaded}) == 1 and loaded[0].notes
+        assert loaded == case
+        assert parsed == whole
+        if case is mixed:
+            assert whole == _family_changes(text, len(mixed))
+        assert len({id(c.notes) for c in loaded if c.notes}) == 1 and loaded[0].notes
 
 
 def _member_span(text, index, key):
@@ -1100,9 +1109,10 @@ def _pair_text(certs):
 @pytest.mark.parametrize("where", ["first-byte", "last-byte", "past-the-end"])
 @pytest.mark.parametrize("key", [*_RUNS, *_SHARED_MEMBERS])
 def test_an_edit_at_a_repeated_members_edge_loads_as_the_whole_text(certs, key, where, edit, cut):
-    """The text memo compares a run with the last one's text: an edit where
-    that text starts or ends, or just past it, or at the edges of a shared
-    member within it, loads as the whole text's parse would."""
+    """The loader compares a certificate's runs with the written text of
+    the one before: an edit where a run starts or ends, or just past it, or
+    at the edges of a shared member within it, loads as the whole text's
+    parse would."""
     pair, text = _pair_text(certs)
     start, end = _run_spans(text, 1)[key] if key in _RUNS else _member_span(text, 1, key)
     at = {"first-byte": start, "last-byte": end - 1, "past-the-end": end}[where]
@@ -1625,9 +1635,9 @@ def _loads_as_the_whole_text(text):
 
 _GOLDEN_CERTIFICATE = json.loads(GOLDEN.read_text())
 _TWO_GOLDEN = json.dumps({"version": "1", "certificates": [_GOLDEN_CERTIFICATE] * 2}, indent=2)
-# the middle report differs: the text memo misses the run after params in
-# the middle copy and in the last, whose report the marshal memo answers,
-# while the last copy's run before params hits after that miss
+# the middle report differs: the middle copy's run after params is not the
+# first copy's, nor the last copy's the middle one's, so both are parsed
+# whole, and the marshal memo answers for the last copy's report
 _MIDDLE = copy.deepcopy(_GOLDEN_CERTIFICATE)
 _MIDDLE["report"]["notes"] = ["the middle copy's own note"]
 _THREE_GOLDEN = json.dumps(
@@ -1637,7 +1647,7 @@ _EDITS = ["", "{", "}", "[", "]", ",", ":", '"', "\\", " ", "\n", "0", "-", ".",
 
 
 def _at_repeat_edges(test):
-    """Examples that edit a later copy's run, where the text memo compares
+    """Examples that edit a later copy's run, where the loader compares
     texts, or a shared member within it, at its first byte, its last byte
     and just past it."""
     for golden, index, keys in ((_TWO_GOLDEN, 1, _SHARED_MEMBERS), (_THREE_GOLDEN, 1, ("report",)),

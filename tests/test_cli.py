@@ -297,6 +297,21 @@ def test_verify_names_a_doctored_report_entry(tmp_path, capsys):
     ]
 
 
+def test_verify_bounds_the_fail_line_of_a_long_stored_note(tmp_path, capsys):
+    """A stored note of a million characters is shown by its first 40
+    characters and its length: the FAIL line stays short."""
+    obj = _golden_json()
+    obj["notes"] = ["x" * 1_000_000]
+    path = tmp_path / "noted.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and len(fails[0]) < 300
+    assert fails[0].startswith(
+        "FAIL certificate 0 (k2=3, k3=6, u=-3, x=5): stored notes disagree with recomputation:"
+        ' stored ("' + "x" * 38 + "... (1000004 characters), recomputed ")
+
+
 def test_verify_reports_a_non_ample_polarization_and_goes_on(tmp_path, capsys):
     bad, good = _golden_json(), _golden_json()
     bad["hprime"] = {"f": 1, "e1": 1, "xi": 5}

@@ -459,6 +459,25 @@ def test_solve_deterministic_and_parallel_agrees():
     assert serial == again
 
 
+def test_solve_holds_one_object_per_twist_value():
+    """Shapes that share a twist class share its object: the quick box's
+    certificates hold 26 l2 and 16 l3 values, each one object; verify's
+    step memo is neither read nor filled."""
+    solver_module._clear_verify_memos()
+    certs = solve(3, 6, SMALL_BOUNDS)
+    for name, count in (("l2", 26), ("l3", 16)):
+        twists = [getattr(c.params, name) for c in certs]
+        assert len({id(t) for t in twists}) == len(set(twists)) == count
+    assert solver_module._stepped.cache_info().currsize == 0
+
+
+def test_a_shown_value_past_200_characters_is_its_first_40_and_its_length():
+    shown = solver_module._shown
+    assert shown(("x" * 196,)) == '("' + "x" * 196 + '")'  # 200 characters
+    assert shown(("x" * 197,)) == '("' + "x" * 38 + "... (201 characters)"
+    assert shown("y" * 300) == '"' + "y" * 39 + "... (302 characters)"
+
+
 def _assert_twists_built_at_their_own_d(certs):
     """An oracle apart from the coset rule: each certificate's twists are
     build_l_classes_m at its own (d2, d3)."""
