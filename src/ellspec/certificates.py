@@ -44,21 +44,21 @@ pattern of its optional keys, and a shared value's text is rendered once
 per indentation.  A certificate's family is its members but ``params`` (a
 family of ``solve`` varies only in ``params``); ``_Object.family`` fills
 its text as two pieces around ``params``, once per identity of the nine
-values in a call, and each certificate then fills only its ``params``;
-``save_certificates`` streams a file a certificate at a time.  The loader
-checks a certificate against the same two pieces of the last one it parsed
-whole: text that is the first piece, one ``params`` value and the second
-piece is that certificate with the new ``params``, since JSON text decides
-its members as it is read.  It reads on before each check until twice the
-longest certificate is held, so a read cuts none but the first.  Any other
-certificate is parsed whole, and the marshal memo keys a shared copy with
-exactly its keys on ``marshal.dumps`` (format 2) of its values, so a copy
-equal in value but not in text, and the classes within ``params``, are
-built once; a copy that fails or has other keys is never kept.  The same
-memo holds a tuple per distinct value of a shared array, and the written
-text of each distinct shared value and family.  No memo outlives its call,
-and the bytes written and the errors raised are those of rendering and
-loading every copy on its own.
+values in a call (an int's value), and each certificate then fills only its
+``params``; ``save_certificates`` streams a file a certificate at a time.
+The loader checks a certificate against the same two pieces of the last one
+it parsed whole: text that is the first piece, one ``params`` value and the
+second piece is that certificate with the new ``params``, since JSON text
+decides its members as it is read.  It reads on before each check until
+twice the longest certificate is held, so a read cuts none but the first.
+Any other certificate is parsed whole, and the marshal memo keys a shared
+copy with exactly its keys on ``marshal.dumps`` (format 2) of its values,
+so a copy equal in value but not in text, and the classes within
+``params``, are built once; a copy that fails or has other keys is never
+kept.  The same memo holds a tuple per distinct value of a shared array,
+and the written text of each distinct shared value and family.  No memo
+outlives its call, and the bytes written and the errors raised are those of
+rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -291,7 +291,9 @@ class _Object:
         with a cut member and no optional key: its text before and after
         that member at newline's indentation, filled in slot order once per
         identity of its other values in a call, and held with those values
-        so that their ids are not reused."""
+        so that their ids are not reused.  An int among them is held as the
+        first equal int of the call: json gives each parsed int past 256 an
+        object of its own, and its family would be filled again."""
         template, at, others = self._template(newline, ()), self.cut_at, self.others
         pieces = [piece.replace("%", "%%") for piece in template.pieces]
         before, after = "%s".join(pieces[:at + 1]), "%s".join(pieces[at + 1:])
@@ -299,6 +301,9 @@ class _Object:
         def family(value: Any, memo: dict) -> tuple[tuple, str, str]:
             held = others(value)
             hit = memo.get(key := (family, *map(id, held)))
+            if hit is None:  # again with each int the call's first of its value
+                held = tuple([memo.setdefault((int, v), v) if v.__class__ is int else v for v in held])
+                hit = memo.get(key := (family, *map(id, held)))
             if hit is None:
                 texts = template.texts(value, memo)
                 hit = memo[key] = held, before % tuple(texts[:at]), after % tuple(texts[at + 1:])

@@ -469,12 +469,13 @@ def _report_difference(stored: ConstraintReport, fresh: ConstraintReport) -> str
     raise ArithmeticError("unequal reports agree on every field")
 
 
-def _shown(value, limit: int | None = 200) -> str:
+def _shown(value) -> str:
     """An exact value on one line: rationals as canonical strings, strings
-    as json spells them, so that ("",) and () read apart; past limit
+    as json spells them, so that ("",) and () read apart; past 200
     characters, its first 40 and its length."""
-    if isinstance(value, tuple):
-        text = "(" + ", ".join(_shown(v, None) for v in value) + ")"
-    else:
-        text = json.dumps(value) if isinstance(value, str) else str(value)
-    return text if limit is None or len(text) <= limit else f"{text[:40]}... ({len(text)} characters)"
+    def spell(value) -> str:
+        if isinstance(value, tuple):
+            return "(" + ", ".join(map(spell, value)) + ")"
+        return json.dumps(value) if isinstance(value, str) else str(value)
+    text = spell(value)
+    return text if len(text) <= 200 else f"{text[:40]}... ({len(text)} characters)"

@@ -360,6 +360,34 @@ def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, c
     assert peak < path.stat().st_size / 2
 
 
+@pytest.mark.parametrize("spelling", ["indent-1", "alternating"])
+def test_a_load_holds_a_family_once_per_value_of_its_ints(tmp_path, monkeypatch, certs, spelling):
+    """Every certificate is parsed whole here: the file is spelled at indent
+    1, or alternates noted and plain certificates as written.  json gives
+    each parsed int past 256 an object of its own, yet a family's text is
+    held once per value, so the load still holds neither the text nor its
+    parse."""
+    wide = [dataclasses.replace(c, u=1000) for c in certs]
+    if spelling == "indent-1":
+        text = json.dumps(json.loads(dumps_certificates(wide)), indent=1)
+    else:
+        wide = [_noted(c) if i % 2 else c for i, c in enumerate(wide)]
+        text = dumps_certificates(wide)
+    path = tmp_path / "certs.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(certificates, "_CHUNK", 4096)
+    parsed = _parsed_whole(monkeypatch)
+    tracemalloc.start()
+    try:
+        loaded = load_certificates(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == wide
+    assert parsed == list(range(len(wide)))
+    assert peak < path.stat().st_size / 2
+
+
 # an error in the text, met before the load has read the file to its end
 _EARLIER_ERRORS = {
     "syntax-error-at-the-start": lambda text: "@" + text,

@@ -476,6 +476,7 @@ def test_a_shown_value_past_200_characters_is_its_first_40_and_its_length():
     assert shown(("x" * 196,)) == '("' + "x" * 196 + '")'  # 200 characters
     assert shown(("x" * 197,)) == '("' + "x" * 38 + "... (201 characters)"
     assert shown("y" * 300) == '"' + "y" * 39 + "... (302 characters)"
+    assert shown((("a", True), ("b", False))) == '(("a", True), ("b", False))'  # an entry's detail
 
 
 def _assert_twists_built_at_their_own_d(certs):
