@@ -20,10 +20,11 @@ type, a codec's string (a rational or a surface tag) or an entry's
 The writer emits the bytes of ``json.dumps(payload, indent=2) + "\n"``;
 the loader parses what ``json.loads`` parses, a repeated key refused, and
 checks strictly (the written keys, each once, each value of its exact JSON
-type), so a loaded file saves back byte for byte, and its SchemaError
-names the key path, e.g. ``certificates[1].report.c2_deficit[1]``.  A file
-holds one certificate object or {"version": "1", "certificates": [...]}.
-``certificate_to_dict`` is the written text parsed back.
+type), so a file that loads saves back in the writer's spelling, byte for
+byte if it is spelled so, and its SchemaError names the key path, e.g.
+``certificates[1].report.c2_deficit[1]``.  A file holds one certificate
+object or {"version": "1", "certificates": [...]}.  ``certificate_to_dict``
+is the written text parsed back.
 
 The loader parses the file object a member at a time, and each element of
 its ``certificates`` array on its own, over the text read so far; it checks
@@ -37,28 +38,29 @@ the first failing certificate.
 
 Each call handles a shared value once per distinct copy: the declarations
 of a row, hprime, report and divisor class are shared objects, those of the
-multiplicity lists and ``notes`` shared arrays.  The writer fills
-templates: on first use at an indentation, a declaration compiles its
-constant text into one % format with a slot per value, one per presence
-pattern of its optional keys, and a shared value's text is rendered once
-per indentation.  A certificate's family is its members but ``params`` (a
-family of ``solve`` varies only in ``params``); ``_Object.family`` fills
-its text as two pieces around ``params``, once per identity of the nine
-values in a call (an int's value), and each certificate then fills only its
-``params``; ``save_certificates`` streams a file a certificate at a time.
-The loader checks a certificate against the same two pieces of the last one
-it parsed whole: text that is the first piece, one ``params`` value and the
-second piece is that certificate with the new ``params``, since JSON text
-decides its members as it is read.  It reads on before each check until
-twice the longest certificate is held, so a read cuts none but the first.
-Any other certificate is parsed whole, and the marshal memo keys a shared
-copy with exactly its keys on ``marshal.dumps`` (format 2) of its values,
-so a copy equal in value but not in text, and the classes within
-``params``, are built once; a copy that fails or has other keys is never
-kept.  The same memo holds a tuple per distinct value of a shared array,
-and the written text of each distinct shared value and family.  No memo
-outlives its call, and the bytes written and the errors raised are those of
-rendering and loading every copy on its own.
+multiplicity lists and ``notes`` shared arrays.  The writer joins an
+object's members, each its key and its value's text; a declaration builds
+its text function once per indentation, and a shared value's text is
+rendered once per indentation in a call.  A certificate's family is its
+members but ``params`` (a family of ``solve`` varies only in ``params``);
+``_Object.family`` writes its text as two pieces around ``params``, once
+per identity of the nine values in a call (an int's value), and each
+certificate then writes only its ``params``; ``save_certificates`` streams
+a file a certificate at a time.  The loader checks a certificate against the
+same two pieces of the last one it parsed whole: text that is the first
+piece, one ``params`` value and the second piece is that certificate with
+the new ``params``, since JSON text decides its members as it is read.  It
+reads on before each check until twice the longest certificate is held, so
+a read cuts none but the first.  Any other certificate is parsed whole, and
+the marshal memo keys a shared copy with exactly its keys on
+``marshal.dumps`` (format 2) of its values, so a copy equal in value but
+not in text, and the classes within ``params``, are built once; a copy that
+fails or has other keys is never kept.  The same memo holds a tuple per
+distinct value of a shared array, and the written text of each distinct
+shared value and family.  No memo outlives its call; the text functions do,
+but they are functions of the table alone and hold no value written.  The
+bytes written and the errors raised are those of rendering and loading
+every copy on its own.
 """
 
 from __future__ import annotations
@@ -201,29 +203,11 @@ class _Detail:
         return tuple(obj.items())
 
 
-class _Template(namedtuple("_Template", "fmt read slots pieces")):
-    """An object's text at one indentation with one presence pattern of its
-    optional keys: the constant pieces around one slot per value written,
-    joined as a % format; read takes the object to its slots' values.  Per
-    slot, the function that spells its value (None for a scalar)."""
-
-    def texts(self, value: Any, memo: dict) -> list:
-        """Each slot's value spelled: an exact int as it is, any other scalar by _spell."""
-        texts = []
-        for slot, v in zip(self.slots, self.read(value)):
-            texts.append((v if v.__class__ is int else _spell(v)) if slot is None else slot(v, memo))
-        return texts
-
-    def fill(self, value: Any, memo: dict) -> str:
-        """value's text."""
-        return self.fmt % tuple(self.texts(value, memo))
-
-
 def _memoized(text: Callable) -> Callable:
     """text, called once per value in a call; the memo holds the value with
-    its text, so that its id is not reused.  text is built once per template
-    slot (an array's function, or the bound fill of a shared object's one
-    template), so it keys the slot."""
+    its text, so that its id is not reused.  text is built once, a shared
+    object's per indentation and an array's per member that holds it, so it
+    keys the texts it writes."""
     def shared(value: Any, memo: dict) -> str:
         key = text, id(value)
         hit = memo.get(key)
@@ -239,13 +223,9 @@ class _Object:
     if read is None) and ``build`` takes back, in that order.  A key in
     ``optional``, which only an object reading attributes has, is left out
     while its value is None.  A ``shared`` object is checked and built once
-    per distinct copy, and written once per indentation in a call.
-
-    Written first at an indentation, the object compiles its constant text
-    into a template, one per presence pattern of its optional keys, which
-    reads only the attributes it writes.  An object that reads attributes
-    may name a ``cut`` member: its text around that member is filled once
-    per identity of its other values in a call."""
+    per distinct copy, and written once per indentation in a call.  One that
+    reads attributes may name a ``cut`` member: its text around that member
+    is written once per identity of its other values in a call."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable | None, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
@@ -260,43 +240,60 @@ class _Object:
         self.values = itemgetter(*self.keys)
         self.allowed = frozenset(self.keys)
         self.required = self.allowed - optional
-        # each key as written, '"key": '; the head's values are written in place
-        self.head_lines = tuple(_quote(k) + ": " + _quote(v) for k, v in self.head.items())
-        self.labels = tuple((_quote(k) + ": ", kind) for k, kind in self.plan)
-        self.optional_at = tuple(i for i, key in enumerate(keys) if key in optional)
-        self.templates: dict[tuple[str, tuple[bool, ...]], _Template] = {}
+        self.labels = tuple(_quote(k) + ": " for k in keys)  # each key as written, '"key": '
+        self.functions: dict[str, Callable] = {}  # at's, per newline: functions of the table alone
 
     def at(self, newline: str) -> Callable:
         """The function (value, memo) -> value's text, at the indentation
-        that newline ends with."""
+        that newline ends with; built once per indentation."""
+        if newline in self.functions:
+            return self.functions[newline]
         if self.cut is not None:  # the family's text around the cut member, then the member's
-            family, text = self.family(newline), self._template(newline, ()).slots[self.cut_at]
+            family, member_text = self.family(newline), self.plan[self.cut_at][1].at(newline + "  ")
             others, member = self.others, attrgetter(self.cut)
 
-            def around(value: Any, memo: dict) -> str:
+            def text(value: Any, memo: dict) -> str:
                 hit = memo.get((family, *map(id, others(value)))) or family(value, memo)
-                return hit[1] + text(member(value), memo) + hit[2]
-            return around
-        if self.optional_at:
-            def text(value: Any, memo: dict) -> str:  # its optional keys that are None left out
-                items = self.read(value)
-                absent = tuple([items[i] is None for i in self.optional_at])
-                return self._template(newline, absent).fill(value, memo)
+                return hit[1] + member_text(member(value), memo) + hit[2]
         else:
-            text = self._template(newline, ()).fill
-        return _memoized(text) if self.shared else text
+            members, inner = self.members(newline), newline + "  "
+            opening, comma, closing = "{" + inner, "," + inner, newline + "}"
+
+            def text(value: Any, memo: dict) -> str:
+                texts = members(value, memo)
+                return f"{opening}{comma.join(texts)}{closing}" if texts else "{}"
+        self.functions[newline] = _memoized(text) if self.shared else text
+        return self.functions[newline]
+
+    def members(self, newline: str) -> Callable:
+        """The function (value, memo) -> the texts of value's members at
+        newline's indentation, '"key": value' each, the head's first; an
+        optional member whose value is None is left out."""
+        read, inner = self.read, newline + "  "
+        head = [_quote(k) + ": " + _quote(v) for k, v in self.head.items()]
+        plan = [(label, None if kind.__class__ is _Scalar and key in self.required else kind.at(inner),
+                 key not in self.required) for label, (key, kind) in zip(self.labels, self.plan)]
+
+        def members(value: Any, memo: dict) -> list[str]:
+            texts = head.copy()
+            for (label, text, optional), v in zip(plan, read(value)):
+                if text is None:  # a required scalar: an exact int as it is, any other by _spell
+                    texts.append(f"{label}{v}" if v.__class__ is int else label + _spell(v))
+                elif v is not None or not optional:
+                    texts.append(label + text(v, memo))
+            return texts
+        return members
 
     def family(self, newline: str) -> Callable:
         """The function (value, memo) -> (held, before, after) of an object
         with a cut member and no optional key: its text before and after
-        that member at newline's indentation, filled in slot order once per
-        identity of its other values in a call, and held with those values
-        so that their ids are not reused.  An int among them is held as the
-        first equal int of the call: json gives each parsed int past 256 an
-        object of its own, and its family would be filled again."""
-        template, at, others = self._template(newline, ()), self.cut_at, self.others
-        pieces = [piece.replace("%", "%%") for piece in template.pieces]
-        before, after = "%s".join(pieces[:at + 1]), "%s".join(pieces[at + 1:])
+        that member at newline's indentation, written once per identity of
+        its other values in a call, and held with those values so that
+        their ids are not reused.  An int among them is held as the first
+        equal int of the call: json gives each parsed int past 256 an object
+        of its own, and its family would be written again."""
+        members, others, at = self.members(newline), self.others, len(self.head) + self.cut_at
+        opening, comma, label = "{" + newline + "  ", "," + newline + "  ", self.labels[self.cut_at]
 
         def family(value: Any, memo: dict) -> tuple[tuple, str, str]:
             held = others(value)
@@ -305,40 +302,12 @@ class _Object:
                 held = tuple([memo.setdefault((int, v), v) if v.__class__ is int else v for v in held])
                 hit = memo.get(key := (family, *map(id, held)))
             if hit is None:
-                texts = template.texts(value, memo)
-                hit = memo[key] = held, before % tuple(texts[:at]), after % tuple(texts[at + 1:])
+                texts = members(value, memo)
+                before = opening + comma.join([*texts[:at], label])
+                after = "".join([comma + text for text in texts[at + 1:]]) + newline + "}"
+                hit = memo[key] = held, before, after
             return hit
         return family
-
-    def _template(self, newline: str, absent: tuple[bool, ...]) -> _Template:
-        """The template at newline's indentation, absent saying which
-        optional keys are left out."""
-        template = self.templates.get((newline, absent))
-        if template is None:
-            template = self.templates[newline, absent] = self._compile(newline, absent)
-        return template
-
-    def _compile(self, newline: str, absent: tuple[bool, ...]) -> _Template:
-        inner = newline + "  "
-        left_out = {i for i, gone in zip(self.optional_at, absent) if gone}
-        pieces, slots = [""], []
-        sep, comma = "{" + inner, "," + inner
-        for line in self.head_lines:
-            pieces[-1] += sep + line
-            sep = comma
-        for i, (label, kind) in enumerate(self.labels):
-            if i in left_out:
-                continue
-            pieces[-1] += sep + label
-            sep = comma
-            pieces.append("")
-            slots.append(None if kind.__class__ is _Scalar else kind.at(inner))
-        pieces[-1] += newline + "}" if sep is comma else "{}"
-        fmt = "%s".join(piece.replace("%", "%%") for piece in pieces)
-        read = self.read
-        if left_out:  # optional keys are attributes: read only those written
-            read = attrgetter(*(key for i, (key, _) in enumerate(self.plan) if i not in left_out))
-        return _Template(fmt, read, tuple(slots), tuple(pieces))
 
     def load(self, obj: Any, memo: dict) -> Any:
         # marshal format 2 writes each value's exact type (1, True and 1.0
@@ -479,8 +448,8 @@ def _write_certificates(certs: Sequence[SolutionCertificate], put: Callable) -> 
     if len(certs) == 1:
         put(_dumps(_CERTIFICATE, certs[0]) + "\n")
         return
-    # _FILE's template around its array, which is one level in
-    head, tail = _FILE._template("\n", ()).pieces
+    # _FILE's text around its array, which is one level in
+    head, _, tail = _dumps(_FILE, []).rpartition("[]")
     inner, sep, comma, closing = _Array.layout("\n  ")
     text, memo = _CERTIFICATE.at(inner), {}
     put(head)

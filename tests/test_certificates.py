@@ -799,10 +799,10 @@ def test_render_memo_holds_what_it_keys():
 
 
 def test_each_shared_array_is_rendered_once_per_value(monkeypatch, certs):
-    """A spy on each shared array's text function, built as the templates
-    compile afresh: a dump of the box renders each distinct a2, a3 and
-    notes object once, in the order first written, not once per
-    certificate; a second dump renders them again."""
+    """A spy on each shared array's text function, built as each
+    declaration's cached functions are built afresh: a dump of the box
+    renders each distinct a2, a3 and notes object once, in the order first
+    written, not once per certificate; a second dump renders them again."""
     rendered = {}
     memoized = certificates._memoized
 
@@ -818,10 +818,10 @@ def test_each_shared_array_is_rendered_once_per_value(monkeypatch, certs):
     monkeypatch.setattr(certificates, "_memoized", spy)
     for kind in vars(certificates).values():
         if isinstance(kind, certificates._Object):
-            monkeypatch.setattr(kind, "templates", {})
+            monkeypatch.setattr(kind, "functions", {})
     for calls in (1, 2):
         assert dumps_certificates(certs) == _oracle_dumps(certs)
-        # the slots in the order written: params.a2, params.a3, report.notes, notes
+        # the members in the order written: params.a2, params.a3, report.notes, notes
         a2, a3, report_notes, notes = rendered.values()
         for values, get in ((a2, attrgetter("params.a2")), (a3, attrgetter("params.a3")),
                             (report_notes, attrgetter("report.notes")), (notes, attrgetter("notes"))):
@@ -850,22 +850,27 @@ def _family(cert):
 
 def test_each_family_is_filled_once_around_params(monkeypatch, certs):
     """solve emits its families interleaved, shapes varying fastest; a dump
-    fills the certificate's template for the first of each family only, and
-    every other certificate writes just its params."""
+    writes all of a certificate's members for the first of each family
+    only, and every other certificate writes just its params."""
     families = [*map(_family, certs)]
     assert len(set(families)) == 4 and all(a != b for a, b in zip(families, families[1:]))
     first = {}
     for family, cert in zip(families, certs):
         first.setdefault(family, cert)
     filled = []
-    texts = certificates._Template.texts
+    members = certificates._Object.members
 
-    def spy(template, value, memo):
-        if isinstance(value, SolutionCertificate):
-            filled.append(value)
-        return texts(template, value, memo)
+    def spy(kind, newline):
+        written = members(kind, newline)
 
-    monkeypatch.setattr(certificates._Template, "texts", spy)
+        def counted(value, memo):
+            if isinstance(value, SolutionCertificate):
+                filled.append(value)
+            return written(value, memo)
+        return counted
+
+    monkeypatch.setattr(certificates._Object, "members", spy)
+    monkeypatch.setattr(certificates._CERTIFICATE, "functions", {})
     for calls in (1, 2):  # the memo lives for one call
         assert dumps_certificates(certs) == _oracle_dumps(certs)
         assert filled == calls * [*first.values()]
@@ -944,10 +949,10 @@ def test_a_hot_family_does_not_answer_for_a_replaced_report(certs):
     _round_trips(case)
 
 
-# === templates: one fill per object ===
+# === the object writer: one text per member ===
 
 
-def test_a_template_keeps_its_constant_text_as_json_writes_it():
+def test_an_object_writes_its_constant_text_as_json_writes_it():
     """Keys and head values holding %, braces, a quote and a non-ASCII
     character, at two indentations, and a % in a written value."""
     odd = '%s %% {0} }{ "q" caf\u00e9 \u03b6'
@@ -964,7 +969,7 @@ def test_a_template_keeps_its_constant_text_as_json_writes_it():
 
 def test_entries_in_every_presence_pattern(certs):
     """value, residual and detail each left out or written: the eight
-    templates of an entry in one report."""
+    presence patterns of an entry in one report."""
     cert = certs[0]
     entries = tuple(
         ConstraintEntry(
@@ -1019,22 +1024,40 @@ def test_a_nested_or_unknown_value_in_a_scalar_slot_is_a_type_error(certs, where
             dumps_certificates(case)
 
 
-def test_no_template_holds_a_value_after_a_dump(certs):
-    """Templates are built from the table alone: once a dump returns, the
-    certificates it wrote and their members are freed."""
+def _cached_functions():
+    """Each declaration's cached text functions, by its name and newline."""
+    return {(name, newline): text for name, kind in vars(certificates).items()
+            if isinstance(kind, certificates._Object) for newline, text in kind.functions.items()}
+
+
+def test_no_cached_function_holds_a_value_after_a_dump(monkeypatch, certs):
+    """Each declaration's text function per indentation outlives a dump,
+    and is built from the table alone: once a dump returns, the
+    certificates it wrote and their members are freed while the functions
+    stay, and a file or one certificate dumped again adds no function to
+    those of its first dump."""
     def fresh(cert):
         entries = tuple(map(dataclasses.replace, cert.report.entries))
         report = dataclasses.replace(cert.report, entries=entries)
         return dataclasses.replace(cert, row=dataclasses.replace(cert.row),
                                    params=dataclasses.replace(cert.params), report=report)
 
+    for kind in vars(certificates).values():
+        if isinstance(kind, certificates._Object):
+            monkeypatch.setattr(kind, "functions", {})
     case = [fresh(c) for c in certs[:3]]
     refs = [weakref.ref(obj) for c in case for obj in (c, c.row, c.params, c.report, *c.report.entries)]
     for written in (case, case[:1]):
         assert dumps_certificates(written) == _oracle_dumps(written)
+        cached = _cached_functions()
+        assert ("_CERTIFICATE", "\n" if len(written) == 1 else "\n    ") in cached
+        for _ in range(2):
+            assert dumps_certificates(written) == _oracle_dumps(written)
+            assert _cached_functions() == cached
     del case, written
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+    assert _cached_functions() == cached
 
 
 def test_the_file_array_puts_one_certificate_at_a_time(certs):
@@ -1049,12 +1072,15 @@ def test_the_file_array_puts_one_certificate_at_a_time(certs):
 
 def test_the_search_box_file_is_pinned(certs):
     """solve(3, 6) on the quick box, the benchmark's search box: the file's
-    size and sha256, and a load that dumps back to the same text."""
+    size and sha256, and a load that dumps back to the same text, from the
+    writer's spelling or another: the whole file at indent 1, or its
+    certificates at no indent and indent 1 in turn."""
     text = dumps_certificates(certs)
     assert len(text.encode()) == 1_236_283
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "43556b04eefb973e40d4eb80a16d3af3d16fb1864117ac94b64de7c9a8936e28")
-    assert dumps_certificates(loads_certificates(text)) == text
+    for spelling in (text, json.dumps(json.loads(text), indent=1), _spaced(certs, (None, 1))):
+        assert dumps_certificates(loads_certificates(spelling)) == text
 
 
 def _same_report_pair(certs):
