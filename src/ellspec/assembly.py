@@ -17,7 +17,7 @@ constraint system a good certificate must satisfy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,6 +75,22 @@ class BundleParams:
                     raise ValueError(f"{name} must be a DivisorClass")
                 if lcls.surface is not Surface.BPRIME:
                     raise ValueError("twist classes must live on B'")
+
+    def moved(self, d2: int, d3: int, l2: DivisorClass, l3: DivisorClass) -> BundleParams:
+        """The constructor's params with d2, d3, l2 and l3 replaced, checking only those."""
+        if not (d2.__class__ is d3.__class__ is int and l2.__class__ is l3.__class__ is DivisorClass
+                and l2.surface is l3.surface is Surface.BPRIME):  # the constructor decides, with its own error
+            return replace(self, d2=d2, d3=d3, l2=l2, l3=l3)
+        moved, put = object.__new__(BundleParams), object.__setattr__
+        put(moved, "k2", self.k2)  # in field order, as the constructor sets them
+        put(moved, "k3", self.k3)
+        put(moved, "d2", d2)
+        put(moved, "d3", d3)
+        put(moved, "a2", self.a2)
+        put(moved, "a3", self.a3)
+        put(moved, "l2", l2)
+        put(moved, "l3", l3)
+        return moved
 
     def component(self, i: int) -> tuple[int, int, tuple[int, ...], DivisorClass]:
         if i == 2:

@@ -36,31 +36,31 @@ whole text first: what ``json.loads`` refuses (syntax, the digit and depth
 limits, a repeated key), then the file object's own keys and version, then
 the first failing certificate.
 
-Each call handles a shared value once per distinct copy: the declarations
-of a row, hprime, report and divisor class are shared objects, those of the
+Each call handles a shared value once per distinct copy: the declarations of
+a row, hprime, report and divisor class are shared objects, those of the
 multiplicity lists and ``notes`` shared arrays.  The writer joins an
 object's members, each its key and its value's text; a declaration builds
 its text function once per indentation, and a shared value's text is
 rendered once per indentation in a call.  A certificate's family is its
 members but ``params`` (a family of ``solve`` varies only in ``params``);
-``_Object.family`` writes its text as two pieces around ``params``, once
-per identity of the nine values in a call (an int's value), and each
-certificate then writes only its ``params``; ``save_certificates`` streams
-a file a certificate at a time.  The loader checks a certificate against the
-same two pieces of the last one it parsed whole: text that is the first
-piece, one ``params`` value and the second piece is that certificate with
-the new ``params``, since JSON text decides its members as it is read.  It
-reads on before each check until twice the longest certificate is held, so
-a read cuts none but the first.  Any other certificate is parsed whole, and
-the marshal memo keys a shared copy with exactly its keys on
-``marshal.dumps`` (format 2) of its values, so a copy equal in value but
-not in text, and the classes within ``params``, are built once; a copy that
-fails or has other keys is never kept.  The same memo holds a tuple per
-distinct value of a shared array, and the written text of each distinct
-shared value and family.  No memo outlives its call; the text functions do,
-but they are functions of the table alone and hold no value written.  The
-bytes written and the errors raised are those of rendering and loading
-every copy on its own.
+``_Object.family`` writes its text as two pieces around ``params``, once per
+identity of the nine values in a call (an int's value), and each certificate
+then writes only its ``params``; ``save_certificates`` streams a file a
+certificate at a time.  The loader checks a certificate against the same two
+pieces of the last one it parsed whole: text that is the first piece, one
+``params`` value and the second piece is that certificate with the new
+``params`` (JSON text decides its members as it is read), derived by
+``with_params`` as ``solve`` derives a d-grid point.  It reads on before
+each check until twice the longest certificate is held, so a read cuts none
+but the first.  Any other certificate is parsed whole, and the marshal memo
+keys a shared copy with exactly its keys on ``marshal.dumps`` (format 2) of
+its values, so a copy equal in value but not in text, and the classes within
+``params``, are built once; a copy that fails or has other keys is never
+kept.  The same memo holds a tuple per distinct value of a shared array, and
+the written text of each distinct shared value and family.  No memo outlives
+its call; the text functions do, but they are functions of the table alone
+and hold no value written.  The bytes written and the errors raised are
+those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -351,21 +351,21 @@ class _Object:
                 raise SchemaError(f"field {key!r} must be {kind.what}") from None
             exc.path = (key, *exc.path)
             raise
-        return self._build(values)
+        return self._build(self.build, *values)
 
-    def load_cut(self, held: tuple, obj: Any, memo: dict) -> Any:
-        """The object whose cut member loads from obj and whose other values
-        are held, as its family holds them."""
+    def load_cut(self, derive: Callable, obj: Any, memo: dict) -> Any:
+        """derive(member), the cut member loaded from obj."""
         try:
             value = self.plan[self.cut_at][1].load(obj, memo)
         except SchemaError as exc:
             exc.path = (self.cut, *exc.path)
             raise
-        return self._build((*held[:self.cut_at], value, *held[self.cut_at:]))
+        return self._build(derive, value)
 
-    def _build(self, values: Sequence) -> Any:
+    @staticmethod
+    def _build(build: Callable, *args: Any) -> Any:
         try:
-            return self.build(*values)
+            return build(*args)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed: {exc}") from exc
 
@@ -695,7 +695,7 @@ def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
     family = array.item.family(_Array.layout("\n  ")[0])
-    last: tuple[tuple, str, str] | None = None  # the family of the last certificate parsed whole
+    last: tuple[Callable, str, str] | None = None  # with_params of the last one parsed whole, its family text
     pairs: list[tuple[str, Any]] = []
     built: list[SolutionCertificate] = []
     failed: SchemaError | None = None
@@ -734,7 +734,7 @@ def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
                     else:
                         built.append(cert)
                         if found is None:
-                            last = family(cert, memo)
+                            last = cert.with_params, *family(cert, memo)[1:]
                 index += 1
                 char = doc.next_item("]", "[0")
             doc.step()

@@ -31,7 +31,9 @@ each unchanged by the step since f'.f' = 0 and f'.(n1'+o2') = 0; f' is
 integral and the step keeps d2 mod 2 and d3 mod 3, which the integrality
 detail reads, so that is unchanged too.  solve emits each point, in the
 order of the loops u, x, m, d2, d3, (a2, a3) and with no sort, as a
-SolutionCertificate that can be re-verified from its raw parameters alone.
+SolutionCertificate that can be re-verified from its raw parameters alone;
+the constructors build each shape's first point, `BundleParams.moved` and
+`SolutionCertificate.with_params` the rest, checking only what they replace.
 verify_certificate has two bounded memos, which solve neither reads nor
 fills.  The coset memo, keyed on (z, m, k2, k3, u, x, d2 mod 2, d3 mod 3,
 a2, a3, h'), stores the coset of an m-class that passes the m-space check,
@@ -51,7 +53,7 @@ a tampered twist reported as such whatever the polarization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -273,6 +275,23 @@ class SolutionCertificate:
         if hprime is not self.hprime:  # a list, stored as the tuple a load builds
             object.__setattr__(self, "hprime", hprime)
 
+    def with_params(self, params: BundleParams) -> SolutionCertificate:
+        """The constructor's certificate with params replaced, checking only those."""
+        if params.__class__ is not BundleParams or (params.k2, params.k3) != (self.row.k2, self.row.k3):
+            return replace(self, params=params)  # the constructor decides, with its own error
+        cert, put = object.__new__(SolutionCertificate), object.__setattr__
+        put(cert, "row", self.row)  # in field order, as the constructor sets them
+        put(cert, "k", self.k)
+        put(cert, "u", self.u)
+        put(cert, "x", self.x)
+        put(cert, "z", self.z)
+        put(cert, "m_class", self.m_class)
+        put(cert, "params", params)
+        put(cert, "hprime", self.hprime)
+        put(cert, "report", self.report)
+        put(cert, "notes", self.notes)
+        return cert
+
 
 def _three_ints(hprime: object) -> tuple[int, int, int]:
     """hprime as a tuple, if it is a tuple or list of three exact ints."""
@@ -408,19 +427,14 @@ def solve(
                         continue
                     # one coset per shape, uncached: see the module docstring
                     l2, l3, report = _coset(k2, k3, u, x, m_class, d2c[2], d3c[2], a2, a3, hprime)
-                    if report.all_pass:
+                    if report.all_pass:  # built once, at the grid's first point; the others derived
                         l2s, l3s = [step(l2, d2 // 2) for d2 in d2s], [step(l3, d3 // 3) for d3 in d3s]
-                        shapes.append((a2, a3, l2s, l3s, report))
-                certificates.extend(
-                    SolutionCertificate(
-                        row=row, k=k, u=u, x=x, z=z, m_class=m_class,
-                        params=BundleParams(k2, k3, d2, d3, a2, a3, l2s[i], l3s[j]),
-                        hprime=hprime, report=report, notes=report.notes,
-                    )
-                    for i, d2 in enumerate(d2s)
-                    for j, d3 in enumerate(d3s)
-                    for a2, a3, l2s, l3s, report in shapes
-                )
+                        params = BundleParams(k2, k3, d2s[0], d3s[0], a2, a3, l2s[0], l3s[0])
+                        cert = SolutionCertificate(row, k, u, x, z, m_class, params, hprime, report, report.notes)
+                        shapes.append((cert, params, l2s, l3s))
+                certificates.extend(cert.with_params(params.moved(d2, d3, l2s[i], l3s[j]))
+                                    for i, d2 in enumerate(d2s) for j, d3 in enumerate(d3s)
+                                    for cert, params, l2s, l3s in shapes)
     return certificates
 
 

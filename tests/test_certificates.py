@@ -1976,3 +1976,100 @@ def test_a_rational_past_a_lowered_digit_limit_is_a_schema_error(path):
     assert str(caught.value) == (
         f"{_dotted(('certificates', 1, *path))}: rational too long: {'7' * 40!r}..."
     )
+
+
+# === the family cut: each certificate derived from the last one parsed whole ===
+
+
+def _one_family(certs, count):
+    """The first count certificates of certs[0]'s family, in solve's order."""
+    def shape(cert):
+        return cert.u, cert.x, cert.z, cert.params.a2, cert.params.a3
+    return [cert for cert in certs if shape(cert) == shape(certs[0])][:count]
+
+
+def _whole_builds(text):
+    """Each certificate of a file's text, parsed and built whole on its own."""
+    return [certificate_from_dict(obj) for obj in json.loads(text)["certificates"]]
+
+
+def _same_fields(loaded, whole):
+    """loaded equals whole field by field, and params field by field: equal
+    values of one type, held in field order."""
+    assert loaded == whole
+    for a, b in ((loaded, whole), (loaded.params, whole.params)):
+        assert list(vars(a)) == list(vars(b)) == [f.name for f in dataclasses.fields(b)]
+        for name, value in vars(b).items():
+            assert getattr(a, name) == value and getattr(a, name).__class__ is value.__class__
+
+
+def test_a_certificate_answered_through_the_cut_is_its_whole_parse(monkeypatch, certs):
+    """Every certificate of the quick box after the first is answered through
+    the family cut, by the with_params that solve derives its points with,
+    and equals its own whole parse field by field."""
+    text = dumps_certificates(certs)
+    parsed = _parsed_whole(monkeypatch)
+    derived = []
+    with_params = SolutionCertificate.with_params
+
+    def spy(cert, params):
+        derived.append(with_params(cert, params))
+        return derived[-1]
+
+    monkeypatch.setattr(SolutionCertificate, "with_params", spy)
+    loaded = loads_certificates(text)
+    assert parsed == [0] and derived == loaded[1:]
+    assert all(a is b for a, b in zip(derived, loaded[1:]))
+    for cert, whole in zip(loaded, _whole_builds(text)):
+        _same_fields(cert, whole)
+
+
+_FAMILY_DOCTORS = {
+    "u": lambda c: dataclasses.replace(c, u=c.u + 1),
+    "x": lambda c: dataclasses.replace(c, x=c.x + 1),
+    "z": lambda c: dataclasses.replace(c, z=c.z + 1),
+    "report.c3": lambda c: dataclasses.replace(c, report=dataclasses.replace(c.report, c3=c.report.c3 + 1)),
+    "report.S_s": lambda c: dataclasses.replace(c, report=dataclasses.replace(c.report, entries=tuple(
+        dataclasses.replace(e, value=e.value + 1) if e.name == "S_s" else e for e in c.report.entries))),
+}
+
+
+@pytest.mark.parametrize("doctor", sorted(_FAMILY_DOCTORS))
+def test_the_cut_after_a_doctored_certificate_is_the_whole_parse(monkeypatch, certs, doctor):
+    """A doctored certificate (as the certify benchmark doctors them) switches
+    the family: it is parsed whole, the next one doctored alike is derived
+    from it, the next genuine one is parsed whole and answers for the one
+    after it; each equals its whole parse field by field."""
+    family = _one_family(certs, 6)
+    case = [*family[:2], *map(_FAMILY_DOCTORS[doctor], family[2:4]), *family[4:]]
+    text = dumps_certificates(case)
+    parsed = _parsed_whole(monkeypatch)
+    loaded = loads_certificates(text)
+    assert parsed == [0, 2, 4] and loaded == case
+    for cert, whole in zip(loaded, _whole_builds(text)):
+        _same_fields(cert, whole)
+
+
+@pytest.mark.parametrize("index", [1, 5])
+def test_params_off_the_row_fail_through_the_cut_as_through_the_whole_parse(monkeypatch, certs, index):
+    """Params on the (2, 4) row build, and the certificate holding them
+    fails: through the cut with the error of its whole parse, the file as
+    written, and spelled at indent 1, where it is parsed whole."""
+    text = dumps_certificates(_one_family(certs, 6))
+    start, end = _member_span(text, index, "params")
+    params = text[start:end].replace('"k2": 3,', '"k2": 2,', 1).replace('"k3": 6,', '"k3": 4,', 1)
+    text = text[:start] + params + text[end:]
+    parsed = _parsed_whole(monkeypatch)
+    # after a failing certificate the rest is only parsed, each whole
+    for spelling, whole in ((text, [0, *range(index + 1, 6)]), (json.dumps(json.loads(text), indent=1), [*range(6)])):
+        parsed.clear()
+        with pytest.raises(SchemaError) as exc:
+            loads_certificates(spelling)
+        assert str(exc.value) == f"certificates[{index}]: malformed: bundle parameters disagree with the table row"
+        assert parsed == whole
+        with pytest.raises(SchemaError) as again:
+            _load_both(spelling)
+        assert str(again.value) == str(exc.value)
+    with pytest.raises(SchemaError) as alone:
+        certificate_from_dict(json.loads(text)["certificates"][index])
+    assert str(alone.value) == "malformed: bundle parameters disagree with the table row"

@@ -6,6 +6,7 @@ import functools
 import gc
 import hashlib
 import json
+import operator
 import pickle
 import random
 import weakref
@@ -1508,3 +1509,171 @@ def test_core_values_round_trip_through_pickle():
     clone = pickle.loads(pickle.dumps(half))
     assert (clone.num, clone.den) == (half.num, half.den) and hash(clone) == hash(half)
     assert verify_certificate(pickle.loads(pickle.dumps(cert))).all_pass
+
+
+# === derived grid points: each shape built once, its other points derived ===
+
+
+_CERT_FIELDS = [f.name for f in dataclasses.fields(solver_module.SolutionCertificate)]
+_PARAMS_FIELDS = [f.name for f in dataclasses.fields(BundleParams)]
+# the benchmark's sweep box: every row, non-constant lists, a one-point d-grid
+_SWEEP_BOUNDS = SearchBounds(u_abs=12, x_abs=20, z_min=0, z_max=4, d_abs=1, a_max=1)
+
+
+@pytest.fixture(scope="module", params=["quick", "sweep", "default"])
+def solved(request):
+    """(box, certificates) of solve on the quick box, the sweep box over
+    all five rows, and default bounds."""
+    if request.param == "quick":
+        return request.param, solve(3, 6, SMALL_BOUNDS)
+    if request.param == "sweep":
+        return request.param, [cert for row in enumerate_table1() for cert in solve(
+            row.k2, row.k3, _SWEEP_BOUNDS, allow_nonconstant_lists=True)]
+    return request.param, solve(3, 6)
+
+
+def _constructed(cert):
+    """The certificate the constructors build from cert's fields."""
+    params = BundleParams(*(getattr(cert.params, name) for name in _PARAMS_FIELDS))
+    return solver_module.SolutionCertificate(
+        *(params if name == "params" else getattr(cert, name) for name in _CERT_FIELDS))
+
+
+def test_each_solved_point_is_the_certificate_the_constructors_build(solved):
+    """A derived point equals, hashes and prints as the certificate the
+    constructors build, and holds its fields in field order."""
+    box, certs = solved
+    assert len(certs) == {"quick": 416, "sweep": 4, "default": 39852}[box]
+    for cert in certs:
+        built = _constructed(cert)
+        assert built == cert and hash(built) == hash(cert) and repr(built) == repr(cert)
+        assert built.params == cert.params and hash(built.params) == hash(cert.params)
+        assert list(vars(cert)) == _CERT_FIELDS and list(vars(cert.params)) == _PARAMS_FIELDS
+
+
+def test_each_solved_point_pickles_and_stays_frozen(solved):
+    """A derived point pickles back equal, refuses assignment and, through
+    replace, stores a list h' as a tuple; at default bounds every 37th point
+    is taken, which meets each of the 36 shapes."""
+    box, certs = solved
+    sample = certs[::37] if box == "default" else certs
+    assert {(c.u, c.x, c.z, c.params.a2, c.params.a3) for c in sample} == {
+        (c.u, c.x, c.z, c.params.a2, c.params.a3) for c in certs}
+    for cert in sample:
+        for protocol in (0, pickle.HIGHEST_PROTOCOL):
+            clone = pickle.loads(pickle.dumps(cert, protocol))
+            assert clone == cert and list(vars(clone)) == _CERT_FIELDS
+        for value, names in ((cert, _CERT_FIELDS), (cert.params, _PARAMS_FIELDS)):
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, name, None)
+        assert dataclasses.replace(cert, hprime=list(cert.hprime)).hprime.__class__ is tuple
+
+
+_ON_B = named_class(Surface.B, "f")
+
+
+@pytest.mark.parametrize("target, change, message", [
+    ("cert", {"row": None}, "row must be a Table1Row"),
+    ("cert", {"k": 4}, "stored k disagrees with the table row"),
+    ("cert", {"m_class": _ON_B}, "m-space class must live on B'"),
+    ("cert", {"params": None}, "params must be a BundleParams"),
+    ("cert", {"report": None}, "report must be a ConstraintReport"),
+    ("cert", {"hprime": (25, 144)}, "polarization hprime must be three ints, got (25, 144)"),
+    ("params", {"k2": True}, "k2, k3, d2 and d3 must be ints"),
+    ("params", {"a2": (1, -1)}, "multiplicities must be nonnegative"),
+    ("params", {"a3": (1, 1)}, "expected 3 multiplicities, got 2"),
+    ("params", {"l3": _ON_B}, "twist classes must live on B'"),
+], ids=["row", "k", "m-class", "params", "report", "hprime", "k2", "a2", "a3", "l3"])
+def test_replace_on_a_solved_point_runs_every_check(solved, target, change, message):
+    _, certs = solved
+    for cert in (certs[0], certs[-1]):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(cert if target == "cert" else cert.params, **change)
+        assert exc.type is ValueError and str(exc.value) == message
+
+
+def test_the_points_of_a_shape_share_its_values(solved):
+    """Every point of a shape holds its row, m-class, h', report, notes and
+    multiplicity lists as one object each: 104 points per shape on the
+    quick box, one on the sweep box and 1,107 on each of 36 at default bounds."""
+    box, certs = solved
+    shapes = {}
+    for cert in certs:
+        shape = (cert.row, cert.u, cert.x, cert.z, cert.m_class, cert.params.a2, cert.params.a3)
+        shapes.setdefault(shape, []).append(cert)
+    assert {len(points) for points in shapes.values()} == {{"quick": 104, "sweep": 1, "default": 1107}[box]}
+    shared = ("row", "m_class", "hprime", "report", "notes", "params.a2", "params.a3")
+    for points in shapes.values():
+        for get in map(operator.attrgetter, shared):
+            assert all(get(cert) is get(points[0]) for cert in points)
+
+
+def _next_point(params, **change):
+    """The fields of the d-grid point after params, changed."""
+    return {"d2": params.d2 + 2, "d3": params.d3 + 3, "l2": params.l2 - FP, "l3": params.l3 - FP, **change}
+
+
+_INTS = "k2, k3, d2 and d3 must be ints"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"d2": True}, _INTS),
+    ({"d2": Fraction(2)}, _INTS),
+    ({"d3": False}, _INTS),
+    ({"d3": Fraction(4)}, _INTS),
+    ({"l2": None}, "l2 must be a DivisorClass"),
+    ({"l3": M1.coeffs}, "l3 must be a DivisorClass"),
+    ({"l2": _ON_B}, "twist classes must live on B'"),
+    ({"l3": _ON_B}, "twist classes must live on B'"),
+    # in the constructor's order: the ints, then l2's class, its surface, l3's
+    ({"d3": True, "l2": None}, _INTS),
+    ({"l2": _ON_B, "l3": None}, "twist classes must live on B'"),
+    ({"l2": None, "l3": _ON_B}, "l2 must be a DivisorClass"),
+], ids=["d2-bool", "d2-fraction", "d3-bool", "d3-fraction", "l2-none", "l3-coeffs", "l2-on-B", "l3-on-B",
+        "ints-before-twists", "l2-surface-before-l3", "l2-class-before-l3-surface"])
+def test_moved_raises_the_constructors_error(change, message):
+    params = solve(3, 6, SMALL_BOUNDS)[5].params
+    point = _next_point(params, **change)
+    for derive in (lambda: params.moved(**point), lambda: dataclasses.replace(params, **point)):
+        with pytest.raises(ValueError) as exc:
+            derive()
+        assert exc.type is ValueError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda p: None, "params must be a BundleParams"),
+    (lambda p: vars(p), "params must be a BundleParams"),
+    (lambda p: dataclasses.replace(p, k2=2, k3=4), "bundle parameters disagree with the table row"),
+    (lambda p: dataclasses.replace(p, k3=7), "bundle parameters disagree with the table row"),
+], ids=["none", "dict", "another-row", "k3-off-the-row"])
+def test_with_params_raises_the_constructors_error(change, message):
+    cert = solve(3, 6, SMALL_BOUNDS)[5]
+    params = change(cert.params)
+    for derive in (lambda: cert.with_params(params), lambda: dataclasses.replace(cert, params=params)):
+        with pytest.raises(ValueError) as exc:
+            derive()
+        assert exc.type is ValueError and str(exc.value) == message
+
+
+def test_a_derivation_is_the_constructors_value():
+    """moved and with_params give what replace gives, a new object holding
+    the fields they keep by identity; one a fast check cannot vouch for, a
+    subclass of DivisorClass, goes through the constructor."""
+    cert = solve(3, 6, SMALL_BOUNDS)[5]
+    point = _next_point(cert.params)
+    moved = cert.params.moved(**point)
+    assert moved == dataclasses.replace(cert.params, **point) and moved is not cert.params
+    assert list(vars(moved)) == _PARAMS_FIELDS and moved.a2 is cert.params.a2
+    derived = cert.with_params(moved)
+    assert derived == dataclasses.replace(cert, params=moved) and derived.params is moved
+    assert all(getattr(derived, n) is getattr(cert, n) for n in _CERT_FIELDS if n != "params")
+    assert verify_certificate(derived) is verify_certificate(cert)
+
+    class Twist(DivisorClass):
+        __slots__ = ()
+
+    twist = object.__new__(Twist)
+    for name in ("surface", "num", "den"):
+        object.__setattr__(twist, name, getattr(point["l2"], name))
+    assert cert.params.moved(**{**point, "l2": twist}).l2 is twist
