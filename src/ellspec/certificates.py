@@ -47,20 +47,26 @@ members but ``params`` (a family of ``solve`` varies only in ``params``);
 identity of the nine values in a call (an int's value), and each certificate
 then writes only its ``params``; ``save_certificates`` streams a file a
 certificate at a time.  The loader checks a certificate against the same two
-pieces of the last one it parsed whole: text that is the first piece, one
-``params`` value and the second piece is that certificate with the new
-``params`` (JSON text decides its members as it is read), derived by
+pieces of any family it parsed whole in the call: first the family that
+answered last, then the one keyed by the certificate's own two pieces, its
+text up to its first ``"params": `` and from that value to its first
+closing line (a family's pieces hold these only at their ends, so the key
+matches exactly when the text does).  Text that is a family's first piece,
+one ``params`` value and its second piece is that family's certificate with
+the new ``params`` (JSON text decides its members as it is read), derived by
 ``with_params`` as ``solve`` derives a d-grid point.  It reads on before
 each check until twice the longest certificate is held, so a read cuts none
 but the first.  Any other certificate is parsed whole, and the marshal memo
 keys a shared copy with exactly its keys on ``marshal.dumps`` (format 2) of
 its values, so a copy equal in value but not in text, and the classes within
 ``params``, are built once; a copy that fails or has other keys is never
-kept.  The same memo holds a tuple per distinct value of a shared array, and
-the written text of each distinct shared value and family.  No memo outlives
-its call; the text functions do, but they are functions of the table alone
-and hold no value written.  The bytes written and the errors raised are
-those of rendering and loading every copy on its own.
+kept.  A ``params`` is keyed so on all but d2, d3, l2 and l3, and one whose
+key a built one holds is that one's ``moved``: only those four are loaded
+and checked.  The same memo holds a tuple per distinct value of a shared
+array, and the written text of each distinct shared value and family.  No
+memo outlives its call; the text functions do, but they are functions of the
+table alone and hold no value written.  The bytes written and the errors
+raised are those of rendering and loading every copy on its own.
 """
 
 from __future__ import annotations
@@ -225,11 +231,14 @@ class _Object:
     while its value is None.  A ``shared`` object is checked and built once
     per distinct copy, and written once per indentation in a call.  One that
     reads attributes may name a ``cut`` member: its text around that member
-    is written once per identity of its other values in a call."""
+    is written once per identity of its other values in a call.  Its
+    ``moves`` keys, in field order, may vary within a call: a copy whose
+    other values are exactly those of one built earlier in it is that
+    object's ``moved`` with them, which only they are checked for."""
 
     def __init__(self, keys: Sequence[str], kinds: Sequence[Any], read: Callable | None, build: Callable,
                  head: dict[str, str] | None = None, optional: frozenset = frozenset(),
-                 shared: bool = False, cut: str | None = None) -> None:
+                 shared: bool = False, cut: str | None = None, moves: Sequence[str] = ()) -> None:
         self.read, self.build, self.shared, self.cut = read or attrgetter(*keys), build, shared, cut
         self.plan = tuple(zip(keys, kinds, strict=True))
         if cut is not None:  # the other values key the object's text around the cut member
@@ -237,7 +246,8 @@ class _Object:
             self.others = attrgetter(*keys[:self.cut_at], *keys[self.cut_at + 1:])
         self.head = head or {}
         self.keys = (*self.head, *keys)
-        self.values = itemgetter(*self.keys)
+        self.values = itemgetter(*[k for k in self.keys if k not in moves])  # the memo key's
+        self.moving = tuple((key, kind) for key, kind in self.plan if key in moves)
         self.allowed = frozenset(self.keys)
         self.required = self.allowed - optional
         self.labels = tuple(_quote(k) + ": " for k in keys)  # each key as written, '"key": '
@@ -315,8 +325,11 @@ class _Object:
         # function of the parsed value alone: two copies with exactly the
         # allowed keys and the same values in declaration order pass the same
         # checks and build equal objects.  Only a built object is kept: a
-        # failing copy raises wherever it occurs.
-        if not self.shared or obj.__class__ is not dict or obj.keys() != self.allowed:
+        # failing copy raises wherever it occurs.  A moving object's key
+        # leaves its moves out: a copy whose key is held passes the other
+        # checks as the held object did, so only its moves are loaded, in
+        # field order, and the held object's moved builds it.
+        if not (self.shared or self.moving) or obj.__class__ is not dict or obj.keys() != self.allowed:
             return self._check_and_build(obj, memo)
         try:
             memo_key = (self, marshal.dumps(self.values(obj), 2))
@@ -325,6 +338,8 @@ class _Object:
         built = memo.get(memo_key)
         if built is None:
             built = memo[memo_key] = self._check_and_build(obj, memo)
+        elif self.moving:
+            return self._build(built.moved, *self._load_values(self.moving, obj, memo))
         return built
 
     def check(self, obj: Any) -> None:
@@ -342,16 +357,22 @@ class _Object:
     def _check_and_build(self, obj: Any, memo: dict) -> Any:
         """load(obj) without the memo."""
         self.check(obj)
+        return self._build(self.build, *self._load_values(self.plan, obj, memo))
+
+    @staticmethod
+    def _load_values(plan: Sequence[tuple[str, Any]], obj: dict, memo: dict) -> list:
+        """The values of plan's keys in obj, each loaded by its kind, None
+        where obj has none; the first failing one names its key."""
         values = []
         try:
-            for key, kind in self.plan:
+            for key, kind in plan:
                 values.append(kind.load(obj[key], memo) if key in obj else None)
         except SchemaError as exc:
             if kind.__class__ is _Scalar:  # named as a field of this object
                 raise SchemaError(f"field {key!r} must be {kind.what}") from None
             exc.path = (key, *exc.path)
             raise
-        return self._build(self.build, *values)
+        return values
 
     def load_cut(self, derive: Callable, obj: Any, memo: dict) -> Any:
         """derive(member), the cut member loaded from obj."""
@@ -371,12 +392,12 @@ class _Object:
 
 
 def _stores(cls: type, *kinds: Any, head: dict[str, str] | None = None,
-            shared: bool = False, cut: str | None = None) -> _Object:
+            shared: bool = False, cut: str | None = None, moves: Sequence[str] = ()) -> _Object:
     """The object that stores a dataclass: its fields as keys, in field order;
     a field that defaults to None is optional."""
     keys = tuple(f.name for f in fields(cls))
     optional = frozenset(f.name for f in fields(cls) if f.default is None)
-    return _Object(keys, kinds, None, cls, head, optional, shared, cut)
+    return _Object(keys, kinds, None, cls, head, optional, shared, cut, moves)
 
 
 def _surface_from_json(tag: Any) -> Surface:
@@ -401,7 +422,8 @@ _SURFACE = _Codec(attrgetter("value"), _surface_from_json)
 _DIVISOR = _Object(("surface", "coeffs"), (_SURFACE, _Array(_Q, RANK)),
                    lambda d: (d.surface, d.num if d.den == 1 else d.coeffs), DivisorClass, shared=True)
 _ROW = _stores(Table1Row, _INT, _INT, _INT, _INT, shared=True)
-_PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _INTS, _INTS, _DIVISOR, _DIVISOR)
+_PARAMS = _stores(BundleParams, _INT, _INT, _INT, _INT, _INTS, _INTS, _DIVISOR, _DIVISOR,
+                  moves=("d2", "d3", "l2", "l3"))
 _ENTRY = _stores(ConstraintEntry, _STR, _BOOL, _Q, _DIVISOR, _Detail)
 _REPORT = _stores(ConstraintReport, _Array(_ENTRY), _Array(_Q, 2), _BOOL, _Q, _BOOL, _BOOL, _STRS,
                   shared=True)
@@ -669,18 +691,29 @@ class _Document:
         return SchemaError(f"not valid JSON: {exc}")
 
 
-def _in_family(text: str, at: int, before: str, after: str) -> tuple[Any, int] | None:
-    """The JSON value of the cut member of the certificate at text[at], and
-    the certificate's end, if its text is before, one value and after; None
-    where it is not, or json raises anything (a repeated key included)."""
-    if text.startswith(before, at):
-        try:
-            obj, end = _BUILD.scan_once(text, at + len(before))
-        except (StopIteration, ValueError, RecursionError, SchemaError):
-            return None
-        if text.startswith(after, end):
-            return obj, end + len(after)
-    return None
+def _in_family(text: str, at: int, last: tuple[str, str, Callable], families: dict,
+               label: str, close: str, reach: int) -> tuple[tuple, Any, int] | None:
+    """The family (before, after, derive) whose text the certificate at
+    text[at] is, as before, one value and after, with the JSON value of its
+    cut member and its end: last if it is, else the one families keys by
+    the certificate's two texts, up to its first label within reach and
+    from that value to its first close (a family's texts hold them only at
+    their ends).  None where none is, or json raises anything (a repeated
+    key included)."""
+    before, after, _ = last
+    same = text.startswith(before, at)
+    start = at + len(before) if same else text.find(label, at, at + reach) + len(label)
+    if start < at + len(label):  # no label within reach
+        return None
+    try:
+        obj, end = _BUILD.scan_once(text, start)
+    except (StopIteration, ValueError, RecursionError, SchemaError):
+        return None
+    if same and text.startswith(after, end):
+        return last, obj, end + len(after)
+    stop = text.find(close, end) + len(close)  # no close keys no family: each after ends with one
+    family = families.get((text[at:start], text[end:stop]))
+    return None if family is None else (family, obj, stop)
 
 
 def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
@@ -694,8 +727,12 @@ def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
     if doc.skip() != "{":
         return [_CERTIFICATE.load(doc.whole(), memo)]
     (listed, array), = _FILE.plan
-    family = array.item.family(_Array.layout("\n  ")[0])
-    last: tuple[Callable, str, str] | None = None  # with_params of the last one parsed whole, its family text
+    inner = _Array.layout("\n  ")[0]
+    # a family's text before params ends with its member line for params, as family writes it
+    family, label = array.item.family(inner), f",{inner}  {array.item.labels[array.item.cut_at]}"
+    # each family parsed whole: its text before and after params, and the with_params of its certificate
+    families: dict[tuple[str, str], tuple[str, str, Callable]] = {}
+    last: tuple[str, str, Callable] | None = None  # the family that answered last
     pairs: list[tuple[str, Any]] = []
     built: list[SolutionCertificate] = []
     failed: SchemaError | None = None
@@ -718,23 +755,24 @@ def _decode(source: Callable[[], Iterator[str]]) -> list[SolutionCertificate]:
                 loading, start, found = failed is None and doc.duplicate is None, doc.base + doc.at, None
                 if loading and last is not None:  # read on to twice the longest certificate: a read cuts none
                     doc.hold(2 * longest)
-                    found = _in_family(doc.text, doc.at, *last[1:])
+                    found = _in_family(doc.text, doc.at, last, families, label, inner + "}", longest)
                 if found is None:
                     obj = doc.value((key, index))
                 else:
-                    obj, doc.at = found
+                    last, obj, doc.at = found
                     doc.mark = doc.at
                 if loading and doc.duplicate is None:  # a repeat in obj taints the document
                     longest = max(longest, doc.base + doc.at - start)
                     try:
-                        cert = array.item.load(obj, memo) if found is None else array.item.load_cut(last[0], obj, memo)
+                        cert = array.item.load(obj, memo) if found is None else array.item.load_cut(last[2], obj, memo)
                     except SchemaError as exc:
                         exc.path = (key, index, *exc.path)
                         failed = exc
                     else:
                         built.append(cert)
                         if found is None:
-                            last = cert.with_params, *family(cert, memo)[1:]
+                            texts = family(cert, memo)[1:]
+                            last = families[texts] = (*texts, cert.with_params)
                 index += 1
                 char = doc.next_item("]", "[0")
             doc.step()

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import re
 import stat
 import sys
@@ -259,11 +260,12 @@ def _run_spans(text, index):
 
 
 def _family_changes(text, count):
-    """The indices of the certificates whose two runs are not those of the
-    certificate before them: the first, and each where the family text
-    changes."""
-    texts = [[text[a:b] for a, b in _run_spans(text, i).values()] for i in range(count)]
-    return [i for i in range(count) if i == 0 or texts[i] != texts[i - 1]]
+    """The indices of the certificates whose two runs are those of no
+    certificate before them: the first certificate of each family text."""
+    first = {}
+    for i in range(count):
+        first.setdefault(tuple(text[a:b] for a, b in _run_spans(text, i).values()), i)
+    return sorted(first.values())
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 4096, 1 << 16])
@@ -362,10 +364,11 @@ def test_file_load_holds_neither_the_text_nor_its_parse(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("spelling", ["indent-1", "alternating"])
 def test_a_load_holds_a_family_once_per_value_of_its_ints(tmp_path, monkeypatch, certs, spelling):
-    """Every certificate is parsed whole here: the file is spelled at indent
-    1, or alternates noted and plain certificates as written.  json gives
-    each parsed int past 256 an object of its own, yet a family's text is
-    held once per value, so the load still holds neither the text nor its
+    """Every certificate is parsed whole at indent 1; as written, with noted
+    and plain certificates alternating, the first of each family is, and
+    each later one is answered by its family's text.  json gives each
+    parsed int past 256 an object of its own, yet a family's text is held
+    once per value, so the load still holds neither the text nor its
     parse."""
     wide = [dataclasses.replace(c, u=1000) for c in certs]
     if spelling == "indent-1":
@@ -384,7 +387,7 @@ def test_a_load_holds_a_family_once_per_value_of_its_ints(tmp_path, monkeypatch,
     finally:
         tracemalloc.stop()
     assert loaded == wide
-    assert parsed == list(range(len(wide)))
+    assert parsed == (list(range(len(wide))) if spelling == "indent-1" else [0, 1])
     assert peak < path.stat().st_size / 2
 
 
@@ -1100,10 +1103,10 @@ def _spaced(certs, indents):
 
 def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
     """Each shared member is one object per value, whether the text around
-    params of the certificate before answered for it or the marshal memo
-    did (a certificate parsed whole); the multiplicity lists and notes are
-    one object per value.  As written, only a certificate whose text around
-    params is not that of the one before is parsed whole; spelled at other
+    params of a certificate parsed whole before answered for it or the
+    marshal memo did (a certificate parsed whole); the multiplicity lists
+    and notes are one object per value.  As written, only the first
+    certificate of each family text is parsed whole; spelled at other
     indents, each one is.  On the box every notes is (), which CPython
     holds once, so notes are checked on certificates with notes of their
     own."""
@@ -1126,12 +1129,13 @@ def test_loaded_file_shares_what_solve_shares(monkeypatch, certs):
                     assert value is canonical.setdefault(value, value)
             assert len(canonical) == len({get(c) for c in certs for get in getters})
     # notes of their own: as written, at alternate indents, and alternating
-    # in pairs with plain certificates, whose family text differs
+    # in pairs with plain certificates, whose family text differs: each
+    # pair after the first two is answered by its family's text
     noted = [_noted(c) for c in certs[:8]]
     mixed = [_noted(c) if i // 2 % 2 == 0 else c for i, c in enumerate(certs[:8])]
     for case, text, whole in ((noted, dumps_certificates(noted), [0]),
                               (noted[:6], _spaced(noted[:6], (None, 1)), [*range(6)]),
-                              (mixed, dumps_certificates(mixed), [0, 2, 4, 6])):
+                              (mixed, dumps_certificates(mixed), [0, 2])):
         parsed.clear()
         loaded = loads_certificates(text)
         assert loaded == case
@@ -1978,7 +1982,7 @@ def test_a_rational_past_a_lowered_digit_limit_is_a_schema_error(path):
     )
 
 
-# === the family cut: each certificate derived from the last one parsed whole ===
+# === the family cut: each certificate derived from a family parsed whole in the call ===
 
 
 def _one_family(certs, count):
@@ -2038,14 +2042,15 @@ _FAMILY_DOCTORS = {
 def test_the_cut_after_a_doctored_certificate_is_the_whole_parse(monkeypatch, certs, doctor):
     """A doctored certificate (as the certify benchmark doctors them) switches
     the family: it is parsed whole, the next one doctored alike is derived
-    from it, the next genuine one is parsed whole and answers for the one
-    after it; each equals its whole parse field by field."""
+    from it, and the genuine ones after them are derived from the first
+    genuine one, whose family is found again by its text; each equals its
+    whole parse field by field."""
     family = _one_family(certs, 6)
     case = [*family[:2], *map(_FAMILY_DOCTORS[doctor], family[2:4]), *family[4:]]
     text = dumps_certificates(case)
     parsed = _parsed_whole(monkeypatch)
     loaded = loads_certificates(text)
-    assert parsed == [0, 2, 4] and loaded == case
+    assert parsed == [0, 2] and loaded == case
     for cert, whole in zip(loaded, _whole_builds(text)):
         _same_fields(cert, whole)
 
@@ -2073,3 +2078,174 @@ def test_params_off_the_row_fail_through_the_cut_as_through_the_whole_parse(monk
     with pytest.raises(SchemaError) as alone:
         certificate_from_dict(json.loads(text)["certificates"][index])
     assert str(alone.value) == "malformed: bundle parameters disagree with the table row"
+
+
+def _doctor_plan(certs, seed):
+    """certs shuffled by seed, an eighth of them doctored, each in one field
+    that changes its family text, as the certify benchmark plans its file."""
+    rng = random.Random(seed)
+    listed = list(certs)
+    rng.shuffle(listed)
+    for pos in rng.sample(range(len(listed)), round(len(listed) / 8)):
+        listed[pos] = _FAMILY_DOCTORS[rng.choice(sorted(_FAMILY_DOCTORS))](listed[pos])
+    return listed
+
+
+@pytest.mark.parametrize("plan", ["alternating", "doctor-plan-0", "doctor-plan-1", "doctor-plan-7"])
+def test_each_family_is_parsed_whole_once(monkeypatch, certs, plan):
+    """Families that come back after others (A B A B ..., or the certify
+    benchmark's shuffled and doctored file) are each parsed whole once, at
+    their first certificate; every later certificate is answered by its
+    family's text, equals its whole parse field by field, and shares each
+    shared member, and each multiplicity list and notes, with every equal
+    one by identity."""
+    if plan == "alternating":
+        case = [_FAMILY_DOCTORS["report.c3"](c) if i % 2 else c for i, c in enumerate(certs[:16])]
+    else:
+        case = _doctor_plan(certs, int(plan.rsplit("-", 1)[1]))
+    text = dumps_certificates(case)
+    parsed = _parsed_whole(monkeypatch)
+    loaded = loads_certificates(text)
+    assert loaded == case
+    assert parsed == _family_changes(text, len(case))
+    assert len(parsed) == len({(c.u, c.x, c.z, c.report) for c in case}) == (2 if plan == "alternating" else 6)
+    for cert, whole in zip(loaded, _whole_builds(text)):
+        _same_fields(cert, whole)
+    for get in map(attrgetter, ("row", "report", "notes", "params.a2", "params.a3")):
+        canonical = {}
+        assert all(get(c) is canonical.setdefault(get(c), get(c)) for c in loaded)
+
+
+class _Counted(dict):
+    """A dict that counts its lookups: one per key looked up, and one per key
+    of a walk over it."""
+
+    lookups = 0
+
+    def _count(self, n=1):
+        _Counted.lookups += n
+
+    def get(self, key, default=None):
+        self._count()
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._count()
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._count()
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self._count(len(self))
+        return super().__iter__()
+
+    def keys(self):
+        self._count(len(self))
+        return super().keys()
+
+    def values(self):
+        self._count(len(self))
+        return super().values()
+
+    def items(self):
+        self._count(len(self))
+        return super().items()
+
+
+def test_a_certificate_costs_a_bounded_number_of_family_lookups(monkeypatch, certs):
+    """N certificates whose text before params is one family's but whose
+    reports all differ are N families, each parsed whole; each is checked
+    once, and its check looks up at most one family, however many the call
+    holds."""
+    case = [dataclasses.replace(c, report=dataclasses.replace(c.report, c3=c.report.c3 + i))
+            for i, c in enumerate(certs[:48])]
+    text = dumps_certificates(case)
+    assert len({text[slice(*_run_spans(text, i)["before"])] for i in range(len(case))}) == 1
+    parsed, checks = _parsed_whole(monkeypatch), []
+    in_family = certificates._in_family
+
+    def spy(text, at, last, families, *rest):
+        checks.append(in_family(text, at, last, _Counted(families), *rest))
+        return checks[-1]
+
+    monkeypatch.setattr(certificates, "_in_family", spy)
+    monkeypatch.setattr(_Counted, "lookups", 0)
+    assert loads_certificates(text) == case
+    assert parsed == list(range(len(case))) and checks == [None] * (len(case) - 1)
+    assert _Counted.lookups <= len(checks)
+
+
+def test_a_params_through_the_cut_is_moved_from_its_base(monkeypatch, certs):
+    """A params whose k2, k3, a2 and a3 those of a params built whole earlier
+    in the call are is that one's moved, its a2 and a3 the call's tuples:
+    the quick box builds one params whole per (a2, a3) pair."""
+    moved, built = [], []
+    move, post_init = BundleParams.moved, BundleParams.__post_init__
+
+    def spy_moved(params, *args):
+        moved.append(move(params, *args))
+        return moved[-1]
+
+    def spy_post_init(params):
+        built.append(params)
+        post_init(params)
+
+    monkeypatch.setattr(BundleParams, "moved", spy_moved)
+    monkeypatch.setattr(BundleParams, "__post_init__", spy_post_init)
+    loaded = loads_certificates(dumps_certificates(certs))
+    bases = {(c.params.a2, c.params.a3) for c in certs}
+    assert len(built) == len(bases) == 4 and len(moved) == len(certs) - len(bases)
+    assert {id(c.params) for c in loaded} == {id(p) for p in built + moved}
+    assert len({id(c.params.a2) for c in loaded}) == 2 and len({id(c.params.a3) for c in loaded}) == 2
+
+
+def _renumbered(params):
+    params["k2"], params["k3"] = 2, 4
+
+
+def _l3_noncanonical(params):
+    params["l3"]["coeffs"][1] = "-18/2"
+
+
+# edits to one certificate's params, each failing its load
+_PARAMS_EDITS = {
+    "d2-true": lambda p: p.update(d2=True),
+    "d2-float": lambda p: p.update(d2=float(p["d2"])),
+    "d3-float": lambda p: p.update(d3=float(p["d3"])),
+    "a2-bool": lambda p: p.update(a2=[0, True]),
+    "a2-three-items": lambda p: p.update(a2=[0, 0, 0]),
+    "l2-on-B": lambda p: p["l2"].update(surface="B"),
+    "l3-noncanonical": _l3_noncanonical,
+    "extra-key": lambda p: p.update(extra=1),
+    "no-l3": lambda p: p.pop("l3"),
+    "off-the-row": _renumbered,
+}
+
+
+@pytest.mark.parametrize("edit", _PARAMS_EDITS.values(), ids=_PARAMS_EDITS)
+def test_a_params_error_through_the_cut_is_the_whole_parse(monkeypatch, certs, edit):
+    """An edit to the params of a certificate the cut answers, whose k2, k3,
+    a2 and a3 a params built earlier in the call may hold, fails with the
+    message and key path of that certificate loaded alone: as written, at
+    indent 1, where each certificate is parsed whole, and read 7 characters
+    at a time."""
+    index = 3
+    payload = json.loads(dumps_certificates(_one_family(certs, 6)))
+    edit(payload["certificates"][index]["params"])
+    with pytest.raises(SchemaError) as alone:
+        certificate_from_dict(payload["certificates"][index])
+    parsed = _parsed_whole(monkeypatch)
+    for indent in (2, 1):
+        text = json.dumps(payload, indent=indent) + "\n"
+        parsed.clear()
+        with pytest.raises(SchemaError) as caught:
+            loads_certificates(text)
+        assert (caught.value.path, caught.value.reason) == (("certificates", index, *alone.value.path),
+                                                             alone.value.reason)
+        # as written, the cut answers every certificate up to the failing one
+        assert parsed[:2] == ([0, index + 1] if indent == 2 else [0, 1])
+        with pytest.raises(SchemaError) as again:
+            _load_both(text)
+        assert str(again.value) == str(caught.value)
